@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (
     BodySpec,
@@ -23,12 +22,14 @@ from .core import (
     NEG_INF,
     make_grid,
 )
+from .contract import contract
 from .heatflow import KernelUnderResolvedError, fp_evolve, ou_apply
 from .legendre import polar_density
 from .quadrature import (
     GAUSSIAN,
     LEBESGUE,
     LOG_2PI,
+    boundary_mask,
     log_integral,
     log_lq_norm,
     logsumexp_all,
@@ -80,12 +81,6 @@ class BLOptimum:
     degenerate: bool
 
 
-def _log_gamma(grid: GridSpec) -> np.ndarray:
-    mesh = grid.meshgrid()
-    sq = sum(m * m for m in mesh)
-    return -0.5 * sq - 0.5 * grid.dim * LOG_2PI
-
-
 def volume_product(f: LogDensity, dual: GridSpec | None = None) -> LogQuad:
     """log v(f) = log int f + log int f(polar); tail_ratio from the polar integral."""
     li = log_integral(f, LEBESGUE)
@@ -112,7 +107,7 @@ def rev_hc_value(f0: LogDensity, s: float, p: float | None = None, q: float | No
     q = sched.q if q is None else q
     if not (0 < p) or not (q < 0):
         raise ValueError("need 0 < p and q < 0")
-    g_phi = (f0.phi + _log_gamma(f0.grid)) / p  # -log[(f0/gamma)^{1/p}]
+    g_phi = (f0.phi + GAUSSIAN.log_weight(f0.grid)) / p  # -log[(f0/gamma)^{1/p}]
     g = LogDensity(grid=f0.grid, phi=g_phi, even=f0.even)
     psg = ou_apply(g, s)
     lhs = log_lq_norm(psg, q, GAUSSIAN)
@@ -159,33 +154,29 @@ def gaussian_rev_hc(beta: float, a, s: float, p: float, q: float) -> LogQuad:
     return LogQuad(log_abs=total, sign=1)
 
 
-def _log_laplace_at(f: LogDensity, x: np.ndarray, power: float, arg_scale: float) -> float:
-    """log int e^{arg_scale <x, z>} f(z)^power dz at a single point x."""
-    mesh = f.grid.meshgrid()
-    dot = sum(xk * mk for xk, mk in zip(np.atleast_1d(x), mesh))
-    terms = arg_scale * dot - power * f.phi + trapezoid_log_weights(f.grid)
-    return logsumexp_all(terms)
-
-
 def laplace_grid(f: LogDensity, q: float, power: float, arg_scale: float, points=None) -> GridSpec:
     """x-grid wide enough that q log F has decayed LAPLACE_DECAY_NATS nats.
 
-    For even f, log F is even and convex so its q-weighted maximum sits at 0.
+    Along each axis the half-width is the first rung of the ladder 4 * 1.5^j
+    where q (log F(r e_k) - log F(0)) <= -LAPLACE_DECAY_NATS, or the first rung
+    at or above 512 when none is.  For even f, log F is even and convex so its
+    q-weighted maximum sits at 0.
     """
     n = f.grid.dim
     pts = points if points is not None else f.grid.points
-    at0 = _log_laplace_at(f, np.zeros(n), power, arg_scale)
+    ladder = [4.0]
+    while ladder[-1] < 512.0:
+        ladder.append(ladder[-1] * 1.5)
+    xs = np.array([0.0] + ladder[:-1])
+    log_f = -power * f.phi + trapezoid_log_weights(f.grid)
     hws = []
     for k in range(n):
-        r = 4.0
-        while r < 512.0:
-            e = np.zeros(n)
-            e[k] = r
-            rise = _log_laplace_at(f, e, power, arg_scale) - at0
-            if q * rise <= -LAPLACE_DECAY_NATS:
-                break
-            r *= 1.5
-        hws.append(r)
+        # log F at x = r e_k for every rung r at once (and at x = 0)
+        kernels = [np.zeros((1, m)) for m in f.grid.points]
+        kernels[k] = arg_scale * np.outer(xs, f.grid.axis(k))
+        log_lap = contract(log_f, kernels).ravel()
+        hit = np.flatnonzero(q * (log_lap[1:] - log_lap[0]) <= -LAPLACE_DECAY_NATS)
+        hws.append(ladder[hit[0]] if hit.size else ladder[-1])
     return make_grid(n, tuple(hws), pts)
 
 
@@ -196,30 +187,13 @@ def log_laplace(f: LogDensity, x_grid: GridSpec, power: float = 1.0, arg_scale: 
     z-integrand peaked on the z-boundary and the value is unreliable.
     """
     grid = f.grid
-    zw = trapezoid_log_weights(grid)
     base = -power * f.phi
-    out = np.empty(x_grid.points)
-    flags = np.zeros(x_grid.points, dtype=bool)
-    xs = x_grid.nodes()
-    mesh = grid.meshgrid()
-    bmask = _boundary(grid.points)
-    flat_vals = np.empty(len(xs))
-    flat_flags = np.zeros(len(xs), dtype=bool)
-    for i, x in enumerate(xs):
-        dot = sum(xk * mk for xk, mk in zip(x, mesh))
-        e = arg_scale * dot + base
-        flat_vals[i] = logsumexp_all(e + zw)
-        interior_max = np.max(e[~bmask])
-        flat_flags[i] = bool(np.max(e[bmask]) >= interior_max)
-    out[...] = flat_vals.reshape(x_grid.points)
-    flags[...] = flat_flags.reshape(x_grid.points)
-    return out, flags
-
-
-def _boundary(shape) -> np.ndarray:
-    from .quadrature import boundary_mask
-
-    return boundary_mask(tuple(shape))
+    kernels = [arg_scale * np.outer(x_grid.axis(k), grid.axis(k)) for k in range(grid.dim)]
+    out = contract(base + trapezoid_log_weights(grid), kernels)
+    bmask = boundary_mask(grid.points)
+    boundary_max = contract(np.where(bmask, base, NEG_INF), kernels, "max")
+    interior_max = contract(np.where(bmask, NEG_INF, base), kernels, "max")
+    return out, boundary_max >= interior_max
 
 
 def laplace_f_t(f_t: LogDensity, s: float, x_grid: GridSpec | None = None):
@@ -320,29 +294,15 @@ def bl_integral(f1: LogDensity, f2: LogDensity, data: BLData) -> LogQuad:
         raise ValueError("dimension mismatch")
     n = f1.grid.dim
     q2 = data.qform
-    w1 = trapezoid_log_weights(f1.grid)
-    w2 = trapezoid_log_weights(f2.grid)
-    m1 = f1.grid.meshgrid()
-    m2 = f2.grid.meshgrid()
-    sq1 = sum(m * m for m in m1)
-    sq2 = sum(m * m for m in m2)
-    base1 = (-math.pi * q2[0, 0]) * sq1 - data.c1 * f1.phi + w1
-    base2 = (-math.pi * q2[1, 1]) * sq2 - data.c2 * f2.phi + w2
-    # cross term couples each coordinate of x1 with the same coordinate of x2
-    total = NEG_INF
-    shape1 = base1.size
-    b1 = base1.ravel()
-    b2 = base2.ravel()
-    x1 = np.stack([m.ravel() for m in m1], axis=-1)
-    x2 = np.stack([m.ravel() for m in m2], axis=-1)
-    cross_coef = -2 * math.pi * q2[0, 1]
-    chunk = max(1, int(4e6 // max(1, len(b2))))
-    pieces = []
-    for start in range(0, shape1, chunk):
-        dots = x1[start : start + chunk] @ x2.T
-        block = b1[start : start + chunk, None] + cross_coef * dots + b2[None, :]
-        pieces.append(logsumexp(block))
-    total = logsumexp(np.array(pieces))
+    sq1 = sum(m * m for m in f1.grid.meshgrid())
+    sq2 = sum(m * m for m in f2.grid.meshgrid())
+    base1 = (-math.pi * q2[0, 0]) * sq1 - data.c1 * f1.phi + trapezoid_log_weights(f1.grid)
+    base2 = (-math.pi * q2[1, 1]) * sq2 - data.c2 * f2.phi + trapezoid_log_weights(f2.grid)
+    # the cross term couples each coordinate of x1 with the same coordinate of
+    # x2, so x2 is integrated out axis by axis
+    cross = -2 * math.pi * q2[0, 1]
+    kernels = [cross * np.outer(f1.grid.axis(k), f2.grid.axis(k)) for k in range(n)]
+    total = logsumexp_all(base1 + contract(base2, kernels))
     if total == NEG_INF:
         return LogQuad(NEG_INF, 0)
     return LogQuad(log_abs=float(total), sign=1)
@@ -467,9 +427,7 @@ def lr_volume_product(
     hc = 2 * bound / inner_cells
     centers_1d = -bound + (np.arange(inner_cells) + 0.5) * hc
     cmesh = np.meshgrid(*([centers_1d] * n), indexing="ij")
-    pts = np.stack([m.ravel() for m in cmesh], axis=-1)
-    inside = body.gauge(pts) <= 1.0
-    y = pts[inside]
+    inside = body.gauge(np.stack(cmesh, axis=-1)) <= 1.0
     log_cell = n * math.log(hc)
     log_vol = math.log(inside.sum()) + log_cell
     if outer_grid is None:
@@ -478,19 +436,12 @@ def lr_volume_product(
         inradius = float(min(1.0 / body.gauge(probe[k]) for k in range(n)))
         hw = LAPLACE_DECAY_NATS / inradius + 2.0
         outer_grid = make_grid(n, hw, 129 if n == 1 else 129)
-    xw = trapezoid_log_weights(outer_grid)
-    xs = outer_grid.nodes()
-    inner_logmean = np.empty(len(xs))
-    chunk = max(1, int(4e6 // max(1, len(y))))
-    for start in range(0, len(xs), chunk):
-        dots = xs[start : start + chunk] @ y.T
-        inner_logmean[start : start + chunk] = (
-            logsumexp(r * dots, axis=1) + log_cell - log_vol
-        )
-    outer_terms = (-inner_logmean / r).reshape(outer_grid.points) + xw
-    la = logsumexp_all(outer_terms)
-    integrand = (-inner_logmean / r).reshape(outer_grid.points)
-    bmask = _boundary(outer_grid.points)
+    # K enters as a 0 / -inf mask on the cell centers; the kernel r <x, y> splits by axis
+    kernels = [r * np.outer(outer_grid.axis(k), centers_1d) for k in range(n)]
+    inner_logmean = contract(np.where(inside, 0.0, NEG_INF), kernels) + log_cell - log_vol
+    integrand = -inner_logmean / r
+    la = logsumexp_all(integrand + trapezoid_log_weights(outer_grid))
+    bmask = boundary_mask(outer_grid.points)
     tail = math.exp(min(float(np.max(integrand[bmask]) - np.max(integrand[~bmask])), 700.0))
     return LogQuad(log_abs=log_vol + la, sign=1, tail_ratio=tail)
 

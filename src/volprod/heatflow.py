@@ -1,8 +1,9 @@
 """Ornstein-Uhlenbeck semigroup P_s and its Fokker-Planck dual via exact kernels.
 
 Each requested time gets its own Gaussian kernel (no time stepping), so
-trajectories carry no accumulation error. Kernels factorize over axes and are
-contracted in log domain.
+trajectories carry no accumulation error. Kernels factorize over axes; the
+per-axis log-kernel matrices (with trapezoid weights) are built and cached
+here and contracted in log domain by ``volprod.contract``.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ import math
 
 import numpy as np
 
+from .contract import contract
 from .core import GridSpec, LogDensity, reflect
-from .quadrature import LOG_2PI
 
 # cache of per-axis log-kernel matrices keyed by (kind, t, n, half_width)
 _KERNEL_CACHE: dict[tuple, np.ndarray] = {}
@@ -56,25 +57,14 @@ def _axis_kernel(axis: np.ndarray, h: float, t: float, kind: str) -> np.ndarray:
     return w
 
 
-def _contract(log_f: np.ndarray, grid: GridSpec, t: float, kind: str) -> np.ndarray:
-    """Apply the factorized kernel along every axis of log f, stably."""
-    out = log_f
-    for k in range(grid.dim):
-        w = _axis_kernel(grid.axis(k), grid.spacings[k], t, kind)
-        moved = np.moveaxis(out, k, 0)  # (N, rest)
-        flat = moved.reshape(moved.shape[0], -1)
-        shift = np.max(flat, axis=0, keepdims=True)
-        shift = np.where(np.isfinite(shift), shift, 0.0)
-        summed = w[:, :, None] + (flat - shift)[None, :, :]
-        m = np.max(summed, axis=1, keepdims=True)
-        m_safe = np.where(np.isfinite(m), m, 0.0)
-        with np.errstate(divide="ignore"):
-            res = np.squeeze(m_safe, 1) + np.log(
-                np.sum(np.exp(summed - m_safe), axis=1)
-            )
-        res = res + shift
-        out = np.moveaxis(res.reshape(moved.shape), 0, k)
-    return out
+def _apply_kernel(f: LogDensity, t: float, kind: str) -> LogDensity:
+    """Contract f with the per-axis kernels of ``kind`` at time t; even f stay even."""
+    _check_resolution(f.grid, t)
+    kernels = [_axis_kernel(f.grid.axis(k), f.grid.spacings[k], t, kind) for k in range(f.grid.dim)]
+    phi = -contract(f.log_values(), kernels)
+    if f.even:
+        phi = np.where(np.isfinite(phi), 0.5 * (phi + reflect(phi)), phi)
+    return LogDensity(grid=f.grid, phi=phi, even=f.even)
 
 
 def fp_evolve(f0: LogDensity, t: float) -> LogDensity:
@@ -83,24 +73,14 @@ def fp_evolve(f0: LogDensity, t: float) -> LogDensity:
         raise ValueError("t must be nonnegative")
     if t == 0:
         return f0
-    _check_resolution(f0.grid, t)
-    log_ft = _contract(f0.log_values(), f0.grid, t, "fp")
-    phi = -log_ft
-    if f0.even:
-        phi = np.where(np.isfinite(phi), 0.5 * (phi + reflect(phi)), phi)
-    return LogDensity(grid=f0.grid, phi=phi, even=f0.even)
+    return _apply_kernel(f0, t, "fp")
 
 
 def ou_apply(g: LogDensity, s: float) -> LogDensity:
     """P_s g on the same grid; g = e^{-phi} may be any positive grid function."""
     if s <= 0:
         raise ValueError("s must be positive")
-    _check_resolution(g.grid, s)
-    log_psg = _contract(g.log_values(), g.grid, s, "ou")
-    phi = -log_psg
-    if g.even:
-        phi = np.where(np.isfinite(phi), 0.5 * (phi + reflect(phi)), phi)
-    return LogDensity(grid=g.grid, phi=phi, even=g.even)
+    return _apply_kernel(g, s, "ou")
 
 
 def flow_trajectory(f0: LogDensity, times) -> list[LogDensity]:

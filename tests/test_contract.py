@@ -1,0 +1,194 @@
+import ast
+import inspect
+import math
+
+import numpy as np
+import pytest
+from scipy.special import logsumexp
+
+from volprod import contract as contract_mod
+from volprod import oracles
+from volprod.contract import contract
+from volprod.core import BodySpec, ellipsoid, gaussian_to_logdensity, isotropic_gaussian, lp_ball, make_grid
+from volprod.densities import box, cross2d, exp_power, gaussian
+from volprod.functionals import bl_data, bl_integral, log_laplace, lr_volume_product
+from volprod.quadrature import boundary_mask, trapezoid_log_weights
+
+REL = 1e-12
+
+
+def _brute(log_f, kernels, reduce):
+    """All-pairs reference: reduce over every j of sum_k W_k[i_k, j_k] + log f[j]."""
+    d = log_f.ndim
+    total = log_f.reshape((1,) * d + log_f.shape)
+    for k, w in enumerate(kernels):
+        shape = [1] * (2 * d)
+        shape[k], shape[d + k] = w.shape
+        total = total + w.reshape(shape)
+    axes = tuple(range(d, 2 * d))
+    if reduce == "max":
+        return np.max(total, axis=axes)
+    return logsumexp(total, axis=axes)
+
+
+def _close(a, b, rel=REL):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    assert a.shape == b.shape
+    same = a == b  # matching infinities
+    assert not np.isnan(a).any() and not np.isnan(b).any()
+    err = np.where(same, 0.0, np.abs(a - b) / np.maximum(1.0, np.abs(b)))
+    assert float(np.max(err)) <= rel
+
+
+def _random_case(rng, in_shape, out_shape):
+    log_f = rng.normal(scale=3.0, size=in_shape)
+    kernels = [rng.normal(scale=2.0, size=(m, n)) for m, n in zip(out_shape, in_shape)]
+    return log_f, kernels
+
+
+class TestEngine:
+    @pytest.mark.parametrize("reduce", ["lse", "max"])
+    @pytest.mark.parametrize(
+        "in_shape, out_shape",
+        [((9,), (5,)), ((7, 6), (4, 9)), ((5, 4, 6), (3, 7, 2))],
+    )
+    def test_matches_all_pairs(self, reduce, in_shape, out_shape):
+        rng = np.random.default_rng(len(in_shape))
+        log_f, kernels = _random_case(rng, in_shape, out_shape)
+        got = contract(log_f, kernels, reduce)
+        assert got.shape == out_shape
+        _close(got, _brute(log_f, kernels, reduce))
+
+    @pytest.mark.parametrize("reduce", ["lse", "max"])
+    def test_minus_inf_columns_and_masked_body(self, reduce):
+        rng = np.random.default_rng(5)
+        log_f, kernels = _random_case(rng, (6, 7, 5), (4, 3, 8))
+        log_f[:, 2, :] = -np.inf  # columns that vanish throughout
+        log_f[1:3, :, 4] = -np.inf
+        got = contract(log_f, kernels, reduce)
+        _close(got, _brute(log_f, kernels, reduce))
+        # a 0 / -inf body mask, as lr_volume_product passes it
+        mask = np.where(rng.random((8, 9)) < 0.4, 0.0, -np.inf)
+        mask[3, :] = -np.inf
+        kern2 = [rng.normal(size=(5, 8)), rng.normal(size=(6, 9))]
+        _close(contract(mask, kern2, reduce), _brute(mask, kern2, reduce))
+
+    def test_all_minus_inf_gives_minus_inf(self):
+        kernels = [np.zeros((3, 4)), np.zeros((2, 5))]
+        for reduce in ("lse", "max"):
+            out = contract(np.full((4, 5), -np.inf), kernels, reduce)
+            assert np.all(out == -np.inf)
+
+    @pytest.mark.parametrize("reduce", ["lse", "max"])
+    def test_chunking_is_bitwise_invisible(self, monkeypatch, reduce):
+        rng = np.random.default_rng(7)
+        # axis 0 has 7 x 11 columns; a budget of 3 columns per chunk does not divide them
+        log_f, kernels = _random_case(rng, (6, 7, 11), (5, 4, 9))
+        log_f[:, 0, :] = -np.inf
+        whole = contract(log_f, kernels, reduce)
+        monkeypatch.setattr(contract_mod, "WORK_ELEMS", 5 * 6 * 3)
+        chunked = contract(log_f, kernels, reduce)
+        assert chunked.tobytes() == whole.tobytes()
+        _close(chunked, _brute(log_f, kernels, reduce))
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            contract(np.zeros((3, 4)), [np.zeros((2, 3))])
+        with pytest.raises(ValueError):
+            contract(np.zeros(3), [np.zeros((2, 4))])
+        with pytest.raises(ValueError):
+            contract(np.zeros(3), [np.zeros((2, 3))], reduce="sum")
+
+
+def _lr_all_pairs(body: BodySpec, r: float, outer_grid, inner_cells: int) -> float:
+    """M_r(K) with every (outer node, inner cell) pair summed explicitly."""
+    n = body.dim
+    bound = body.radius if body.kind == "lp_ball" else math.sqrt(np.linalg.eigvalsh(body.matrix).max())
+    hc = 2 * bound / inner_cells
+    c = -bound + (np.arange(inner_cells) + 0.5) * hc
+    pts = np.stack([m.ravel() for m in np.meshgrid(*([c] * n), indexing="ij")], axis=-1)
+    y = pts[body.gauge(pts) <= 1.0]
+    log_cell = n * math.log(hc)
+    log_vol = math.log(len(y)) + log_cell
+    inner = logsumexp(r * (outer_grid.nodes() @ y.T), axis=1) + log_cell - log_vol
+    outer = (-inner / r).reshape(outer_grid.points) + trapezoid_log_weights(outer_grid)
+    return log_vol + float(logsumexp(outer))
+
+
+def _laplace_per_node(f, x_grid, power, arg_scale):
+    """log Laplace transform and boundary flags, one x node at a time."""
+    mesh = f.grid.meshgrid()
+    base = -power * f.phi
+    zw = trapezoid_log_weights(f.grid)
+    bmask = boundary_mask(f.grid.points)
+    vals, flags = [], []
+    for x in x_grid.nodes():
+        e = arg_scale * sum(xk * mk for xk, mk in zip(x, mesh)) + base
+        vals.append(float(logsumexp(e + zw)))
+        flags.append(bool(np.max(e[bmask]) >= np.max(e[~bmask])))
+    return np.reshape(vals, x_grid.points), np.reshape(flags, x_grid.points)
+
+
+def _bl_all_pairs(f1, f2, data) -> float:
+    q2 = data.qform
+    x1, x2 = f1.grid.nodes(), f2.grid.nodes()
+    b1 = (-math.pi * q2[0, 0]) * (x1 * x1).sum(1) - data.c1 * f1.phi.ravel() + trapezoid_log_weights(f1.grid).ravel()
+    b2 = (-math.pi * q2[1, 1]) * (x2 * x2).sum(1) - data.c2 * f2.phi.ravel() + trapezoid_log_weights(f2.grid).ravel()
+    return float(logsumexp(b1[:, None] + (-2 * math.pi * q2[0, 1]) * (x1 @ x2.T) + b2[None, :]))
+
+
+class TestPortsMatchAllPairs:
+    @pytest.mark.parametrize(
+        "body",
+        [lp_ball(math.inf, 2), lp_ball(2.0, 2), lp_ball(1.0, 2), lp_ball(2.0, 1),
+         ellipsoid(np.array([[2.0, 0.3], [0.3, 0.5]]))],
+        ids=["square", "disk", "diamond", "segment", "ellipse"],
+    )
+    @pytest.mark.parametrize("r", [1.0, 5.0])
+    def test_lr_volume_product(self, body, r):
+        outer = make_grid(body.dim, 12.0, 33)
+        got = lr_volume_product(body, r, outer, inner_cells=16).log_abs
+        want = _lr_all_pairs(body, r, outer, 16)
+        assert abs(got - want) <= REL * max(1.0, abs(want))
+
+    @pytest.mark.parametrize(
+        "make, power, arg_scale",
+        [(lambda g: gaussian(g), 1.0, 1.0), (lambda g: exp_power(g, 3.0), 1.0, 20.0),
+         (lambda g: box(g, half=6.0), 1.0, 1.0), (lambda g: cross2d(g, long=6.0), 1.0, 1.0)],
+        ids=["gaussian", "exp_power", "box", "cross2d"],
+    )
+    def test_log_laplace_values_and_flags(self, make, power, arg_scale):
+        for grid, x_grid in [(make_grid(1, 6.0, 41), make_grid(1, 9.0, 31)),
+                             (make_grid(2, 6.0, 17), make_grid(2, (7.0, 5.0), (13, 11)))]:
+            try:
+                f = make(grid)
+            except ValueError:  # cross2d is 2D only
+                continue
+            vals, flags = log_laplace(f, x_grid, power, arg_scale)
+            want_vals, want_flags = _laplace_per_node(f, x_grid, power, arg_scale)
+            _close(vals, want_vals)
+            assert np.array_equal(flags, want_flags)
+            assert flags.any()
+
+    @pytest.mark.parametrize("s", [0.2, 0.5 * math.log(2)])
+    def test_bl_integral(self, s):
+        data = bl_data(s)
+        for g1, g2 in [(make_grid(1, 6.0, 31), make_grid(1, 5.0, 25)),
+                       (make_grid(2, 6.0, 15), make_grid(2, (5.0, 4.0), (13, 11)))]:
+            f1 = gaussian_to_logdensity(isotropic_gaussian(0.7, g1.dim), g1)
+            f2 = exp_power(g2, 3.0)
+            got = bl_integral(f1, f2, data).log_abs
+            want = _bl_all_pairs(f1, f2, data)
+            assert abs(got - want) <= REL * max(1.0, abs(want))
+
+
+def test_oracles_share_no_code_with_the_engine():
+    tree = ast.parse(inspect.getsource(oracles))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert not any("contract" in name for name in names)
