@@ -32,7 +32,6 @@ from .functionals import (
     nelson_q,
     q_functional,
     rev_hc_value,
-    tilted_log_density,
     tropical_limit_curve,
     volume_product,
 )
@@ -40,11 +39,11 @@ from .heatflow import KernelUnderResolvedError, flow_trajectory, fp_evolve, ou_a
 from .legendre import convex_envelope, legendre_transform, polar_density
 from .oracles import (
     QuadraticForm,
-    brute_legendre,
     cramer_rao_check,
     fd_derivative,
     gaussian_closed_forms,
     gaussian_form_integral,
+    hull_legendre,
     ou_second_moment,
     pbl_check,
 )

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import densities, functionals, heatflow, legendre, oracles, quadrature
-from .core import GridSpec, LogDensity, lp_ball, make_grid
+from .core import GridSpec, LogDensity, gaussian_to_logdensity, isotropic_gaussian, lp_ball, make_grid
 from .functionals import log_c_s
 
 SCENARIOS = (
@@ -339,8 +339,6 @@ def _scenario_blconst(cfg: ExperimentConfig):
         data = functionals.bl_data(s)
         opt = functionals.gaussian_bl_constant(data)
         prod = math.exp(log_c_s(s, 1) + opt.value.log_abs) if not opt.degenerate else math.nan
-        from .core import gaussian_to_logdensity, isotropic_gaussian
-
         f1 = gaussian_to_logdensity(isotropic_gaussian(float(opt.a_diag[0])), grid)
         f2 = gaussian_to_logdensity(isotropic_gaussian(float(opt.b_diag[0])), grid)
         gi = functionals.bl_integral(f1, f2, data)
@@ -412,8 +410,8 @@ def _scenario_legendre_check(cfg: ExperimentConfig):
         f = LogDensity(grid, phi)
         dual = legendre.default_dual_grid(f, points)
         fast = legendre.legendre_transform(f, dual)
-        brute = oracles.brute_legendre(f, dual)
-        dev = float(np.max(np.abs(fast.phi - brute.phi)))
+        hull = oracles.hull_legendre(f, dual)
+        dev = float(np.max(np.abs(fast.phi - hull.phi)))
         rows.append((i, dev))
         ok &= dev == 0.0
     return columns, rows, ok, None

@@ -494,11 +494,3 @@ def tropical_limit_curve(f: LogDensity, s_list) -> tuple[list[tuple[float, float
         truncated |= bool(_in_window(ou_edge_flags(g, s), w).any())
     return out, truncated
 
-
-def tilted_log_density(f_t: LogDensity, p: float, x) -> LogDensity:
-    """The tilted family h_{t,x}(z) proportional to e^{<x,z>/p} f_t(z)^{1/p}."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    mesh = f_t.grid.meshgrid()
-    dot = sum(xk * mk for xk, mk in zip(x, mesh))
-    phi = f_t.phi / p - dot / p
-    return LogDensity(grid=f_t.grid, phi=phi, even=False)

@@ -1,44 +1,23 @@
 """Discrete Legendre-Fenchel transform, convex envelope and polar densities.
 
-The 1D conjugate phi*(x) = max_i [x y_i - phi(y_i)] is evaluated with the
-linear-time lower-convex-hull sweep; by construction it takes the max over
-exactly the same finite candidate set as the all-pairs brute force.
+The conjugate phi*(x) = max_y [<x, y> - phi(y)] over the grid nodes is one
+max-plus contraction of -phi with the per-axis kernel x_k y_k
+(``volprod.contract``), so it takes the max over every finite node, axis by
+axis. ``oracles.hull_legendre`` checks it with a lower-convex-hull sweep.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
 
-from .core import GridSpec, LogDensity, check_even, make_grid, reflect
+from .contract import contract
+from .core import GridSpec, LogDensity, make_grid, reflect
+from .quadrature import boundary_mask
 
 # polars of Gaussian-decay inputs should fall by this many nats inside the box
 DUAL_DECAY_NATS = 40.0
-
-
-def _lower_hull(y: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices-free lower convex hull of the finite points (y_i, phi_i).
-
-    Pops a middle point only when it lies on or above the chord of its
-    neighbours, so every potential maximizer of the conjugate survives.
-    """
-    hy: list[float] = []
-    hp: list[float] = []
-    for yi, pi in zip(y, phi):
-        while len(hy) >= 2:
-            y1, p1 = hy[-2], hp[-2]
-            y2, p2 = hy[-1], hp[-1]
-            # slope(1,2) >= slope(2,new) <=> point 2 not strictly below the chord
-            if (p2 - p1) * (yi - y2) >= (pi - p2) * (y2 - y1):
-                hy.pop()
-                hp.pop()
-            else:
-                break
-        hy.append(yi)
-        hp.append(pi)
-    return np.asarray(hy), np.asarray(hp)
 
 
 def legendre_1d(y: np.ndarray, phi: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -46,39 +25,11 @@ def legendre_1d(y: np.ndarray, phi: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     All-inf input is rejected; +inf samples simply do not participate in the sup.
     """
-    y = np.asarray(y, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    x = np.asarray(x, dtype=float)
-    finite = np.isfinite(phi)
-    if not finite.any():
+    if not np.isfinite(phi).any():
         raise ValueError("conjugate of an everywhere-infinite function")
-    hy, hp = _lower_hull(y[finite], phi[finite])
-    out = np.empty(x.shape, dtype=float)
-    k = 0
-    m = len(hy)
-    for j, xj in enumerate(x):
-        while k + 1 < m and xj * hy[k + 1] - hp[k + 1] >= xj * hy[k] - hp[k]:
-            k += 1
-        out[j] = xj * hy[k] - hp[k]
-    return out
-
-
-def _conj_axis(phi: np.ndarray, y: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
-    """Apply the 1D conjugate along one axis of an nD array.
-
-    Slices that are everywhere +inf conjugate to an empty sup: a -inf slice.
-    """
-    moved = np.moveaxis(phi, axis, 0)
-    flat = moved.reshape(moved.shape[0], -1)
-    out = np.empty((len(x), flat.shape[1]))
-    for c in range(flat.shape[1]):
-        col = flat[:, c]
-        if np.isfinite(col).any():
-            out[:, c] = legendre_1d(y, col, x)
-        else:
-            out[:, c] = -np.inf
-    out = out.reshape((len(x),) + moved.shape[1:])
-    return np.moveaxis(out, 0, axis)
+    kernel = np.multiply.outer(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    return contract(-phi, [kernel], "max")
 
 
 def default_dual_grid(f: LogDensity, points=None) -> GridSpec:
@@ -108,33 +59,20 @@ def default_dual_grid(f: LogDensity, points=None) -> GridSpec:
 
 
 def legendre_transform(f: LogDensity, dual: GridSpec | None = None) -> LogDensity:
-    """Exact discrete conjugate over all grid nodes, factorized axis by axis."""
+    """Exact discrete conjugate over all grid nodes: one max-plus contraction
+    with the per-axis kernel x_k y_k (on a 1D grid, exactly ``legendre_1d``)."""
     dual = dual if dual is not None else default_dual_grid(f)
     if dual.dim != f.grid.dim:
         raise ValueError("dual grid dimension mismatch")
-    acc = f.phi
-    for k in range(f.grid.dim):
-        if k > 0:
-            acc = -acc
-        acc = _conj_axis(acc, f.grid.axis(k), dual.axis(k), axis=k)
+    if f.grid.dim == 1:
+        acc = legendre_1d(f.grid.axis(0), f.phi, dual.axis(0))
+    else:
+        kernels = [np.multiply.outer(dual.axis(k), f.grid.axis(k)) for k in range(f.grid.dim)]
+        acc = contract(-f.phi, kernels, "max")
     if f.even:
         # conjugation preserves evenness; symmetrize away last-ulp asymmetry
         acc = np.where(np.isfinite(acc), 0.5 * (acc + reflect(acc)), acc)
-    return LogDensity(grid=dual, phi=acc, even=f.even and check_even(LogDensity(dual, acc), 0.0))
-
-
-def _boundary_shell_inf(f: LogDensity) -> LogDensity | None:
-    """Copy of f with the outermost node shell removed (set to f = 0)."""
-    phi = f.phi.copy()
-    for k in range(f.grid.dim):
-        sl = [slice(None)] * f.grid.dim
-        sl[k] = 0
-        phi[tuple(sl)] = np.inf
-        sl[k] = -1
-        phi[tuple(sl)] = np.inf
-    if not np.isfinite(phi).any():
-        return None
-    return LogDensity(grid=f.grid, phi=phi, even=f.even)
+    return LogDensity(grid=dual, phi=acc, even=f.even)
 
 
 def polar_density(f: LogDensity, dual: GridSpec | None = None) -> LogDensity:
@@ -150,10 +88,10 @@ def polar_density(f: LogDensity, dual: GridSpec | None = None) -> LogDensity:
         warnings.warn("polar of a non-even density: Blaschke-Santalo hypotheses unmet")
     dual = dual if dual is not None else default_dual_grid(f)
     full = legendre_transform(f, dual)
-    trimmed = _boundary_shell_inf(f)
-    if trimmed is None:
+    trimmed = np.where(boundary_mask(f.phi.shape), np.inf, f.phi)
+    if not np.isfinite(trimmed).any():
         return full
-    inner = legendre_transform(trimmed, dual)
+    inner = legendre_transform(LogDensity(f.grid, trimmed, f.even), dual)
     scale = 1.0 + np.where(np.isfinite(full.phi), np.abs(full.phi), 0.0)
     boundary_won = full.phi > inner.phi + 1e-12 * scale
     phi = np.where(boundary_won, np.inf, full.phi)

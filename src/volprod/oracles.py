@@ -1,9 +1,9 @@
-"""Independent ground truth: brute-force conjugates, hand-derived Gaussian
+"""Independent ground truth: a lower-hull conjugate, hand-derived Gaussian
 closed forms, the exact tropical bridge of e^{-|x|}, moment ODEs, finite
 differences, and the Brascamp-Lieb / Cramer-Rao matrix checks.
 
-Nothing here shares integration code with the main modules, so agreement
-between the two routes is evidence rather than tautology.
+Nothing here shares integration or conjugation code with the main modules, so
+agreement between the two routes is evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .core import GridSpec, LogDensity, LogQuad, NEG_INF
-
-# cost guard for the all-pairs conjugate: primal x dual nodes per axis
-BRUTE_PAIR_LIMIT = 2**14
 
 
 @dataclass(frozen=True)
@@ -61,12 +58,37 @@ def gaussian_form_integral(qf: QuadraticForm) -> LogQuad:
     return LogQuad(log_abs=log_val, sign=1)
 
 
-def _brute_axis(phi: np.ndarray, y: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
-    """All-pairs max_i [x_j y_i - phi_i] along one axis, no hull pruning."""
-    if len(y) * len(x) > BRUTE_PAIR_LIMIT:
-        raise ValueError(
-            f"brute conjugate guard: {len(y)} x {len(x)} pairs exceed {BRUTE_PAIR_LIMIT}"
-        )
+def _lower_hull(y: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices-free lower convex hull of the finite points (y_i, phi_i).
+
+    Pops a middle point only when it lies on or above the chord of its
+    neighbours, so every potential maximizer of the conjugate survives.
+    """
+    hy: list[float] = []
+    hp: list[float] = []
+    for yi, pi in zip(y, phi):
+        while len(hy) >= 2:
+            y1, p1 = hy[-2], hp[-2]
+            y2, p2 = hy[-1], hp[-1]
+            # slope(1,2) >= slope(2,new) <=> point 2 not strictly below the chord
+            if (p2 - p1) * (yi - y2) >= (pi - p2) * (y2 - y1):
+                hy.pop()
+                hp.pop()
+            else:
+                break
+        hy.append(yi)
+        hp.append(pi)
+    return np.asarray(hy), np.asarray(hp)
+
+
+def _hull_axis(phi: np.ndarray, y: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+    """max_i [x_j y_i - phi_i] along one axis by a lower-hull sweep per column.
+
+    The dual nodes x ascend, so the maximizing hull vertex only moves right
+    and each column costs O(len(y) + len(x)). Everywhere-+inf columns give -inf.
+    The chord test and the sweep round, so where candidates nearly tie the
+    result can sit a few ulp below the all-pairs max of x_j y_i - phi_i.
+    """
     moved = np.moveaxis(phi, axis, 0)
     flat = moved.reshape(moved.shape[0], -1)
     out = np.full((len(x), flat.shape[1]), NEG_INF)
@@ -75,16 +97,19 @@ def _brute_axis(phi: np.ndarray, y: np.ndarray, x: np.ndarray, axis: int) -> np.
         finite = np.isfinite(col)
         if not finite.any():
             continue
-        # same elementary expression x*y - phi as the fast path, so the max
-        # over the identical candidate set matches bitwise
-        cand = x[:, None] * y[None, finite] - col[None, finite]
-        out[:, c] = cand.max(axis=1)
+        hy, hp = _lower_hull(y[finite], col[finite])
+        k = 0
+        for j, xj in enumerate(x):
+            while k + 1 < len(hy) and xj * hy[k + 1] - hp[k + 1] >= xj * hy[k] - hp[k]:
+                k += 1
+            out[j, c] = xj * hy[k] - hp[k]
     out = out.reshape((len(x),) + moved.shape[1:])
     return np.moveaxis(out, 0, axis)
 
 
-def brute_legendre(f: LogDensity, dual: GridSpec) -> LogDensity:
-    """Reference discrete conjugate: nested all-pairs maxima, axis by axis."""
+def hull_legendre(f: LogDensity, dual: GridSpec) -> LogDensity:
+    """Reference discrete conjugate: a lower-hull sweep per column, axis by axis
+    (cf. Lucet's linear-time Legendre transform)."""
     if dual.dim != f.grid.dim:
         raise ValueError("dual grid dimension mismatch")
     if not np.isfinite(f.phi).any():
@@ -93,7 +118,7 @@ def brute_legendre(f: LogDensity, dual: GridSpec) -> LogDensity:
     for k in range(f.grid.dim):
         if k > 0:
             acc = -acc
-        acc = _brute_axis(acc, f.grid.axis(k), dual.axis(k), axis=k)
+        acc = _hull_axis(acc, f.grid.axis(k), dual.axis(k), axis=k)
     return LogDensity(grid=dual, phi=acc, even=False)
 
 

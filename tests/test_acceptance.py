@@ -36,11 +36,11 @@ from volprod.functionals import (
 from volprod.heatflow import fp_evolve
 from volprod.legendre import convex_envelope, default_dual_grid, legendre_transform
 from volprod.oracles import (
-    brute_legendre,
     cramer_rao_check,
     exp_abs_bridge,
     fd_derivative,
     gaussian_closed_forms,
+    hull_legendre,
     pbl_check,
 )
 from volprod.quadrature import log_integral
@@ -239,7 +239,7 @@ def test_criterion_11_legendre_correctness():
                 phi[0] = 0.0
         f = LogDensity(g, phi)
         dual = default_dual_grid(f, 65)
-        if np.array_equal(legendre_transform(f, dual).phi, brute_legendre(f, dual).phi):
+        if np.array_equal(legendre_transform(f, dual).phi, hull_legendre(f, dual).phi):
             exact += 1
     conv = LogDensity(G1, 0.5 * G1.axis(0) ** 2, even=True)
     env_dev = float(np.max(np.abs(convex_envelope(conv, make_grid(1, 10.0, 1025)).phi - conv.phi)))
@@ -248,7 +248,7 @@ def test_criterion_11_legendre_correctness():
     _report(
         11,
         ok,
-        f"brute-force matches: {exact}/50; biconjugation dev: {env_dev:.1e} (tol 1e-12); "
+        f"hull-sweep matches: {exact}/50; biconjugation dev: {env_dev:.1e} (tol 1e-12); "
         f"v(e^-|x|) rel dev: {v_dev:.2e} (tol 1e-2)",
     )
 

@@ -12,7 +12,7 @@ from volprod.legendre import (
     legendre_transform,
     polar_density,
 )
-from volprod.oracles import brute_legendre
+from volprod.oracles import hull_legendre
 from volprod.quadrature import log_integral
 
 
@@ -61,8 +61,8 @@ class TestLegendre1d:
             f = _random_density(rng, g, with_inf=(i % 3 == 0))
             dual = default_dual_grid(f, 65)
             fast = legendre_transform(f, dual)
-            brute = brute_legendre(f, dual)
-            assert np.array_equal(fast.phi, brute.phi), f"input {i} deviates"
+            hull = hull_legendre(f, dual)
+            assert np.array_equal(fast.phi, hull.phi), f"input {i} deviates"
 
 
 class TestLegendreTransformNd:
@@ -95,8 +95,18 @@ class TestLegendreTransformNd:
         f = LogDensity(g, phi)
         dual = make_grid(2, 2.0, 17)
         fast = legendre_transform(f, dual)
-        brute = brute_legendre(f, dual)
-        assert np.max(np.abs(fast.phi - brute.phi)) <= 1e-12
+        assert np.array_equal(fast.phi, hull_legendre(f, dual).phi)
+
+    def test_3d_with_inf_matches_hull(self):
+        rng = np.random.default_rng(4)
+        g = make_grid(3, 2.0, 9)
+        phi = rng.normal(size=(9, 9, 9))
+        phi[rng.random(phi.shape) < 0.3] = np.inf
+        f = LogDensity(g, phi)
+        dual = make_grid(3, 1.5, 7)
+        out = legendre_transform(f, dual)
+        assert np.isfinite(out.phi).all()
+        assert np.array_equal(out.phi, hull_legendre(f, dual).phi)
 
     def test_order_reversal(self):
         rng = np.random.default_rng(5)

@@ -11,12 +11,12 @@ from volprod.heatflow import fp_evolve
 from volprod.legendre import default_dual_grid, legendre_transform
 from volprod.oracles import (
     QuadraticForm,
-    brute_legendre,
     cramer_rao_check,
     exp_abs_bridge,
     fd_derivative,
     gaussian_closed_forms,
     gaussian_form_integral,
+    hull_legendre,
     ou_second_moment,
     pbl_check,
 )
@@ -56,12 +56,12 @@ class TestGaussianFormIntegral:
             QuadraticForm([[1.0, 0.5], [0.0, 1.0]])
 
 
-class TestBruteLegendre:
-    def test_pair_limit_guard(self):
+class TestHullLegendre:
+    def test_513_gaussian_matches_engine(self):
         g = make_grid(1, 8.0, 513)
         dual = make_grid(1, 8.0, 513)
-        with pytest.raises(ValueError):
-            brute_legendre(gaussian(g), dual)
+        f = gaussian(g)
+        assert np.array_equal(hull_legendre(f, dual).phi, legendre_transform(f, dual).phi)
 
     def test_single_point_affine(self):
         g = make_grid(1, 2.0, 5)
@@ -69,14 +69,14 @@ class TestBruteLegendre:
         phi[3] = 0.7
         f = LogDensity(g, phi)
         dual = make_grid(1, 3.0, 7)
-        out = brute_legendre(f, dual)
+        out = hull_legendre(f, dual)
         assert np.array_equal(out.phi, dual.axis(0) * 1.0 - 0.7)
 
     def test_matches_fast_path(self):
         g = make_grid(1, 4.0, 65)
         f = exp_power(g, 3.0)
         dual = default_dual_grid(f, 65)
-        assert np.array_equal(brute_legendre(f, dual).phi, legendre_transform(f, dual).phi)
+        assert np.array_equal(hull_legendre(f, dual).phi, legendre_transform(f, dual).phi)
 
 
 class TestPbl:
