@@ -505,7 +505,8 @@ def main(argv=None) -> int:
         return run(cfg)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # a kernel too narrow for the grid is a numerical failure, not a bad config
+        return 3 if isinstance(exc, heatflow.KernelUnderResolvedError) else 2
 
 
 if __name__ == "__main__":

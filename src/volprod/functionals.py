@@ -9,6 +9,7 @@ identity -q/p = e^{2s} used when assembling the tropical bridge.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,8 +175,8 @@ def laplace_grid(f: LogDensity, q: float, power: float, arg_scale: float, points
 
     Along each axis the half-width is the first rung of the ladder 4 * 1.5^j
     where q (log F(r e_k) - log F(0)) <= -LAPLACE_DECAY_NATS, or the first rung
-    at or above 512 when none is.  For even f, log F is even and convex so its
-    q-weighted maximum sits at 0.
+    at or above 512, with a RuntimeWarning naming the axis, when none is.  For
+    even f, log F is even and convex so its q-weighted maximum sits at 0.
     """
     n = f.grid.dim
     pts = points if points is not None else f.grid.points
@@ -191,6 +192,9 @@ def laplace_grid(f: LogDensity, q: float, power: float, arg_scale: float, points
         kernels[k] = arg_scale * np.outer(xs, f.grid.axis(k))
         log_lap = contract(log_f, kernels).ravel()
         hit = np.flatnonzero(q * (log_lap[1:] - log_lap[0]) <= -LAPLACE_DECAY_NATS)
+        if not hit.size:
+            warnings.warn(f"Laplace grid axis {k}: q log F falls less than {LAPLACE_DECAY_NATS:g} nats "
+                          f"within the cap; half-width capped at {ladder[-1]:g}", RuntimeWarning, stacklevel=2)
         hws.append(ladder[hit[0]] if hit.size else ladder[-1])
     return make_grid(n, tuple(hws), pts)
 

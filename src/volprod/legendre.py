@@ -38,7 +38,9 @@ def default_dual_grid(f: LogDensity, points=None) -> GridSpec:
     Along each dual axis e_k the conjugate is the 1D conjugate of the shadow
     profile min over the other coordinates of phi, so the half-width is the
     smallest r with conj(r) >= conj(0) + DUAL_DECAY_NATS, found on a geometric
-    candidate ladder (capped at 4096; downstream tail_ratio flags truncation).
+    candidate ladder. Where no candidate reaches it the half-width falls back
+    to the 4096 cap with a RuntimeWarning naming the axis (downstream
+    tail_ratio flags the truncation).
     """
     grid = f.grid
     pts = points if points is not None else grid.points
@@ -53,8 +55,10 @@ def default_dual_grid(f: LogDensity, points=None) -> GridSpec:
         conj = legendre_1d(y, shadow, np.concatenate(([0.0], candidates)))
         target = conj[0] + DUAL_DECAY_NATS
         hit = np.nonzero(conj[1:] >= target)[0]
-        r = candidates[hit[0]] if hit.size else 4096.0
-        hws.append(1.05 * r)
+        if not hit.size:
+            warnings.warn(f"dual grid axis {k}: the conjugate rises less than {DUAL_DECAY_NATS:g} nats "
+                          f"within the cap; half-width capped at 1.05 * 4096", RuntimeWarning, stacklevel=2)
+        hws.append(1.05 * (candidates[hit[0]] if hit.size else 4096.0))
     return make_grid(grid.dim, tuple(hws), tuple(int(p) for p in pts))
 
 

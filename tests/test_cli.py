@@ -170,6 +170,14 @@ class TestMain:
         assert main(["lrvol", "--config", cfg, "--out", str(tmp_path / "u")]) == 2
         assert "unknown body" in capsys.readouterr().err
 
+    def test_under_resolved_kernel_exits_3(self, tmp_path, capsys):
+        cfg = _write(
+            tmp_path,
+            "[grid]\npoints = 513\nhalf_width = 8\n[density]\nfamily = gaussian\n[params]\ntimes = 0.0001\n",
+        )
+        assert main(["flow", "--config", cfg, "--out", str(tmp_path / "k")]) == 3
+        assert "error: kernel std" in capsys.readouterr().err
+
     def test_csv_comment_records_config(self, tmp_path):
         cfg = _write(tmp_path, FLOW_CFG)
         out = tmp_path / "c"

@@ -91,6 +91,44 @@ class TestEngine:
         assert chunked.tobytes() == whole.tobytes()
         _close(chunked, _brute(log_f, kernels, reduce))
 
+    @staticmethod
+    def _underflow_case():
+        """Half the kernel rows peak 1000 nats away from where half the columns
+        carry their mass, so the shifted sum of those entries underflows to 0."""
+        rng = np.random.default_rng(11)
+        log_f, kernels = _random_case(rng, (40, 6), (30, 5))
+        ramp = np.linspace(0.0, 1000.0, 40)
+        kernels[0][::2] -= ramp
+        log_f[:, ::2] -= ramp[::-1, None]
+        log_f[5, 1] = -np.inf
+        return log_f, kernels
+
+    def test_underflowed_sums_fall_back_to_the_exact_sum(self, monkeypatch):
+        log_f, kernels = self._underflow_case()
+        exact = contract_mod._lse_exact
+        entries = []
+
+        def spy(w_rows, cols):
+            entries.append(len(w_rows))
+            return exact(w_rows, cols)
+
+        monkeypatch.setattr(contract_mod, "_lse_exact", spy)
+        got = contract(log_f, kernels)
+        assert sum(entries) >= 15 * 3  # at least the ramped rows x ramped columns
+        assert np.isfinite(got).all()
+        _close(got, _brute(log_f, kernels, "lse"))
+
+    def test_fallback_chunking_is_bitwise_invisible(self, monkeypatch):
+        log_f, kernels = self._underflow_case()
+        whole = contract(log_f, kernels)
+        monkeypatch.setattr(contract_mod, "WORK_ELEMS", 40 * 4)  # 4 entries per chunk
+        assert contract(log_f, kernels).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("reduce", ["lse", "max"])
+    def test_repeated_calls_are_bitwise_identical(self, reduce):
+        log_f, kernels = self._underflow_case()
+        assert contract(log_f, kernels, reduce).tobytes() == contract(log_f, kernels, reduce).tobytes()
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             contract(np.zeros((3, 4)), [np.zeros((2, 3))])

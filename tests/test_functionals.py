@@ -20,6 +20,7 @@ from volprod.functionals import (
     gaussian_bl_constant,
     gaussian_rev_hc,
     laplace_f_t,
+    laplace_grid,
     laplace_norm_ratio,
     log_c_s,
     lr_volume_product,
@@ -170,6 +171,14 @@ class TestLaplaceFt:
         n0 = (F.grid.points[0] - 1) // 2
         target = log_integral(LogDensity(GRID, f.phi / sched.p, even=True)).log_abs
         assert -F.phi[n0] == pytest.approx(target, abs=1e-12)
+
+
+class TestLaplaceGrid:
+    def test_cap_warns(self):
+        # with q = -1e-6, q log F falls far less than 40 nats before the cap
+        with pytest.warns(RuntimeWarning, match="axis 0"):
+            x_grid = laplace_grid(gaussian(GRID), -1e-6, power=1.0, arg_scale=1.0)
+        assert x_grid.axis(0)[-1] == pytest.approx(4 * 1.5**12)
 
 
 class TestQFunctional:

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from volprod.core import LogDensity, gaussian_to_logdensity, isotropic_gaussian, make_grid
-from volprod.densities import box, gaussian, two_bump
+from volprod.densities import box, exp_power, gaussian, two_bump
 from volprod.heatflow import (
     KernelUnderResolvedError,
     flow_trajectory,
@@ -145,3 +146,26 @@ class TestTrajectory:
         traj = flow_trajectory(f0, [0.2, 0.5])
         assert np.array_equal(traj[0].phi, fp_evolve(f0, 0.2).phi)
         assert np.array_equal(traj[1].phi, fp_evolve(f0, 0.5).phi)
+
+
+class TestSteepDensity:
+    """phi = x^4 on [-8, 8] spans 4096 nats, far beyond the 745 of float64 exp."""
+
+    @staticmethod
+    def _all_pairs(f, t, kind):
+        x, h = f.grid.axis(0), f.grid.spacings[0]
+        var, decay = -math.expm1(-2 * t), math.exp(-t)
+        d = x[:, None] - decay * x[None, :] if kind == "fp" else decay * x[:, None] - x[None, :]
+        log_w = np.full(len(x), math.log(h))
+        log_w[0] = log_w[-1] = math.log(h / 2)
+        terms = -d * d / (2 * var) - 0.5 * math.log(2 * math.pi * var) + log_w - f.phi
+        return -logsumexp(terms, axis=1)
+
+    @pytest.mark.parametrize("t", [0.002, 0.01, 0.2])
+    @pytest.mark.parametrize("kind, apply", [("fp", fp_evolve), ("ou", ou_apply)])
+    def test_matches_all_pairs_reference(self, kind, apply, t):
+        f = exp_power(make_grid(1, 8.0, 513), 4.0)
+        want = self._all_pairs(f, t, kind)
+        got = apply(f, t).phi
+        assert np.isfinite(want).all() and np.isfinite(got).all()
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-12

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from volprod.core import LogDensity, body_to_logdensity, lp_ball, make_grid
-from volprod.densities import exp_power, gaussian
+from volprod.densities import box, exp_power, gaussian
 from volprod.legendre import (
     convex_envelope,
     default_dual_grid,
@@ -133,6 +133,15 @@ class TestLegendreTransformNd:
         g = make_grid(1, 8.0, 513)
         out = legendre_transform(exp_power(g, 4.0))
         assert out.even
+
+
+class TestDefaultDualGrid:
+    def test_cap_warns(self):
+        # the conjugate of a box of half-width 0.005 is 0.005 |x|: 20 nats at the cap
+        f = box(make_grid(1, 0.01, 5), half=0.005)
+        with pytest.warns(RuntimeWarning, match="axis 0"):
+            dual = default_dual_grid(f)
+        assert dual.axis(0)[-1] == pytest.approx(1.05 * 4096)
 
 
 class TestConvexEnvelope:
