@@ -11,7 +11,6 @@ import argparse
 import configparser
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,7 +50,6 @@ class ExperimentConfig:
     scenario: str
     sections: dict = field(default_factory=dict)
     tol_scale: float = 1.0
-    threads: int = 1
     out_dir: Path = Path(".")
 
     def __post_init__(self):
@@ -142,14 +140,6 @@ def _density_set(cfg: ExperimentConfig, grid: GridSpec) -> dict[str, LogDensity]
         if cfg.get("density", k) is not None
     }
     return {family: densities.from_family(family, grid, **params)}
-
-
-def _run_tasks(tasks, threads: int):
-    """Evaluate tasks, optionally concurrently; results keep config order."""
-    if threads <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(lambda t: t(), tasks))
 
 
 def _fmt(v) -> str:
@@ -248,14 +238,11 @@ def _scenario_flow(cfg: ExperimentConfig):
     ok = True
     series = []
     for name, f in sorted(dens.items()):
-        def one(t, f=f):
-            ft = f if t == 0 else heatflow.fp_evolve(f, t)
-            v = functionals.volume_product(ft)
-            return v.log_abs, v.flagged
-        results = _run_tasks([lambda t=t: one(t) for t in [0.0] + times], cfg.threads)
-        logs = [r[0] for r in results]
-        for t, (lv, fl) in zip([0.0] + times, results):
-            rows.append((name, t, lv, fl))
+        logs = []
+        for t in [0.0] + times:
+            v = functionals.volume_product(f if t == 0 else heatflow.fp_evolve(f, t))
+            rows.append((name, t, v.log_abs, v.flagged))
+            logs.append(v.log_abs)
         if cfg.get_bool("params", "assert_monotone", True):
             slack = -1e-4 * cfg.tol_scale
             ok &= all(b - a >= slack for a, b in zip(logs, logs[1:]))
@@ -271,13 +258,13 @@ def _scenario_revhc(cfg: ExperimentConfig):
     rows, series, ok = [], [], True
     slack_tol = -1e-4 * cfg.tol_scale
     for name, f in sorted(dens.items()):
-        vals = _run_tasks(
-            [lambda s=s, f=f: functionals.rev_hc_value(f, s) for s in s_list], cfg.threads
-        )
-        for s, rep in zip(s_list, vals):
+        slacks = []
+        for s in s_list:
+            rep = functionals.rev_hc_value(f, s)
             rows.append((name, s, rep.slack, rep.log_lhs.flagged))
             ok &= rep.slack >= slack_tol
-        series.append((name, s_list, [r.slack for r in vals]))
+            slacks.append(rep.slack)
+        series.append((name, s_list, slacks))
     return columns, rows, ok, series
 
 
@@ -358,14 +345,11 @@ def _scenario_lrvol(cfg: ExperimentConfig):
         if name not in _BODIES:
             raise ConfigError(f"unknown body {name!r}; known: {sorted(_BODIES)}")
         body = _BODIES[name]()
-        res = _run_tasks(
-            [lambda r=r, body=body: functionals.lr_volume_product(body, r) for r in r_list],
-            cfg.threads,
-        )
-        for r, m in zip(r_list, res):
+        for r in r_list:
+            m = functionals.lr_volume_product(body, r)
             rows.append((name, r, m.value(), m.flagged))
             values[(name, r)] = m.value()
-        series.append((name, r_list, [m.value() for m in res]))
+        series.append((name, r_list, [values[(name, r)] for r in r_list]))
     if cfg.get_bool("params", "assert_disk_max", True) and "disk" in body_names:
         tol = 1e-3 * cfg.tol_scale
         for name in body_names:
@@ -494,13 +478,11 @@ def main(argv=None) -> int:
     parser.add_argument("scenario", choices=SCENARIOS)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=".")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--tol-scale", type=float, default=1.0)
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config, args.scenario)
         cfg.tol_scale = args.tol_scale
-        cfg.threads = args.threads
         cfg.out_dir = Path(args.out)
         return run(cfg)
     except (ConfigError, ValueError) as exc:

@@ -118,7 +118,7 @@ class TestMain:
         cfg = _write(tmp_path, FLOW_CFG)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert main(["flow", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["flow", "--config", cfg, "--out", str(out2), "--threads", "4"]) == 0
+        assert main(["flow", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "flow.csv").read_bytes() == (out2 / "flow.csv").read_bytes()
 
     def test_flow_rerun_byte_identical(self, tmp_path):
@@ -164,6 +164,21 @@ class TestMain:
         cfg = _write(tmp_path, "[density]\nfamily = dodecahedron\n")
         assert main(["flow", "--config", cfg, "--out", str(tmp_path / "b")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_lrvol_scenario(self, tmp_path):
+        cfg = _write(tmp_path, "[params]\n")
+        # status 0: the disk-is-maximal assert holds for every r
+        assert main(["lrvol", "--config", cfg, "--out", str(tmp_path / "m")]) == 0
+        lines = (tmp_path / "m" / "lrvol.csv").read_text().splitlines()
+        assert lines[1] == "body,r,m_r,flag"
+        keys = [tuple(line.split(",")[:2]) for line in lines[2:]]
+        assert keys == [(b, r) for b in ("square", "disk", "diamond") for r in ("1", "2", "5")]
+
+    def test_threads_option_rejected(self, tmp_path):
+        cfg = _write(tmp_path, FLOW_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main(["flow", "--config", cfg, "--out", str(tmp_path), "--threads", "2"])
+        assert exc.value.code == 2
 
     def test_unknown_body_exits_2(self, tmp_path, capsys):
         cfg = _write(tmp_path, "[params]\nbodies = pentagon\nr = 1\n")
