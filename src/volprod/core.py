@@ -193,6 +193,10 @@ def ellipsoid(matrix: np.ndarray) -> BodySpec:
     return BodySpec(kind="ellipsoid", dim=a.shape[0], matrix=a)
 
 
+# tail_ratio above this is recorded as a truncation warning, never an error
+TAIL_WARN = 1e-8
+
+
 @dataclass(frozen=True)
 class LogQuad:
     """Integral value in log representation: sign * e^{log_abs}.
@@ -220,7 +224,7 @@ class LogQuad:
 
     @property
     def flagged(self) -> bool:
-        return self.tail_ratio > 1e-8
+        return self.tail_ratio > TAIL_WARN
 
 
 def gaussian_to_logdensity(g: GaussianSpec, grid: GridSpec) -> LogDensity:

@@ -6,11 +6,7 @@ import math
 
 import numpy as np
 
-from .core import GridSpec, LogDensity, GaussianSpec, gaussian_to_logdensity, isotropic_gaussian
-
-
-def standard_gaussian(grid: GridSpec) -> LogDensity:
-    return gaussian_to_logdensity(isotropic_gaussian(1.0, grid.dim), grid)
+from .core import GridSpec, LogDensity, gaussian_to_logdensity, isotropic_gaussian
 
 
 def gaussian(grid: GridSpec, beta: float = 1.0, mass: float = 1.0) -> LogDensity:

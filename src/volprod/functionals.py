@@ -30,7 +30,6 @@ from .quadrature import (
     GAUSSIAN,
     LEBESGUE,
     LOG_2PI,
-    boundary_mask,
     edge_dominated,
     log_integral,
     log_lq_norm,
@@ -38,8 +37,6 @@ from .quadrature import (
     trapezoid_log_weights,
 )
 
-# polar integrals whose boundary-to-interior integrand ratio exceeds this are flagged
-POLAR_TAIL_FLAG = 1e-4
 # Laplace-transform grids are widened until q log F has dropped this many nats
 LAPLACE_DECAY_NATS = 40.0
 # a truncation flag counts only at nodes whose q-integrand is within this many
@@ -454,10 +451,8 @@ def lr_volume_product(
     kernels = [r * np.outer(outer_grid.axis(k), centers_1d) for k in range(n)]
     inner_logmean = contract(np.where(inside, 0.0, NEG_INF), kernels) + log_cell - log_vol
     integrand = -inner_logmean / r
-    la = logsumexp_all(integrand + trapezoid_log_weights(outer_grid))
-    bmask = boundary_mask(outer_grid.points)
-    tail = math.exp(min(float(np.max(integrand[bmask]) - np.max(integrand[~bmask])), 700.0))
-    return LogQuad(log_abs=log_vol + la, sign=1, tail_ratio=tail)
+    outer = log_integral(LogDensity(outer_grid, -integrand))
+    return LogQuad(log_abs=log_vol + outer.log_abs, sign=1, tail_ratio=outer.tail_ratio)
 
 
 def tropical_limit_curve(f: LogDensity, s_list) -> tuple[list[tuple[float, float]], bool]:

@@ -2,8 +2,8 @@
 
 Each requested time gets its own Gaussian kernel (no time stepping), so
 trajectories carry no accumulation error. Kernels factorize over axes; the
-per-axis log-kernel matrices (with trapezoid weights) are built and cached
-here and contracted in log domain by ``volprod.contract``.
+per-axis log-kernel matrices are built and cached here and contracted in log
+domain by ``volprod.contract``.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ def _check_resolution(grid: GridSpec, t: float):
             )
 
 
-def _axis_kernel(axis: np.ndarray, h: float, t: float, kind: str) -> np.ndarray:
-    """log of the 1D kernel matrix W[i, j] including the trapezoid weight in j.
+def _axis_kernel(axis: np.ndarray, t: float, kind: str) -> np.ndarray:
+    """log of the 1D kernel matrix W[i, j].
 
     kind 'fp':  exponent -(x_i - e^{-t} y_j)^2 / (2 (1 - e^{-2t}))
     kind 'ou':  exponent -(e^{-t} x_i - y_j)^2 / (2 (1 - e^{-2t}))
@@ -51,9 +51,7 @@ def _axis_kernel(axis: np.ndarray, h: float, t: float, kind: str) -> np.ndarray:
         d = x - decay * y
     else:
         d = decay * x - y
-    logw = np.full(len(axis), math.log(h))
-    logw[0] = logw[-1] = math.log(h / 2)
-    w = -d * d / (2 * var) - 0.5 * math.log(2 * math.pi * var) + logw[None, :]
+    w = -d * d / (2 * var) - 0.5 * math.log(2 * math.pi * var)
     _KERNEL_CACHE[key] = w
     return w
 
@@ -61,8 +59,8 @@ def _axis_kernel(axis: np.ndarray, h: float, t: float, kind: str) -> np.ndarray:
 def _apply_kernel(f: LogDensity, t: float, kind: str) -> LogDensity:
     """Contract f with the per-axis kernels of ``kind`` at time t; even f stay even."""
     _check_resolution(f.grid, t)
-    kernels = [_axis_kernel(f.grid.axis(k), f.grid.spacings[k], t, kind) for k in range(f.grid.dim)]
-    phi = -contract(f.log_values(), kernels)
+    kernels = [_axis_kernel(f.grid.axis(k), t, kind) for k in range(f.grid.dim)]
+    phi = -contract(f.log_values() + trapezoid_log_weights(f.grid), kernels)
     if f.even:
         phi = np.where(np.isfinite(phi), 0.5 * (phi + reflect(phi)), phi)
     return LogDensity(grid=f.grid, phi=phi, even=f.even)
@@ -90,10 +88,8 @@ def ou_edge_flags(g: LogDensity, s: float) -> np.ndarray:
     There the grid cuts the OU integral short, so ``ou_apply`` falls below the
     continuum P_s g, and is finite where P_s g = +inf.
     """
-    kernels = [_axis_kernel(g.grid.axis(k), g.grid.spacings[k], s, "ou") for k in range(g.grid.dim)]
-    # the kernels carry trapezoid weights in z; taking them back out keeps the
-    # halved edge weight from moving a peak on the edge one node inward
-    return edge_dominated(g.log_values() - trapezoid_log_weights(g.grid), kernels)
+    kernels = [_axis_kernel(g.grid.axis(k), s, "ou") for k in range(g.grid.dim)]
+    return edge_dominated(g.log_values(), kernels)
 
 
 def flow_trajectory(f0: LogDensity, times) -> list[LogDensity]:

@@ -16,9 +16,6 @@ from .core import GridSpec, LogDensity, LogQuad, NEG_INF
 
 LOG_2PI = math.log(2 * math.pi)
 
-# tail_ratio above this is recorded as a truncation warning, never an error
-TAIL_WARN = 1e-8
-
 
 @dataclass(frozen=True)
 class Measure:

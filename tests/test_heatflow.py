@@ -11,9 +11,10 @@ from volprod.heatflow import (
     flow_trajectory,
     fp_evolve,
     ou_apply,
+    ou_edge_flags,
 )
 from volprod.oracles import gaussian_closed_forms, ou_second_moment
-from volprod.quadrature import GAUSSIAN, log_integral
+from volprod.quadrature import GAUSSIAN, boundary_mask, log_integral
 
 
 def _variance(f):
@@ -130,6 +131,25 @@ class TestOrnsteinUhlenbeck:
         g = make_grid(1, 8.0, 65)
         with pytest.raises(ValueError):
             ou_apply(gaussian(g), 0.0)
+
+    @pytest.mark.parametrize("s", [0.2, 0.5])
+    @pytest.mark.parametrize("dim, points", [(1, 33), (2, (17, 21))])
+    def test_edge_flags_match_brute_force(self, dim, points, s):
+        # g grows like e^{0.6 |z|^2}: the z-integrand of P_s g peaks on the
+        # grid edge for outer x and inside it near the origin
+        grid = make_grid(dim, 4.0, points)
+        r = np.sqrt(sum(m * m for m in grid.meshgrid()))
+        g = LogDensity(grid, -0.6 * r**2 + 0.1 * r)
+        var, decay = -math.expm1(-2 * s), math.exp(-s)
+        nodes = grid.nodes()
+        d = decay * nodes[:, None, :] - nodes[None, :, :]
+        terms = -(d * d).sum(axis=-1) / (2 * var) + g.log_values().ravel()[None, :]
+        edge = boundary_mask(grid.points).ravel()
+        edge_max, inner_max = terms[:, edge].max(axis=1), terms[:, ~edge].max(axis=1)
+        want = (edge_max >= inner_max).reshape(grid.points)
+        assert np.min(np.abs(edge_max - inner_max)) > 1e-9  # no near-ties to round either way
+        assert 0 < want.mean() < 1
+        assert np.array_equal(ou_edge_flags(g, s), want)
 
 
 class TestTrajectory:
