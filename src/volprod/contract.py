@@ -18,6 +18,12 @@ Cost of one axis step with an ``(M, N)`` kernel on ``columns`` columns:
 - ``"max"`` forms ``(M, N, columns)`` sums in column chunks of at most
   ``WORK_ELEMS`` elements whenever a two-column chunk fits.
 
+``even=True`` (an even input, centrally symmetric kernels) contracts only the
+``M_0 - M_0 // 2`` rows of axis 0 with x_0 >= 0, so that step has half the
+rows and every later step half the columns, and fills the rest by reflection:
+about half the cost, plus one read of each kernel to check its symmetry. On
+one column (1D) that read costs about as much as the halved ``"max"`` step.
+
 ``np.einsum`` runs numpy's own loop; a BLAS product (``@``) would be faster
 single-threaded but stalls under a default-threaded OpenBLAS on small
 matrices, and the library sets no thread variables.
@@ -26,6 +32,8 @@ matrices, and the library sets no thread variables.
 from __future__ import annotations
 
 import numpy as np
+
+from .core import reflect
 
 # element budget of one working array (32 MB of float64): a "max" column chunk
 # or one chunk of the "lse" fallback
@@ -88,22 +96,53 @@ def _max(w: np.ndarray, block: np.ndarray) -> np.ndarray:
 _REDUCERS = {"lse": _lse, "max": _max}
 
 
-def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse") -> np.ndarray:
+def _fill_even(a: np.ndarray) -> None:
+    """Make ``a`` exactly even in place: its first ``M_0 // 2`` rows become the
+    reflection of its last ones, and likewise within the x_0 = 0 slab, which
+    ``"lse"`` leaves even only to rounding."""
+    low = a.shape[0] // 2
+    a[:low] = reflect(a[a.shape[0] - low:])
+    if a.shape[0] % 2 and a.ndim > 1:
+        _fill_even(a[low])
+
+
+def _centrally_symmetric(w: np.ndarray) -> bool:
+    """``W == W[::-1, ::-1]``, read once: the flattened W is a palindrome."""
+    flat = w.ravel()
+    half = flat.size // 2
+    return np.array_equal(flat[:half], flat[:-half - 1:-1])
+
+
+def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse", even: bool = False) -> np.ndarray:
     """Apply one log-kernel matrix per axis of ``log_f``, reducing by ``reduce``.
 
     ``axis_kernels[k]`` has shape ``(M_k, log_f.shape[k])``; the result has
     shape ``(M_0, ..., M_{d-1})``. ``-inf`` entries of ``log_f`` (vanishing
     density, masked bodies) drop out; a column that is ``-inf`` throughout
     gives ``-inf``.
+
+    ``even=True`` declares ``log_f`` even under x -> -x; every kernel must then
+    be centrally symmetric (``W[i, j] = W[-1 - i, -1 - j]``) or ``ValueError``
+    is raised. The result is even, and exactly so: rows ``M_0 // 2:`` of axis
+    0 are contracted and the rest is their reflection.
     """
     if reduce not in _REDUCERS:
         raise ValueError(f"reduce must be 'lse' or 'max', got {reduce!r}")
     out = np.asarray(log_f, dtype=float)
     if [w.shape[1] for w in axis_kernels] != list(out.shape):
         raise ValueError(f"kernels {[w.shape for w in axis_kernels]} do not fit an array of shape {out.shape}")
+    axis_kernels = list(axis_kernels)
+    if even:
+        if not all(_centrally_symmetric(w) for w in axis_kernels):
+            raise ValueError("even=True needs centrally symmetric kernels")
+        low = axis_kernels[0].shape[0] // 2
+        axis_kernels[0] = axis_kernels[0][low:]
     for k, w in enumerate(axis_kernels):
         moved = np.moveaxis(out, k, 0)
         flat = moved.reshape(moved.shape[0], -1)  # (N, columns)
         res = _REDUCERS[reduce](w, flat)
         out = np.moveaxis(res.reshape((w.shape[0],) + moved.shape[1:]), 0, k)
+    if even:
+        out = np.concatenate([np.empty_like(out[:low]), out])
+        _fill_even(out)
     return out

@@ -360,6 +360,8 @@ def gaussian_bl_constant(data: BLData, n: int = 1, log_bound: float = 12.0) -> B
     (log a, log b), raised to the n-th power.  A minimizer escaping to the
     search-box boundary signals a degenerate (zero) infimum; the coarse scan is
     what detects objectives that are unbounded below along a diagonal valley.
+    A descent that has not converged after 200 rounds raises a RuntimeWarning
+    and returns its last iterate.
     """
 
     def obj(la_, lb_):
@@ -391,6 +393,9 @@ def gaussian_bl_constant(data: BLData, n: int = 1, log_bound: float = 12.0) -> B
             la, lb = la_new, lb_new
             break
         la, lb = la_new, lb_new
+    else:
+        warnings.warn(f"Brascamp-Lieb search at s = {data.s:g} did not converge in 200 rounds; "
+                      "the result is the last iterate", RuntimeWarning, stacklevel=2)
     val = obj(la, lb)
     degenerate = (
         not math.isfinite(val)

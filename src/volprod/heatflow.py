@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .contract import contract
-from .core import GridSpec, LogDensity, reflect
+from .core import GridSpec, LogDensity
 from .quadrature import edge_dominated, trapezoid_log_weights
 
 # cache of per-axis log-kernel matrices keyed by (kind, t, n, half_width)
@@ -60,9 +60,7 @@ def _apply_kernel(f: LogDensity, t: float, kind: str) -> LogDensity:
     """Contract f with the per-axis kernels of ``kind`` at time t; even f stay even."""
     _check_resolution(f.grid, t)
     kernels = [_axis_kernel(f.grid.axis(k), t, kind) for k in range(f.grid.dim)]
-    phi = -contract(f.log_values() + trapezoid_log_weights(f.grid), kernels)
-    if f.even:
-        phi = np.where(np.isfinite(phi), 0.5 * (phi + reflect(phi)), phi)
+    phi = -contract(f.log_values() + trapezoid_log_weights(f.grid), kernels, even=f.even)
     return LogDensity(grid=f.grid, phi=phi, even=f.even)
 
 

@@ -13,23 +13,24 @@ import warnings
 import numpy as np
 
 from .contract import contract
-from .core import GridSpec, LogDensity, make_grid, reflect
+from .core import GridSpec, LogDensity, make_grid
 from .quadrature import boundary_mask
 
 # polars of Gaussian-decay inputs should fall by this many nats inside the box
 DUAL_DECAY_NATS = 40.0
 
 
-def legendre_1d(y: np.ndarray, phi: np.ndarray, x: np.ndarray) -> np.ndarray:
+def legendre_1d(y: np.ndarray, phi: np.ndarray, x: np.ndarray, even: bool = False) -> np.ndarray:
     """Exact discrete conjugate of the sampled phi, evaluated at dual nodes x.
 
     All-inf input is rejected; +inf samples simply do not participate in the sup.
+    ``even=True`` (phi even, y and x symmetric) computes the x >= 0 half only.
     """
     phi = np.asarray(phi, dtype=float)
     if not np.isfinite(phi).any():
         raise ValueError("conjugate of an everywhere-infinite function")
     kernel = np.multiply.outer(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    return contract(-phi, [kernel], "max")
+    return contract(-phi, [kernel], "max", even=even)
 
 
 def default_dual_grid(f: LogDensity, points=None) -> GridSpec:
@@ -69,13 +70,10 @@ def legendre_transform(f: LogDensity, dual: GridSpec | None = None) -> LogDensit
     if dual.dim != f.grid.dim:
         raise ValueError("dual grid dimension mismatch")
     if f.grid.dim == 1:
-        acc = legendre_1d(f.grid.axis(0), f.phi, dual.axis(0))
+        acc = legendre_1d(f.grid.axis(0), f.phi, dual.axis(0), even=f.even)
     else:
         kernels = [np.multiply.outer(dual.axis(k), f.grid.axis(k)) for k in range(f.grid.dim)]
-        acc = contract(-f.phi, kernels, "max")
-    if f.even:
-        # conjugation preserves evenness; symmetrize away last-ulp asymmetry
-        acc = np.where(np.isfinite(acc), 0.5 * (acc + reflect(acc)), acc)
+        acc = contract(-f.phi, kernels, "max", even=f.even)
     return LogDensity(grid=dual, phi=acc, even=f.even)
 
 

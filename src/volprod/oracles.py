@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import GridSpec, LogDensity, LogQuad, NEG_INF
 
@@ -335,8 +334,11 @@ def ou_second_moment(beta: float, t: float) -> float:
     """Second moment of the flowed Gaussian by integrating m2' = 2 (1 - m2).
 
     An independent ODE route for the variance law (closed form: the
-    fp_variance_law entry above).
+    fp_variance_law entry above). scipy is imported here, its only use in the
+    library, so ``import volprod`` does not load it.
     """
+    from scipy.integrate import solve_ivp
+
     if t == 0:
         return beta
     sol = solve_ivp(

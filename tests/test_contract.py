@@ -9,9 +9,19 @@ from scipy.special import logsumexp
 from volprod import contract as contract_mod
 from volprod import oracles
 from volprod.contract import contract
-from volprod.core import BodySpec, ellipsoid, gaussian_to_logdensity, isotropic_gaussian, lp_ball, make_grid
+from volprod.core import (
+    BodySpec,
+    ellipsoid,
+    gaussian_to_logdensity,
+    isotropic_gaussian,
+    lp_ball,
+    make_grid,
+    reflect,
+)
 from volprod.densities import box, cross2d, exp_power, gaussian
 from volprod.functionals import bl_data, bl_integral, log_laplace, lr_volume_product
+from volprod.heatflow import fp_evolve, ou_apply
+from volprod.legendre import legendre_transform, polar_density
 from volprod.quadrature import boundary_mask, trapezoid_log_weights
 
 REL = 1e-12
@@ -136,6 +146,77 @@ class TestEngine:
             contract(np.zeros(3), [np.zeros((2, 4))])
         with pytest.raises(ValueError):
             contract(np.zeros(3), [np.zeros((2, 3))], reduce="sum")
+
+
+def _even_case(rng, in_shape, out_shape):
+    """An exactly even input with -inf entries and centrally symmetric kernels;
+    the first and last rows of the axis-0 kernel are -inf."""
+    log_f = rng.normal(scale=3.0, size=in_shape)
+    log_f[rng.random(in_shape) < 0.2] = -np.inf
+    log_f = np.minimum(log_f, reflect(log_f))
+    kernels = []
+    for m, n in zip(out_shape, in_shape):
+        w = rng.normal(scale=2.0, size=(m, n))
+        kernels.append(w + w[::-1, ::-1])
+    kernels[0][[0, -1]] = -np.inf
+    return log_f, kernels
+
+
+def _is_even(a):
+    return a.tobytes() == reflect(a).tobytes()
+
+
+class TestEvenPath:
+    @pytest.mark.parametrize("reduce", ["lse", "max"])
+    @pytest.mark.parametrize(
+        "in_shape, out_shape",
+        [((9,), (5,)), ((9,), (13,)), ((15, 31), (9, 41)), ((5, 13, 7), (7, 11, 15))],
+    )
+    def test_matches_the_full_contraction(self, reduce, in_shape, out_shape):
+        rng = np.random.default_rng(len(in_shape) + out_shape[0])
+        log_f, kernels = _even_case(rng, in_shape, out_shape)
+        full = contract(log_f, kernels, reduce)
+        half = contract(log_f, kernels, reduce, even=True)
+        assert half.shape == out_shape
+        assert _is_even(half)
+        assert (half == -np.inf).any() and np.isfinite(half).any()
+        if reduce == "max":
+            assert half.tobytes() == full.tobytes()
+        else:
+            _close(half, full)
+
+    @pytest.mark.parametrize("reduce", ["lse", "max"])
+    def test_plus_inf_input(self, reduce):
+        log_f = np.zeros((5, 7))
+        log_f[1, 2] = log_f[3, 4] = np.inf
+        kernels = [np.add.outer(np.arange(3.0), np.arange(5.0)) % 3, np.ones((9, 7))]
+        kernels[0] = kernels[0] + kernels[0][::-1, ::-1]
+        full = contract(log_f, kernels, reduce)
+        assert np.isposinf(full).all()
+        assert contract(log_f, kernels, reduce, even=True).tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("entry", [(0, 0), (2, 1), (4, 4), (1, 3)])
+    def test_asymmetric_kernel_raises(self, entry):
+        rng = np.random.default_rng(3)
+        log_f, kernels = _even_case(rng, (5, 7), (3, 5))
+        contract(log_f, kernels, even=True)
+        kernels[1][entry] += 1e-9  # an entry of the first half, the middle row, the second half
+        contract(log_f, kernels, even=False)
+        with pytest.raises(ValueError, match="centrally symmetric"):
+            contract(log_f, kernels, even=True)
+
+    @pytest.mark.parametrize("apply", [fp_evolve, ou_apply])
+    def test_flow_of_an_even_density_is_exactly_even(self, apply):
+        for f in (exp_power(make_grid(2, 6.0, (33, 21)), 2.5), gaussian(make_grid(3, 4.0, (17, 19, 21)))):
+            out = apply(f, 0.3)
+            assert out.even and _is_even(out.phi)
+
+    def test_conjugate_of_an_even_density_is_exactly_even(self):
+        for f in (exp_power(make_grid(1, 6.0, 65), 3.0), box(make_grid(2, 3.0, (17, 13)), half=1.2),
+                  exp_power(make_grid(3, 4.0, (9, 11, 7)), 2.5)):
+            for out in (legendre_transform(f), polar_density(f)):
+                assert out.even and _is_even(out.phi)
+                assert np.isfinite(out.phi).any()
 
 
 def _lr_all_pairs(body: BodySpec, r: float, outer_grid, inner_cells: int) -> float:

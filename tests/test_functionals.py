@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -279,6 +280,15 @@ class TestBrascampLieb:
         assert h == pytest.approx(1.0, abs=1e-6)
         assert np.max(np.abs(opt.a_diag - 1.0)) <= 1e-4
         assert np.max(np.abs(opt.b_diag - 1.0)) <= 1e-4
+
+    def test_search_cap_warns(self):
+        with pytest.warns(RuntimeWarning, match="s = 0.2 did not converge"):
+            gaussian_bl_constant(bl_data(0.2))
+
+    def test_converged_search_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gaussian_bl_constant(bl_data(S_HALF_LN2))
 
     def test_grid_integral_matches_closed_form(self):
         data = bl_data(S_HALF_LN2)

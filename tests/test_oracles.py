@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
+
+import volprod
 
 from volprod.core import LogDensity, gaussian_to_logdensity, isotropic_gaussian, make_grid
 from volprod.densities import box, exp_power, gaussian
@@ -268,3 +273,12 @@ class TestOuSecondMoment:
         x = g.axis(0)
         var = float((w * x * x).sum() / w.sum())
         assert var == pytest.approx(ou_second_moment(0.7, 0.5), abs=1e-5)
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported inside the one oracle that needs it, not at start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(volprod.__file__)))
+    code = "import sys, volprod; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "[]"
