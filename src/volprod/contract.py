@@ -131,12 +131,11 @@ def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse", even: bool = 
     out = np.asarray(log_f, dtype=float)
     if [w.shape[1] for w in axis_kernels] != list(out.shape):
         raise ValueError(f"kernels {[w.shape for w in axis_kernels]} do not fit an array of shape {out.shape}")
-    axis_kernels = list(axis_kernels)
     if even:
         if not all(_centrally_symmetric(w) for w in axis_kernels):
             raise ValueError("even=True needs centrally symmetric kernels")
         low = axis_kernels[0].shape[0] // 2
-        axis_kernels[0] = axis_kernels[0][low:]
+        axis_kernels = [axis_kernels[0][low:], *axis_kernels[1:]]
     for k, w in enumerate(axis_kernels):
         moved = np.moveaxis(out, k, 0)
         flat = moved.reshape(moved.shape[0], -1)  # (N, columns)

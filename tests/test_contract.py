@@ -46,7 +46,8 @@ def _close(a, b, rel=REL):
     assert a.shape == b.shape
     same = a == b  # matching infinities
     assert not np.isnan(a).any() and not np.isnan(b).any()
-    err = np.where(same, 0.0, np.abs(a - b) / np.maximum(1.0, np.abs(b)))
+    with np.errstate(invalid="ignore"):  # inf - inf where both are -inf; masked by `same`
+        err = np.where(same, 0.0, np.abs(a - b) / np.maximum(1.0, np.abs(b)))
     assert float(np.max(err)) <= rel
 
 
