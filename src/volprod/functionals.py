@@ -186,7 +186,8 @@ def laplace_grid(f: LogDensity, q: float, power: float, arg_scale: float, points
     for k in range(n):
         # log F at x = r e_k for every rung r at once (and at x = 0)
         kernels = [np.zeros((1, m)) for m in f.grid.points]
-        kernels[k] = arg_scale * np.outer(xs, f.grid.axis(k))
+        kernels[k] = np.outer(xs, f.grid.axis(k))
+        kernels[k] *= arg_scale
         log_lap = contract(log_f, kernels).ravel()
         hit = np.flatnonzero(q * (log_lap[1:] - log_lap[0]) <= -LAPLACE_DECAY_NATS)
         if not hit.size:
@@ -204,7 +205,9 @@ def log_laplace(f: LogDensity, x_grid: GridSpec, power: float = 1.0, arg_scale: 
     """
     grid = f.grid
     base = -power * f.phi
-    kernels = [arg_scale * np.outer(x_grid.axis(k), grid.axis(k)) for k in range(grid.dim)]
+    kernels = [np.outer(x_grid.axis(k), grid.axis(k)) for k in range(grid.dim)]
+    for w in kernels:
+        w *= arg_scale  # in place: one (M, N) temporary fewer
     out = contract(base + trapezoid_log_weights(grid), kernels)
     return out, edge_dominated(base, kernels)
 
@@ -312,7 +315,9 @@ def bl_integral(f1: LogDensity, f2: LogDensity, data: BLData) -> LogQuad:
     # the cross term couples each coordinate of x1 with the same coordinate of
     # x2, so x2 is integrated out axis by axis
     cross = -2 * math.pi * q2[0, 1]
-    kernels = [cross * np.outer(f1.grid.axis(k), f2.grid.axis(k)) for k in range(n)]
+    kernels = [np.outer(f1.grid.axis(k), f2.grid.axis(k)) for k in range(n)]
+    for w in kernels:
+        w *= cross
     total = logsumexp_all(base1 + contract(base2, kernels))
     if total == NEG_INF:
         return LogQuad(NEG_INF, 0)

@@ -3,7 +3,10 @@
 The conjugate phi*(x) = max_y [<x, y> - phi(y)] over the grid nodes is one
 max-plus contraction of -phi with the per-axis kernel x_k y_k
 (``volprod.contract``), so it takes the max over every finite node, axis by
-axis. ``oracles.hull_legendre`` checks it with a lower-convex-hull sweep.
+axis. On sorted axes x_k y_k is Monge, so on 2D and 3D grids the engine
+searches each row only between the argmaxes of its neighbouring sampled rows;
+1D conjugates stay dense. ``oracles.hull_legendre`` checks it with a
+lower-convex-hull sweep.
 """
 
 from __future__ import annotations
@@ -90,8 +93,10 @@ def polar_density(f: LogDensity, dual: GridSpec | None = None) -> LogDensity:
         warnings.warn("polar of a non-even density: Blaschke-Santalo hypotheses unmet")
     dual = dual if dual is not None else default_dual_grid(f)
     full = legendre_transform(f, dual)
-    trimmed = np.where(boundary_mask(f.phi.shape), np.inf, f.phi)
-    if not np.isfinite(trimmed).any():
+    shell = boundary_mask(f.phi.shape)
+    trimmed = np.where(shell, np.inf, f.phi)
+    # a shell that is +inf already (a box) cannot win; an all-shell input has no inner conjugate
+    if not np.isfinite(f.phi[shell]).any() or not np.isfinite(trimmed).any():
         return full
     inner = legendre_transform(LogDensity(f.grid, trimmed, f.even), dual)
     scale = 1.0 + np.where(np.isfinite(full.phi), np.abs(full.phi), 0.0)

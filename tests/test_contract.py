@@ -102,6 +102,20 @@ class TestEngine:
         assert chunked.tobytes() == whole.tobytes()
         _close(chunked, _brute(log_f, kernels, reduce))
 
+    @pytest.mark.parametrize("reduce", ["lse", "max"])
+    @pytest.mark.parametrize("in_shape, out_shape", [((40,), (31,)), ((13, 6), (29, 5))])
+    def test_row_blocks_are_bitwise_invisible(self, monkeypatch, reduce, in_shape, out_shape):
+        rng = np.random.default_rng(9)
+        log_f, kernels = _random_case(rng, in_shape, out_shape)
+        log_f[rng.random(in_shape) < 0.2] = -np.inf
+        kernels[0][4] = -np.inf
+        whole = contract(log_f, kernels, reduce)
+        # three rows per axis-0 block, so 31 rows end in a block of one
+        monkeypatch.setattr(contract_mod, "ROW_ELEMS", 3 * in_shape[0] + 1)
+        blocked = contract(log_f, kernels, reduce)
+        assert blocked.tobytes() == whole.tobytes()
+        _close(blocked, _brute(log_f, kernels, reduce))
+
     @staticmethod
     def _underflow_case():
         """Half the kernel rows peak 1000 nats away from where half the columns
@@ -219,6 +233,112 @@ class TestEvenPath:
                 assert out.even and _is_even(out.phi)
                 assert np.isfinite(out.phi).any()
 
+
+
+def _monge_case(rng, in_shape, out_shape, integer=False):
+    """Kernels row[:, None] + col[None, :] + c x (x) y on sorted axes, which are Monge.
+
+    ``integer=True`` draws small integers everywhere (axes without 0, so no
+    signed zero arises), so exact ties abound."""
+    if integer:
+        log_f = rng.integers(-4, 5, size=in_shape).astype(float)
+    else:
+        log_f = rng.normal(scale=3.0, size=in_shape)
+    kernels = []
+    for m, n in zip(out_shape, in_shape):
+        if integer:
+            x = np.sort(rng.choice(np.r_[-9:0, 1:10], size=m)).astype(float)
+            y = np.sort(rng.choice(np.r_[-9:0, 1:10], size=n)).astype(float)
+            row, col, c = rng.integers(-3, 4, size=m), rng.integers(-3, 4, size=n), 1.0
+        else:
+            x, y = np.sort(rng.normal(size=m)), np.sort(rng.normal(size=n))
+            row, col, c = rng.normal(size=m), rng.normal(size=n), rng.uniform(0.5, 4.0)
+        kernels.append(row[:, None] + col[None, :] + c * np.multiply.outer(x, y))
+    return log_f, kernels
+
+
+@pytest.fixture
+def windowed_steps(monkeypatch):
+    """Count the axis steps that take the windowed max step."""
+    calls = []
+    inner = contract_mod._max_windowed
+
+    def spy(w, block):
+        calls.append(w.shape)
+        return inner(w, block)
+
+    monkeypatch.setattr(contract_mod, "_max_windowed", spy)
+    return calls
+
+
+# every axis step has more than 2 STRIDE rows and two or more columns; M != N,
+# with M < N and M > N both present; _brute's all-pairs array stays near 1e6
+WINDOWED_SHAPES = [((41, 19), (23, 29)), ((6, 5, 7), (19, 17, 18))]
+
+
+class TestWindowedMax:
+    def test_shapes_take_the_windowed_step(self):
+        for _, out_shape in WINDOWED_SHAPES:
+            assert min(out_shape) > 2 * contract_mod.STRIDE
+
+    @pytest.mark.parametrize("in_shape, out_shape", WINDOWED_SHAPES)
+    @pytest.mark.parametrize("case", ["minus_inf", "dead_columns", "all_minus_inf", "plus_inf", "integer_ties"])
+    def test_matches_all_pairs_bitwise(self, windowed_steps, in_shape, out_shape, case):
+        rng = np.random.default_rng(len(in_shape) + len(case))
+        log_f, kernels = _monge_case(rng, in_shape, out_shape, integer=case == "integer_ties")
+        if case == "minus_inf":
+            log_f[rng.random(in_shape) < 0.3] = -np.inf
+        elif case == "dead_columns":
+            log_f[:, 3] = -np.inf  # every axis-0 column with index 3 on axis 1
+            log_f[rng.random(in_shape) < 0.5] = -np.inf
+        elif case == "all_minus_inf":
+            log_f[...] = -np.inf
+        elif case == "plus_inf":
+            log_f[(2,) * len(in_shape)] = np.inf
+        else:
+            log_f[rng.random(in_shape) < 0.2] = -np.inf
+        got = contract(log_f, kernels, "max")
+        assert got.tobytes() == _brute(log_f, kernels, "max").tobytes()
+        assert len(windowed_steps) == len(in_shape)
+        if case == "all_minus_inf":
+            assert np.all(got == -np.inf)
+        elif case == "plus_inf":
+            assert np.all(got == np.inf)
+        else:
+            assert np.isfinite(got).any()
+
+    @pytest.mark.parametrize("in_shape, out_shape", [((27, 31), (41, 35)), ((7, 5, 3), (33, 17, 19))])
+    def test_even_path(self, windowed_steps, in_shape, out_shape):
+        rng = np.random.default_rng(13)
+        log_f = rng.normal(scale=3.0, size=in_shape)
+        log_f[rng.random(in_shape) < 0.2] = -np.inf
+        log_f = np.minimum(log_f, reflect(log_f))
+        kernels = []
+        for m, n in zip(out_shape, in_shape):
+            # symmetric axes and symmetric row and column terms: centrally symmetric and Monge
+            x, y = np.arange(m) - m // 2, (np.arange(n) - n // 2) * 0.75
+            row, col = rng.normal(size=m), rng.normal(size=n)
+            kernels.append((row + row[::-1])[:, None] + (col + col[::-1])[None, :] + 1.5 * np.multiply.outer(x, y))
+        got = contract(log_f, kernels, "max", even=True)
+        assert len(windowed_steps) == len(in_shape)
+        assert got.tobytes() == _brute(log_f, kernels, "max").tobytes()
+        assert _is_even(got)
+
+    @pytest.mark.parametrize("in_shape, out_shape", WINDOWED_SHAPES)
+    @pytest.mark.parametrize("kernel", ["not_monge", "minus_inf_entry"])
+    def test_other_kernels_take_the_dense_step(self, windowed_steps, in_shape, out_shape, kernel):
+        rng = np.random.default_rng(17)
+        if kernel == "not_monge":
+            log_f, kernels = _random_case(rng, in_shape, out_shape)
+            assert not any(contract_mod._monge(w) for w in kernels)
+        else:
+            log_f, kernels = _monge_case(rng, in_shape, out_shape)
+            for w in kernels:
+                w[1, 2] = -np.inf
+        log_f[rng.random(in_shape) < 0.2] = -np.inf
+        got = contract(log_f, kernels, "max")
+        assert windowed_steps == []
+        assert got.tobytes() == _brute(log_f, kernels, "max").tobytes()
 
 def _lr_all_pairs(body: BodySpec, r: float, outer_grid, inner_cells: int) -> float:
     """M_r(K) with every (outer node, inner cell) pair summed explicitly."""

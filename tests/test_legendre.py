@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from volprod.core import LogDensity, body_to_logdensity, lp_ball, make_grid
-from volprod.densities import box, exp_power, gaussian
+from volprod import legendre as legendre_mod
+from volprod.core import LogDensity, body_to_logdensity, lp_ball, make_grid, reflect
+from volprod.densities import box, cross2d, exp_power, gaussian
 from volprod.legendre import (
     convex_envelope,
     default_dual_grid,
@@ -135,6 +136,32 @@ class TestLegendreTransformNd:
         assert out.even
 
 
+    @pytest.mark.parametrize(
+        "dim, points, holes, even",
+        [(2, 65, False, False), (2, 65, True, False), (2, 65, False, True), (2, 65, True, True),
+         (3, 33, True, False), (3, 33, True, True)],
+    )
+    def test_nd_matches_hull_sweep(self, dim, points, holes, even):
+        """Conjugate and envelope of a random non-convex phi against the
+        lower-hull sweep, an independent route; the sweep's chord test can
+        land up to 4 ulp low, so that is the tolerance."""
+        rng = np.random.default_rng(dim + 2 * holes + 4 * even)
+        g = make_grid(dim, 3.0, points)
+        phi = 0.25 * sum(m**2 for m in g.meshgrid()) + rng.normal(size=g.points)
+        if holes:
+            phi[rng.random(g.points) < 0.2] = np.inf
+        if even:
+            phi = np.maximum(phi, reflect(phi))
+        f = LogDensity(g, phi, even=even)
+        dual = make_grid(dim, 2.0, points)
+        hull = hull_legendre(f, dual).phi
+        for got, want in ((legendre_transform(f, dual).phi, hull),
+                          (convex_envelope(f, dual).phi, hull_legendre(LogDensity(dual, hull), g).phi)):
+            assert np.array_equal(np.isinf(got), np.isinf(want))
+            fin = np.isfinite(want)
+            assert np.all(np.abs(got[fin] - want[fin]) <= 4 * np.spacing(np.abs(want[fin])))
+
+
 class TestDefaultDualGrid:
     def test_cap_warns(self):
         # the conjugate of a box of half-width 0.005 is 0.005 |x|: 20 nats at the cap
@@ -182,6 +209,27 @@ class TestPolarDensity:
             f = gaussian_to_logdensity(isotropic_gaussian(0.5, mass=c), g)
             v = log_integral(f).log_abs + log_integral(polar_density(f)).log_abs
             assert math.exp(v) == pytest.approx(2 * math.pi, rel=5e-3)
+
+    @pytest.mark.parametrize(
+        "f, conjugates",
+        [(box(make_grid(1, 3.0, 129)), 1), (cross2d(make_grid(2, 6.0, 65)), 1), (gaussian(make_grid(2, 6.0, 33)), 2)],
+        ids=["box-1d", "cross2d", "gaussian-2d"],
+    )
+    def test_plus_inf_shell_conjugates_once(self, monkeypatch, f, conjugates):
+        # with the boundary shell already +inf, trimming it changes nothing
+        dual = default_dual_grid(f)
+        want = legendre_transform(f, dual).phi
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return legendre_transform(*args)
+
+        monkeypatch.setattr(legendre_mod, "legendre_transform", spy)
+        got = polar_density(f, dual)
+        assert len(calls) == conjugates
+        if conjugates == 1:
+            assert got.phi.tobytes() == want.tobytes()
 
     def test_non_even_warns(self):
         g = make_grid(1, 4.0, 65)
