@@ -58,8 +58,8 @@ WORK_ELEMS = 2**22
 FLOOR = -600.0
 # element budget of one row block (256 KB of float64): "lse" exponentiates its
 # kernel and a one-column "max" step sums it this many elements at a time, so
-# a 1D 513-node step allocates no (M, N) temporary; 2 MB ones were unmapped
-# and faulted in again on every call (2^17 and up measured so)
+# a 1D 513-node step allocates no (M, N) temporary; glibc unmapped 2 MB ones
+# and they faulted in again on every call (blocks of 2^17 and up still do)
 ROW_ELEMS = 2**15
 # rows between dense argmaxes in the windowed "max" step (4 to 16 measured; 8
 # was fastest on 2D 129^2 and 3D 33^3 and 65^3 polars)
@@ -147,8 +147,8 @@ def _max_windowed(w: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 def _max(w: np.ndarray, block: np.ndarray) -> np.ndarray:
     """max_j (w[i, j] + block[j, c]): windowed on a finite Monge kernel with two or
-    more columns and more than 2 STRIDE rows, else dense in column chunks of at
-    most WORK_ELEMS elements."""
+    more columns and more than 2 STRIDE rows, else dense, in row blocks of
+    ROW_ELEMS on one column and in column chunks of WORK_ELEMS otherwise."""
     m, n = w.shape
     cols = block.shape[1]
     # a -inf kernel entry would break the Monge argument; one column would make
