@@ -37,7 +37,14 @@ Cost of one axis step with an ``(M, N)`` kernel on ``columns`` columns:
 ``M_0 - M_0 // 2`` rows of axis 0 with x_0 >= 0, so that step has half the
 rows and every later step half the columns, and fills the rest by reflection:
 about half the cost, plus one read of each kernel to check its symmetry. On
-one column (1D) that read costs about as much as the halved ``"max"`` step.
+one column (1D) that read costs about as much as the halved ``"max"`` step, so
+it runs once per immutable kernel, as below.
+
+The structure checks (central symmetry; finite and Monge) read the kernel as
+passed, before the even slice, whose rows are finite and Monge when the whole
+kernel is. An immutable kernel, read-only and owning its data like the cached
+FP/OU kernels and the conjugate's ``x_k y_k``, is checked once: its verdicts
+are kept by identity until it is freed. Other kernels are checked on every call.
 
 ``np.einsum`` runs numpy's own loop; a BLAS product (``@``) would be faster
 single-threaded but stalls under a default-threaded OpenBLAS on small
@@ -45,6 +52,8 @@ matrices, and the library sets no thread variables.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -145,15 +154,21 @@ def _max_windowed(w: np.ndarray, block: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _max(w: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """max_j (w[i, j] + block[j, c]): windowed on a finite Monge kernel with two or
-    more columns and more than 2 STRIDE rows, else dense, in row blocks of
-    ROW_ELEMS on one column and in column chunks of WORK_ELEMS otherwise."""
+def _finite_monge(w: np.ndarray) -> bool:
+    """w is finite (a -inf entry would break the Monge argument) and Monge."""
+    return bool(np.isfinite(w).all()) and _monge(w)
+
+
+def _max(w: np.ndarray, block: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """max_j (w[i, j] + block[j, c]): windowed when the kernel ``source`` (``w``
+    or the kernel whose lower rows ``w`` is) is finite and Monge and the step
+    has two or more columns and more than 2 STRIDE rows, else dense, in row
+    blocks of ROW_ELEMS on one column and in column chunks of WORK_ELEMS
+    otherwise."""
     m, n = w.shape
     cols = block.shape[1]
-    # a -inf kernel entry would break the Monge argument; one column would make
-    # the windowed j loop N Python steps on one number each
-    if cols >= 2 and m > 2 * STRIDE and np.isfinite(w).all() and _monge(w):
+    # one column would make the windowed j loop N Python steps on one number each
+    if cols >= 2 and m > 2 * STRIDE and _checked(source, _finite_monge):
         return _max_windowed(w, block)
     if cols == 1:
         return np.concatenate([np.max(w[band] + block[:, 0], axis=1, keepdims=True) for band in _row_blocks(w)])
@@ -165,9 +180,6 @@ def _max(w: np.ndarray, block: np.ndarray) -> np.ndarray:
         [np.max(w[:, :, None] + part[None, :, :], axis=1) for part in np.array_split(block, chunks, axis=1)],
         axis=1,
     )
-
-
-_REDUCERS = {"lse": _lse, "max": _max}
 
 
 def _fill_even(a: np.ndarray) -> None:
@@ -187,6 +199,27 @@ def _centrally_symmetric(w: np.ndarray) -> bool:
     return np.array_equal(flat[:half], flat[:-half - 1:-1])
 
 
+# verdicts of the structure checks on immutable kernels, by id(kernel) and then
+# by check; an entry goes when its kernel is freed, so a later array at the
+# same address inherits nothing and the table holds live kernels only
+_VERDICTS: dict[int, dict] = {}
+
+
+def _checked(w: np.ndarray, check) -> bool:
+    """``check(w)``, run once per immutable kernel (read-only and owning its
+    data, so no view can write it) and on every call for any other. The
+    verdict lasts until w is freed: w must not be made writable and changed."""
+    if w.flags.writeable or w.base is not None:
+        return check(w)
+    verdicts = _VERDICTS.get(id(w))
+    if verdicts is None:
+        verdicts = _VERDICTS[id(w)] = {}
+        weakref.finalize(w, _VERDICTS.pop, id(w), None)
+    if check not in verdicts:
+        verdicts[check] = check(w)
+    return verdicts[check]
+
+
 def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse", even: bool = False) -> np.ndarray:
     """Apply one log-kernel matrix per axis of ``log_f``, reducing by ``reduce``.
 
@@ -200,20 +233,21 @@ def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse", even: bool = 
     is raised. The result is even, and exactly so: rows ``M_0 // 2:`` of axis
     0 are contracted and the rest is their reflection.
     """
-    if reduce not in _REDUCERS:
+    if reduce not in ("lse", "max"):
         raise ValueError(f"reduce must be 'lse' or 'max', got {reduce!r}")
     out = np.asarray(log_f, dtype=float)
     if [w.shape[1] for w in axis_kernels] != list(out.shape):
         raise ValueError(f"kernels {[w.shape for w in axis_kernels]} do not fit an array of shape {out.shape}")
+    steps = axis_kernels
     if even:
-        if not all(_centrally_symmetric(w) for w in axis_kernels):
+        if not all(_checked(w, _centrally_symmetric) for w in axis_kernels):
             raise ValueError("even=True needs centrally symmetric kernels")
         low = axis_kernels[0].shape[0] // 2
-        axis_kernels = [axis_kernels[0][low:], *axis_kernels[1:]]
-    for k, w in enumerate(axis_kernels):
+        steps = [axis_kernels[0][low:], *axis_kernels[1:]]
+    for k, (w, source) in enumerate(zip(steps, axis_kernels)):
         moved = np.moveaxis(out, k, 0)
         flat = moved.reshape(moved.shape[0], -1)  # (N, columns)
-        res = _REDUCERS[reduce](w, flat)
+        res = _max(w, flat, source) if reduce == "max" else _lse(w, flat)
         out = np.moveaxis(res.reshape((w.shape[0],) + moved.shape[1:]), 0, k)
     if even:
         out = np.concatenate([np.empty_like(out[:low]), out])

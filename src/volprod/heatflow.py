@@ -16,7 +16,8 @@ from .contract import contract
 from .core import GridSpec, LogDensity
 from .quadrature import edge_dominated, trapezoid_log_weights
 
-# cache of per-axis log-kernel matrices keyed by (kind, t, n, half_width)
+# cache of per-axis log-kernel matrices keyed by (kind, t, n, half_width); each
+# is read-only, since every later call shares it
 _KERNEL_CACHE: dict[tuple, np.ndarray] = {}
 
 
@@ -34,7 +35,7 @@ def _check_resolution(grid: GridSpec, t: float):
 
 
 def _axis_kernel(axis: np.ndarray, t: float, kind: str) -> np.ndarray:
-    """log of the 1D kernel matrix W[i, j].
+    """log of the 1D kernel matrix W[i, j], read-only.
 
     kind 'fp':  exponent -(x_i - e^{-t} y_j)^2 / (2 (1 - e^{-2t}))
     kind 'ou':  exponent -(e^{-t} x_i - y_j)^2 / (2 (1 - e^{-2t}))
@@ -52,6 +53,7 @@ def _axis_kernel(axis: np.ndarray, t: float, kind: str) -> np.ndarray:
     else:
         d = decay * x - y
     w = -d * d / (2 * var) - 0.5 * math.log(2 * math.pi * var)
+    w.flags.writeable = False
     _KERNEL_CACHE[key] = w
     return w
 

@@ -7,11 +7,17 @@ axis. On sorted axes x_k y_k is Monge, so on 2D and 3D grids the engine
 searches each row only between the argmaxes of its neighbouring sampled rows;
 1D conjugates stay dense. ``oracles.hull_legendre`` checks it with a
 lower-convex-hull sweep.
+
+The kernels are read-only and shared through a weak table keyed by the exact
+axis values: ``polar_density`` holds its ``x_k y_k`` kernels while both of its
+conjugates run, so each is built, and checked by the engine, once per polar,
+and none outlives the call.
 """
 
 from __future__ import annotations
 
 import warnings
+import weakref
 
 import numpy as np
 
@@ -21,6 +27,20 @@ from .quadrature import boundary_mask
 
 # polars of Gaussian-decay inputs should fall by this many nats inside the box
 DUAL_DECAY_NATS = 40.0
+
+# live kernels x (x) y by the bytes of (x, y); an entry goes with its last holder
+_PRODUCTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The read-only kernel x (x) y; calls with equal axes share it while one holds it."""
+    key = (x.tobytes(), y.tobytes())
+    kernel = _PRODUCTS.get(key)
+    if kernel is None:
+        kernel = np.multiply.outer(x, y)
+        kernel.flags.writeable = False
+        _PRODUCTS[key] = kernel
+    return kernel
 
 
 def legendre_1d(y: np.ndarray, phi: np.ndarray, x: np.ndarray, even: bool = False) -> np.ndarray:
@@ -32,7 +52,7 @@ def legendre_1d(y: np.ndarray, phi: np.ndarray, x: np.ndarray, even: bool = Fals
     phi = np.asarray(phi, dtype=float)
     if not np.isfinite(phi).any():
         raise ValueError("conjugate of an everywhere-infinite function")
-    kernel = np.multiply.outer(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    kernel = _product(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     return contract(-phi, [kernel], "max", even=even)
 
 
@@ -75,7 +95,7 @@ def legendre_transform(f: LogDensity, dual: GridSpec | None = None) -> LogDensit
     if f.grid.dim == 1:
         acc = legendre_1d(f.grid.axis(0), f.phi, dual.axis(0), even=f.even)
     else:
-        kernels = [np.multiply.outer(dual.axis(k), f.grid.axis(k)) for k in range(f.grid.dim)]
+        kernels = [_product(dual.axis(k), f.grid.axis(k)) for k in range(f.grid.dim)]
         acc = contract(-f.phi, kernels, "max", even=f.even)
     return LogDensity(grid=dual, phi=acc, even=f.even)
 
@@ -92,6 +112,8 @@ def polar_density(f: LogDensity, dual: GridSpec | None = None) -> LogDensity:
     if not f.even:
         warnings.warn("polar of a non-even density: Blaschke-Santalo hypotheses unmet")
     dual = dual if dual is not None else default_dual_grid(f)
+    # held until return, so that both conjugates below find these kernels in _PRODUCTS
+    held = [_product(dual.axis(k), f.grid.axis(k)) for k in range(f.grid.dim)]
     full = legendre_transform(f, dual)
     shell = boundary_mask(f.phi.shape)
     trimmed = np.where(shell, np.inf, f.phi)

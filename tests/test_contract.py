@@ -1,4 +1,5 @@
 import ast
+import gc
 import inspect
 import math
 
@@ -215,6 +216,7 @@ class TestEvenPath:
         rng = np.random.default_rng(3)
         log_f, kernels = _even_case(rng, (5, 7), (3, 5))
         contract(log_f, kernels, even=True)
+        assert kernels[1].flags.writeable  # so the verdict of the call above is not kept
         kernels[1][entry] += 1e-9  # an entry of the first half, the middle row, the second half
         contract(log_f, kernels, even=False)
         with pytest.raises(ValueError, match="centrally symmetric"):
@@ -339,6 +341,85 @@ class TestWindowedMax:
         got = contract(log_f, kernels, "max")
         assert windowed_steps == []
         assert got.tobytes() == _brute(log_f, kernels, "max").tobytes()
+
+
+def _read_only(w):
+    w.flags.writeable = False
+    return w
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """Count the calls of each structure check, by name."""
+    calls = {"_centrally_symmetric": 0, "_finite_monge": 0}
+    for name in calls:
+        inner = getattr(contract_mod, name)
+
+        def spy(w, name=name, inner=inner):
+            calls[name] += 1
+            return inner(w)
+
+        monkeypatch.setattr(contract_mod, name, spy)
+    return calls
+
+
+class TestStructureMemo:
+    def test_writable_kernel_made_non_monge_takes_the_dense_step(self, windowed_steps):
+        in_shape, out_shape = WINDOWED_SHAPES[0]
+        rng = np.random.default_rng(23)
+        log_f, kernels = _monge_case(rng, in_shape, out_shape)
+        got = contract(log_f, kernels, "max")
+        assert len(windowed_steps) == 2
+        assert got.tobytes() == _brute(log_f, kernels, "max").tobytes()
+        kernels[0][...] = kernels[0][:, ::-1].copy()  # in place: each row argmax now falls with i
+        assert not contract_mod._monge(kernels[0])
+        windowed_steps.clear()
+        got = contract(log_f, kernels, "max")
+        assert windowed_steps == [(out_shape[1], in_shape[1])]  # axis 1 only
+        assert got.tobytes() == _brute(log_f, kernels, "max").tobytes()
+
+    def test_immutable_kernels_are_checked_once(self, check_calls):
+        rng = np.random.default_rng(29)
+        log_f, kernels = _even_case(rng, (9,), (13,))
+        w = _read_only(kernels[0])
+        want = contract(log_f, [w], even=True)
+        for _ in range(9):
+            assert contract(log_f, [w], even=True).tobytes() == want.tobytes()
+        assert check_calls["_centrally_symmetric"] == 1
+        # a view may alias writable memory, so it is checked on every call
+        for _ in range(3):
+            contract(log_f, [w[:]], even=True)
+        assert check_calls["_centrally_symmetric"] == 4
+
+        in_shape, out_shape = WINDOWED_SHAPES[0]
+        log_f, kernels = _monge_case(rng, in_shape, out_shape)
+        kernels = [_read_only(w) for w in kernels]
+        want = _brute(log_f, kernels, "max")
+        for _ in range(10):
+            assert contract(log_f, kernels, "max").tobytes() == want.tobytes()
+        assert check_calls["_finite_monge"] == 2
+
+    def test_verdicts_go_with_their_kernels(self):
+        rng = np.random.default_rng(31)
+        log_f, kernels = _even_case(rng, (15,), (17,))
+        symmetric = kernels[0]
+        asymmetric = symmetric.copy()
+        asymmetric[2, 3] += 1.0
+        start = len(contract_mod._VERDICTS)
+        for i in range(1000):
+            # fresh arrays of one size: freed addresses are reused, so a verdict
+            # left behind would be inherited by the next kernel at its address
+            w = _read_only((symmetric if i % 2 else asymmetric).copy())
+            if i % 2:
+                contract(log_f, [w], "max", even=True)
+            else:
+                with pytest.raises(ValueError, match="centrally symmetric"):
+                    contract(log_f, [w], "max", even=True)
+            assert id(w) in contract_mod._VERDICTS
+            del w
+        gc.collect()
+        assert len(contract_mod._VERDICTS) == start
+
 
 def _lr_all_pairs(body: BodySpec, r: float, outer_grid, inner_cells: int) -> float:
     """M_r(K) with every (outer node, inner cell) pair summed explicitly."""

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from volprod import heatflow
+from volprod.contract import contract
 from volprod.core import LogDensity, gaussian_to_logdensity, isotropic_gaussian, make_grid
-from volprod.densities import box, exp_power, gaussian, two_bump
+from volprod.densities import battery_1d, box, exp_power, gaussian, two_bump
 from volprod.heatflow import (
     KernelUnderResolvedError,
     flow_trajectory,
@@ -14,7 +16,7 @@ from volprod.heatflow import (
     ou_edge_flags,
 )
 from volprod.oracles import gaussian_closed_forms, ou_second_moment
-from volprod.quadrature import GAUSSIAN, boundary_mask, log_integral
+from volprod.quadrature import GAUSSIAN, boundary_mask, log_integral, trapezoid_log_weights
 
 
 def _variance(f):
@@ -150,6 +152,33 @@ class TestOrnsteinUhlenbeck:
         assert np.min(np.abs(edge_max - inner_max)) > 1e-9  # no near-ties to round either way
         assert 0 < want.mean() < 1
         assert np.array_equal(ou_edge_flags(g, s), want)
+
+
+class TestKernelCache:
+    def test_cached_kernels_are_read_only(self):
+        axis = make_grid(1, 8.0, 65).axis(0)
+        for kind in ("fp", "ou"):
+            w = heatflow._axis_kernel(axis, 0.5, kind)
+            with pytest.raises(ValueError, match="read-only"):
+                w *= 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                w[0, 0] = 0.0
+            assert heatflow._axis_kernel(axis, 0.5, kind) is w
+
+    @pytest.mark.parametrize("t", [0.05, 0.5, 2.0])
+    @pytest.mark.parametrize("kind, apply", [("fp", fp_evolve), ("ou", ou_apply)])
+    def test_flow_matches_a_writable_kernel_bitwise(self, kind, apply, t):
+        # the kernel built here, writable, is checked on every call
+        grid = make_grid(1, 8.0, 513)
+        x = grid.axis(0)
+        var, decay = -math.expm1(-2 * t), math.exp(-t)
+        d = x[:, None] - decay * x[None, :] if kind == "fp" else decay * x[:, None] - x[None, :]
+        w = -d * d / (2 * var) - 0.5 * math.log(2 * math.pi * var)
+        assert heatflow._axis_kernel(x, t, kind).tobytes() == w.tobytes()
+        for f in battery_1d(grid).values():
+            want = -contract(f.log_values() + trapezoid_log_weights(grid), [w], even=f.even)
+            for _ in range(2):  # the second call reuses the cached kernel's verdict
+                assert apply(f, t).phi.tobytes() == want.tobytes()
 
 
 class TestTrajectory:

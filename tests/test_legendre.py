@@ -1,11 +1,14 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from volprod import legendre as legendre_mod
+from volprod.contract import contract
 from volprod.core import LogDensity, body_to_logdensity, lp_ball, make_grid, reflect
 from volprod.densities import box, cross2d, exp_power, gaussian
+from volprod.heatflow import fp_evolve
 from volprod.legendre import (
     convex_envelope,
     default_dual_grid,
@@ -14,7 +17,7 @@ from volprod.legendre import (
     polar_density,
 )
 from volprod.oracles import hull_legendre
-from volprod.quadrature import log_integral
+from volprod.quadrature import boundary_mask, log_integral
 
 
 def _random_density(rng, grid, with_inf=False):
@@ -230,6 +233,39 @@ class TestPolarDensity:
         assert len(calls) == conjugates
         if conjugates == 1:
             assert got.phi.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "f",
+        [gaussian(make_grid(1, 8.0, 513)), fp_evolve(cross2d(make_grid(2, 6.0, 65)), 0.5)],
+        ids=["gaussian-1d", "cross2d-t0.5"],
+    )
+    def test_conjugates_share_their_kernels(self, monkeypatch, f):
+        dual = default_dual_grid(f)
+        assert len(legendre_mod._PRODUCTS) == 0
+        seen, shared = [], []
+
+        def spy(log_f, kernels, *args, **kwargs):
+            assert not any(w.flags.writeable for w in kernels)
+            if seen:
+                shared.append(all(ref() is w for ref, w in zip(seen[0], kernels)))
+            seen.append([weakref.ref(w) for w in kernels])
+            return contract(log_f, kernels, *args, **kwargs)
+
+        monkeypatch.setattr(legendre_mod, "contract", spy)
+        got = polar_density(f, dual)
+        monkeypatch.undo()
+        assert len(seen) == 2 and shared == [True]
+        assert all(ref() is None for refs in seen for ref in refs)
+        assert len(legendre_mod._PRODUCTS) == 0
+
+        # the polar rebuilt from two independent conjugates
+        full = legendre_transform(f, dual).phi
+        trimmed = np.where(boundary_mask(f.phi.shape), np.inf, f.phi)
+        inner = legendre_transform(LogDensity(f.grid, trimmed, f.even), dual).phi
+        scale = 1.0 + np.where(np.isfinite(full), np.abs(full), 0.0)
+        want = np.where(full > inner + 1e-12 * scale, np.inf, full)
+        assert np.isinf(want).any() and np.isfinite(want).any()
+        assert got.phi.tobytes() == want.tobytes()
 
     def test_non_even_warns(self):
         g = make_grid(1, 4.0, 65)
