@@ -135,15 +135,6 @@ class ExponentSchedule:
         object.__setattr__(self, "p", -math.expm1(-2 * self.s))
         object.__setattr__(self, "q", -math.expm1(2 * self.s))
 
-    @property
-    def c1(self) -> float:
-        return 1.0 / self.p
-
-    @property
-    def c2(self) -> float:
-        # 1/q' with q' = q/(q-1)
-        return (self.q - 1.0) / self.q
-
 
 @dataclass(frozen=True)
 class BodySpec:

@@ -1,6 +1,7 @@
 """Scalar functionals: volume products, reverse-hypercontractivity norms,
-Laplace-transform functionals, Q_s(t), inverse Brascamp-Lieb integrals and the
-L^r-volume product.
+Laplace-transform functionals, Q_s(t), inverse Brascamp-Lieb integrals with
+their optimum over centered Gaussians in closed form, and the L^r-volume
+product.
 
 Endpoint exponents are always p = 1 - e^{-2s}, q = 1 - e^{2s}; note the exact
 identity -q/p = e^{2s} used when assembling the tropical bridge.
@@ -242,7 +243,7 @@ def q_functional(f0: LogDensity, s: float, times) -> list[tuple[float, float]]:
 def log_c_s(s: float, n: int) -> float:
     """log C_s = n log[(2 pi)^{(1/p + 1/q') / 2 - 1} / sqrt(1 - e^{-2s})]."""
     sched = ExponentSchedule(s)
-    expo = 0.5 * (1.0 / sched.p + sched.c2) - 1.0
+    expo = 0.5 * (1.0 / sched.p + (sched.q - 1.0) / sched.q) - 1.0
     return n * (expo * LOG_2PI - 0.5 * math.log(sched.p))
 
 
@@ -288,18 +289,11 @@ def bl_data(s: float, p: float | None = None, q: float | None = None) -> BLData:
     e2s = math.exp(-2 * s)
     es = math.exp(-s)
     denom = 2 * math.pi * (1 - e2s)
-    a = 1.0 - (1 - e2s) / p
-    b = e2s * (1.0 - (1 - 1.0 / e2s) / q)
+    # expm1 makes both diagonal entries exactly 0 at the schedule's exponents
+    a = (p + math.expm1(-2 * s)) / p
+    b = e2s * (q + math.expm1(2 * s)) / q
     qf = np.array([[a, -es], [-es, b]]) / denom
     return BLData(s=s, p=p, q=q, qform=qf)
-
-
-def bl_qform_nd(data: BLData, n: int) -> np.ndarray:
-    """Expand the scalar 2x2 data to identity blocks of size n."""
-    q2 = data.qform
-    top = np.hstack([q2[0, 0] * np.eye(n), q2[0, 1] * np.eye(n)])
-    bot = np.hstack([q2[1, 0] * np.eye(n), q2[1, 1] * np.eye(n)])
-    return np.vstack([top, bot])
 
 
 def bl_integral(f1: LogDensity, f2: LogDensity, data: BLData) -> LogQuad:
@@ -324,104 +318,63 @@ def bl_integral(f1: LogDensity, f2: LogDensity, data: BLData) -> LogQuad:
     return LogQuad(log_abs=float(total), sign=1)
 
 
-def _gaussian_bl_objective(data: BLData, a: float, b: float) -> float:
-    """Per-coordinate closed form of the kernel integral against gamma_a^c1 gamma_b^c2."""
-    q2 = data.qform
-    m = 2 * math.pi * q2 + np.diag([data.c1 / a, data.c2 / b])
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if det <= 0 or m[0, 0] <= 0:
-        return math.inf
-    return (
-        LOG_2PI
-        - 0.5 * math.log(det)
-        - 0.5 * data.c1 * math.log(2 * math.pi * a)
-        - 0.5 * data.c2 * math.log(2 * math.pi * b)
-    )
-
-
-def _golden_min(fun, lo: float, hi: float, tol: float) -> float:
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while abs(b - a) > tol * max(1.0, abs(a) + abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return (a + b) / 2
-
-
-def gaussian_bl_constant(data: BLData, n: int = 1, log_bound: float = 12.0) -> BLOptimum:
+def gaussian_bl_constant(data: BLData, n: int = 1) -> BLOptimum:
     """Infimum of the kernel integral over centered Gaussians with diagonal covariance.
 
-    Coordinates decouple for identity-block data, so one 2D problem is solved by
-    a coarse global scan followed by alternating golden-section descent in
-    (log a, log b), raised to the n-th power.  A minimizer escaping to the
-    search-box boundary signals a degenerate (zero) infimum; the coarse scan is
-    what detects objectives that are unbounded below along a diagonal valley.
-    A descent that has not converged after 200 rounds raises a RuntimeWarning
-    and returns its last iterate.
+    Coordinates decouple for identity-block data, so one problem in the
+    variances (a, b) is solved in closed form and raised to the n-th power.
+    With K = 2 pi Q = [[A, k], [k, B]], u = c1/a and v = c2/b, the
+    per-coordinate objective is
+
+        log 2 pi - 1/2 log((A + u)(B + v) - k^2) - c1/2 log 2 pi a - c2/2 log 2 pi b.
+
+    - At the endpoint exponents A = B = 0 and c1 = c2, so the objective depends
+      on ab alone and is least on the curve ab = 1; a = b = 1 is returned.
+    - The infimum is 0 exactly when the objective falls without bound at
+      infinity: A > 0, B > 0, A = 0 with c1 > c2, or B = 0 with c2 > c1.
+      No minimiser exists, so a and b are NaN.
+    - Otherwise the stationarity equations diag(M^{-1}) = (a, b), with
+      M = K + diag(u, v), reduce to one quadratic in X = A + u, with
+      Y = B + v = c1 k^2 / (A - (1 - c1) X).  Of its admissible roots
+      (u, v > 0 and XY > k^2) the one with the least objective is returned.
+      This needs k != 0, which ``bl_data`` always gives; a ValueError is
+      raised when no root is admissible.
+
+    The value is the objective at the returned (a, b).  ``oracles.bl_search``
+    is the scan-and-golden-section reference (cf. Lieb, Invent. Math. 102,
+    1990: Gaussian kernels have Gaussian extremisers).
     """
+    if not (0 < data.p < 1 and data.q < 0):
+        raise ValueError("need 0 < p < 1 and q < 0")
+    c1, c2 = data.c1, data.c2
+    (big_a, k), (_, big_b) = (2 * math.pi * data.qform).tolist()
+    kk = k * k
 
-    def obj(la_, lb_):
-        return _gaussian_bl_objective(data, math.exp(la_), math.exp(lb_))
+    def objective(a: float, b: float) -> float:
+        det = (big_a + c1 / a) * (big_b + c2 / b) - kk
+        return LOG_2PI - 0.5 * (math.log(det) + c1 * math.log(2 * math.pi * a) + c2 * math.log(2 * math.pi * b))
 
-    # coarse scan: detects objectives unbounded below along diagonal valleys
-    # (degenerate infimum 0) and picks a sensible basin for the descent
-    ladder = np.linspace(-log_bound, log_bound, 33)
-    coarse = np.array([[obj(u, v) for v in ladder] for u in ladder])
-    ring = np.zeros(coarse.shape, dtype=bool)
-    ring[0, :] = ring[-1, :] = ring[:, 0] = ring[:, -1] = True
-    interior_min = float(np.min(coarse[~ring]))
-    if float(np.min(coarse[ring])) < interior_min - 1e-6:
-        corner = np.argwhere(coarse == np.min(coarse))[0]
-        return BLOptimum(
-            value=LogQuad(NEG_INF, 0, tail_ratio=math.inf),
-            a_diag=np.full(n, math.exp(ladder[corner[0]])),
-            b_diag=np.full(n, math.exp(ladder[corner[1]])),
-            degenerate=True,
-        )
-    # among near-minimal interior points, start closest to a = b = 1
-    near = np.argwhere((coarse <= interior_min + 1e-6) & ~ring)
-    iu, iv = min(near, key=lambda ij: abs(ladder[ij[0]]) + abs(ladder[ij[1]]))
-    la, lb = float(ladder[iu]), float(ladder[iv])
-    for _ in range(200):
-        la_new = _golden_min(lambda u: obj(u, lb), -log_bound, log_bound, 1e-12)
-        lb_new = _golden_min(lambda u: obj(la_new, u), -log_bound, log_bound, 1e-12)
-        if abs(la_new - la) < 1e-10 and abs(lb_new - lb) < 1e-10:
-            la, lb = la_new, lb_new
-            break
-        la, lb = la_new, lb_new
+    if big_a == 0 and big_b == 0:
+        a = b = 1.0
+    elif big_a > 0 or big_b > 0 or (big_a == 0 and c1 > c2) or (big_b == 0 and c2 > c1):
+        return BLOptimum(value=LogQuad(NEG_INF, 0, tail_ratio=math.inf), a_diag=np.full(n, math.nan),
+                         b_diag=np.full(n, math.nan), degenerate=True)
     else:
-        warnings.warn(f"Brascamp-Lieb search at s = {data.s:g} did not converge in 200 rounds; "
-                      "the result is the last iterate", RuntimeWarning, stacklevel=2)
-    val = obj(la, lb)
-    degenerate = (
-        not math.isfinite(val)
-        or abs(la) > log_bound - 0.5
-        or abs(lb) > log_bound - 0.5
-    )
-    a = math.exp(la)
-    b = math.exp(lb)
-    if degenerate:
-        return BLOptimum(
-            value=LogQuad(NEG_INF, 0, tail_ratio=math.inf),
-            a_diag=np.full(n, a),
-            b_diag=np.full(n, b),
-            degenerate=True,
-        )
-    return BLOptimum(
-        value=LogQuad(log_abs=n * val, sign=1),
-        a_diag=np.full(n, a),
-        b_diag=np.full(n, b),
-        degenerate=False,
-    )
+        # B(1 - c1) X^2 + [(1 - c2) c1 k^2 - AB - (1 - c1) c2 k^2] X + c2 k^2 A = 0
+        coeffs = [big_b * (1 - c1), (1 - c2) * c1 * kk - big_a * big_b - (1 - c1) * c2 * kk, c2 * kk * big_a]
+        found = []
+        for x in (float(r.real) for r in np.roots(coeffs) if r.imag == 0):
+            den = big_a - (1 - c1) * x
+            if x > big_a and den:
+                y = c1 * kk / den
+                if y > big_b and x * y > kk:
+                    found.append((c1 / (x - big_a), c2 / (y - big_b)))
+        if not found:
+            raise ValueError(f"no admissible Brascamp-Lieb stationary point at s = {data.s:g}, "
+                             f"p = {data.p:g}, q = {data.q:g}")
+        a, b = min(found, key=lambda ab: objective(*ab))
+    return BLOptimum(value=LogQuad(log_abs=n * objective(a, b), sign=1), a_diag=np.full(n, a),
+                     b_diag=np.full(n, b), degenerate=False)
 
 
 def lr_volume_product(

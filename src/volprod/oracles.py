@@ -1,6 +1,8 @@
 """Independent ground truth: a lower-hull conjugate, hand-derived Gaussian
 closed forms, the exact tropical bridge of e^{-|x|}, moment ODEs, finite
-differences, and the Brascamp-Lieb / Cramer-Rao matrix checks.
+differences, the Brascamp-Lieb / Cramer-Rao matrix checks, and a
+scan-and-golden-section search for the Gaussian inverse Brascamp-Lieb optimum
+(the reference for the closed form in ``functionals.gaussian_bl_constant``).
 
 Nothing here shares integration or conjugation code with the main modules, so
 agreement between the two routes is evidence rather than tautology.
@@ -9,11 +11,13 @@ agreement between the two routes is evidence rather than tautology.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import GridSpec, LogDensity, LogQuad, NEG_INF
+from .functionals import BLData, BLOptimum
 
 
 @dataclass(frozen=True)
@@ -350,3 +354,105 @@ def ou_second_moment(beta: float, t: float) -> float:
         dense_output=False,
     )
     return float(sol.y[0, -1])
+
+
+def _gaussian_bl_objective(data: BLData, a: float, b: float) -> float:
+    """Per-coordinate closed form of the kernel integral against gamma_a^c1 gamma_b^c2."""
+    q2 = data.qform
+    m = 2 * math.pi * q2 + np.diag([data.c1 / a, data.c2 / b])
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    if det <= 0 or m[0, 0] <= 0:
+        return math.inf
+    return (
+        math.log(2 * math.pi)
+        - 0.5 * math.log(det)
+        - 0.5 * data.c1 * math.log(2 * math.pi * a)
+        - 0.5 * data.c2 * math.log(2 * math.pi * b)
+    )
+
+
+def _golden_min(fun, lo: float, hi: float, tol: float) -> float:
+    invphi = (math.sqrt(5) - 1) / 2
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fun(c), fun(d)
+    while abs(b - a) > tol * max(1.0, abs(a) + abs(b)):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fun(d)
+    return (a + b) / 2
+
+
+def bl_search(data: BLData, n: int = 1, log_bound: float = 12.0) -> BLOptimum:
+    """Infimum of the kernel integral over centered Gaussians with diagonal covariance.
+
+    Coordinates decouple for identity-block data, so one 2D problem is solved by
+    a coarse global scan followed by alternating golden-section descent in
+    (log a, log b), raised to the n-th power.  A minimizer escaping to the
+    search-box boundary signals a degenerate (zero) infimum; the coarse scan is
+    what detects objectives that are unbounded below along a diagonal valley.
+    A descent that has not converged after 200 rounds raises a RuntimeWarning
+    and returns its last iterate.  At the endpoint exponents the objective is
+    flat along ab = 1, so there the descent can stop anywhere near that curve
+    (it hits the round limit at s = 0.1, 0.2 and 2).
+    """
+
+    def obj(la_, lb_):
+        return _gaussian_bl_objective(data, math.exp(la_), math.exp(lb_))
+
+    # coarse scan: detects objectives unbounded below along diagonal valleys
+    # (degenerate infimum 0) and picks a sensible basin for the descent
+    ladder = np.linspace(-log_bound, log_bound, 33)
+    coarse = np.array([[obj(u, v) for v in ladder] for u in ladder])
+    ring = np.zeros(coarse.shape, dtype=bool)
+    ring[0, :] = ring[-1, :] = ring[:, 0] = ring[:, -1] = True
+    interior_min = float(np.min(coarse[~ring]))
+    if float(np.min(coarse[ring])) < interior_min - 1e-6:
+        corner = np.argwhere(coarse == np.min(coarse))[0]
+        return BLOptimum(
+            value=LogQuad(NEG_INF, 0, tail_ratio=math.inf),
+            a_diag=np.full(n, math.exp(ladder[corner[0]])),
+            b_diag=np.full(n, math.exp(ladder[corner[1]])),
+            degenerate=True,
+        )
+    # among near-minimal interior points, start closest to a = b = 1
+    near = np.argwhere((coarse <= interior_min + 1e-6) & ~ring)
+    iu, iv = min(near, key=lambda ij: abs(ladder[ij[0]]) + abs(ladder[ij[1]]))
+    la, lb = float(ladder[iu]), float(ladder[iv])
+    for _ in range(200):
+        la_new = _golden_min(lambda u: obj(u, lb), -log_bound, log_bound, 1e-12)
+        lb_new = _golden_min(lambda u: obj(la_new, u), -log_bound, log_bound, 1e-12)
+        if abs(la_new - la) < 1e-10 and abs(lb_new - lb) < 1e-10:
+            la, lb = la_new, lb_new
+            break
+        la, lb = la_new, lb_new
+    else:
+        warnings.warn(f"Brascamp-Lieb search at s = {data.s:g} did not converge in 200 rounds; "
+                      "the result is the last iterate", RuntimeWarning, stacklevel=2)
+    val = obj(la, lb)
+    degenerate = (
+        not math.isfinite(val)
+        or abs(la) > log_bound - 0.5
+        or abs(lb) > log_bound - 0.5
+    )
+    a = math.exp(la)
+    b = math.exp(lb)
+    if degenerate:
+        return BLOptimum(
+            value=LogQuad(NEG_INF, 0, tail_ratio=math.inf),
+            a_diag=np.full(n, a),
+            b_diag=np.full(n, b),
+            degenerate=True,
+        )
+    return BLOptimum(
+        value=LogQuad(log_abs=n * val, sign=1),
+        a_diag=np.full(n, a),
+        b_diag=np.full(n, b),
+        degenerate=False,
+    )

@@ -36,6 +36,7 @@ from volprod.functionals import (
 from volprod.heatflow import fp_evolve
 from volprod.legendre import convex_envelope, default_dual_grid, legendre_transform
 from volprod.oracles import (
+    bl_search,
     cramer_rao_check,
     exp_abs_bridge,
     fd_derivative,
@@ -261,8 +262,16 @@ def test_criterion_12_bl_constant():
     f1 = gaussian_to_logdensity(isotropic_gaussian(float(opt.a_diag[0])), G1)
     f2 = gaussian_to_logdensity(isotropic_gaussian(float(opt.b_diag[0])), G1)
     rel = abs(math.expm1(bl_integral(f1, f2, data).log_abs - opt.value.log_abs))
-    ok = (not opt.degenerate) and abs(prod - 1.0) <= 1e-3 and rel <= 1e-2
-    _report(12, ok, f"C_s * BL: {prod:.12f} (tol 1e-3); grid-vs-closed-form dev: {rel:.2e} (tol 1e-2)")
+    # the search reference: its value, and its minimiser on the optimal curve ab = 1
+    ref = bl_search(data)
+    search_dev = max(abs(ref.value.log_abs - opt.value.log_abs), abs(float(ref.a_diag[0] * ref.b_diag[0]) - 1.0))
+    ok = (not opt.degenerate) and (not ref.degenerate) and abs(prod - 1.0) <= 1e-3 and rel <= 1e-2 and search_dev <= 1e-6
+    _report(
+        12,
+        ok,
+        f"C_s * BL: {prod:.12f} (tol 1e-3); grid-vs-closed-form dev: {rel:.2e} (tol 1e-2); "
+        f"closed form vs search: {search_dev:.1e} (tol 1e-6)",
+    )
 
 
 def test_criterion_13_pbl_and_cramer_rao():

@@ -14,9 +14,9 @@ from volprod.core import (
 )
 from volprod.densities import battery_1d, box, exp_power, gaussian
 from volprod.functionals import (
+    BLData,
     bl_data,
     bl_integral,
-    bl_qform_nd,
     equiv_form_check,
     gaussian_bl_constant,
     gaussian_rev_hc,
@@ -33,7 +33,7 @@ from volprod.functionals import (
 )
 from volprod.heatflow import fp_evolve
 from volprod.legendre import polar_density
-from volprod.oracles import fd_derivative, gaussian_closed_forms
+from volprod.oracles import _gaussian_bl_objective, bl_search, fd_derivative, gaussian_closed_forms
 from volprod.quadrature import log_integral
 
 S_HALF_LN2 = 0.5 * math.log(2)
@@ -253,6 +253,23 @@ class TestLaplaceNormRatio:
             laplace_norm_ratio(gaussian(GRID), 1.5)
 
 
+ENDPOINT_S = [0.1, 0.2, S_HALF_LN2, 1.0, 2.0]
+
+
+def _bl_sample():
+    """(s, p, q) points for the closed form against the search: seeded random
+    exponents, a point with two stationary points, and one exponent off the
+    schedule's while the other is exact."""
+    rng = np.random.default_rng(5)
+    pts = [(s, rng.uniform(0.05, 0.95), -rng.uniform(0.1, 10.0)) for s in rng.uniform(0.1, 2.0, 12)]
+    pts.append((0.5, 0.4, -3.0))
+    for s in (0.3, 0.8):
+        sched = ExponentSchedule(s)
+        pts += [(s, sched.p, sched.q * 0.8), (s, sched.p, sched.q * 1.2),
+                (s, sched.p * 0.9, sched.q), (s, sched.p * 1.1, sched.q)]
+    return pts
+
+
 class TestBrascampLieb:
     def test_qform_block_structure(self):
         s = 0.37
@@ -264,8 +281,10 @@ class TestBrascampLieb:
         b = e2s * (1 - (1 - math.exp(2 * s)) / q) / (2 * math.pi * (1 - e2s))
         target = np.array([[a, off], [off, b]])
         assert np.max(np.abs(data.qform - target)) <= 1e-12
-        nd = bl_qform_nd(data, 2)
-        assert np.max(np.abs(nd[:2, 2:] + np.eye(2) * -off)) <= 1e-12
+
+    @pytest.mark.parametrize("s", ENDPOINT_S)
+    def test_endpoint_diagonal_is_zero(self, s):
+        assert np.all(np.diag(bl_data(s).qform) == 0.0)
 
     def test_exponents(self):
         data = bl_data(S_HALF_LN2)
@@ -281,14 +300,50 @@ class TestBrascampLieb:
         assert np.max(np.abs(opt.a_diag - 1.0)) <= 1e-4
         assert np.max(np.abs(opt.b_diag - 1.0)) <= 1e-4
 
-    def test_search_cap_warns(self):
-        with pytest.warns(RuntimeWarning, match="s = 0.2 did not converge"):
-            gaussian_bl_constant(bl_data(0.2))
-
-    def test_converged_search_is_silent(self):
+    @pytest.mark.parametrize("s", ENDPOINT_S)
+    def test_endpoint_optimum_is_exact_and_silent(self, s):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            gaussian_bl_constant(bl_data(S_HALF_LN2))
+            opt = gaussian_bl_constant(bl_data(s), n=2)
+        assert not opt.degenerate
+        assert np.all(opt.a_diag == 1.0) and np.all(opt.b_diag == 1.0)
+
+    @pytest.mark.parametrize("s", ENDPOINT_S)
+    def test_endpoint_valley_is_flat(self, s):
+        # at the endpoint the objective depends on ab only: every (lam, 1/lam) is optimal
+        data = bl_data(s)
+        value = gaussian_bl_constant(data).value.log_abs
+        for lam in (0.01, 1.0, 100.0):
+            assert _gaussian_bl_objective(data, lam, 1 / lam) == pytest.approx(value, rel=0, abs=1e-12)
+
+    def test_matches_search_oracle(self):
+        verdicts = set()
+        for s, p, q in _bl_sample():
+            data = bl_data(s, p, q)
+            opt = gaussian_bl_constant(data)
+            with warnings.catch_warnings():
+                # the search may stop at its round limit in a flat valley
+                warnings.simplefilter("ignore", RuntimeWarning)
+                ref = bl_search(data)
+            assert opt.degenerate == ref.degenerate, (s, p, q)
+            verdicts.add(opt.degenerate)
+            if opt.degenerate:
+                assert opt.value.sign == 0 and np.isnan(opt.a_diag).all() and np.isnan(opt.b_diag).all()
+                continue
+            assert opt.value.log_abs == pytest.approx(ref.value.log_abs, rel=0, abs=1e-9), (s, p, q)
+            assert float(opt.a_diag[0]) == pytest.approx(float(ref.a_diag[0]), rel=0, abs=1e-6), (s, p, q)
+            assert float(opt.b_diag[0]) == pytest.approx(float(ref.b_diag[0]), rel=0, abs=1e-6), (s, p, q)
+        assert verdicts == {True, False}
+
+    def test_uncoupled_kernel_has_no_admissible_root(self):
+        data = BLData(s=0.3, p=0.5, q=-1.0, qform=np.diag([-0.1, -0.1]))
+        with pytest.raises(ValueError, match="no admissible"):
+            gaussian_bl_constant(data)
+
+    @pytest.mark.parametrize("p, q", [(1.0, -1.0), (-0.2, -1.0), (0.5, 0.5)])
+    def test_exponent_range(self, p, q):
+        with pytest.raises(ValueError, match="0 < p < 1 and q < 0"):
+            gaussian_bl_constant(bl_data(0.3, p, q))
 
     def test_grid_integral_matches_closed_form(self):
         data = bl_data(S_HALF_LN2)
@@ -303,6 +358,7 @@ class TestBrascampLieb:
         opt = gaussian_bl_constant(bl_data(S_HALF_LN2, q=sched.q - 0.1))
         assert opt.degenerate
         assert opt.value.sign == 0
+        assert np.isnan(opt.a_diag).all() and np.isnan(opt.b_diag).all()
 
     def test_obs2_tropical_limit(self):
         # (bl_integral of (f-polar, f))^{p_s} approaches 1 as s drops

@@ -12,10 +12,12 @@ import volprod
 
 from volprod.core import LogDensity, gaussian_to_logdensity, isotropic_gaussian, make_grid
 from volprod.densities import box, exp_power, gaussian
+from volprod.functionals import bl_data
 from volprod.heatflow import fp_evolve
 from volprod.legendre import default_dual_grid, legendre_transform
 from volprod.oracles import (
     QuadraticForm,
+    bl_search,
     cramer_rao_check,
     exp_abs_bridge,
     fd_derivative,
@@ -273,6 +275,21 @@ class TestOuSecondMoment:
         x = g.axis(0)
         var = float((w * x * x).sum() / w.sum())
         assert var == pytest.approx(ou_second_moment(0.7, 0.5), abs=1e-5)
+
+
+class TestBLSearch:
+    def test_search_cap_warns(self):
+        # the endpoint objective is flat along ab = 1, so the descent wanders
+        with pytest.warns(RuntimeWarning, match="s = 0.1 did not converge"):
+            opt = bl_search(bl_data(0.1))
+        assert not opt.degenerate
+        assert float(opt.a_diag[0] * opt.b_diag[0]) == pytest.approx(1.0, abs=1e-6)
+
+    def test_converged_search_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            opt = bl_search(bl_data(0.5 * math.log(2)))
+        assert not opt.degenerate
 
 
 def test_import_does_not_load_scipy():
