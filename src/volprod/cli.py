@@ -487,8 +487,10 @@ def main(argv=None) -> int:
         return run(cfg)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # a kernel too narrow for the grid is a numerical failure, not a bad config
-        return 3 if isinstance(exc, heatflow.KernelUnderResolvedError) else 2
+        # a kernel too narrow for the grid, or an input that is not strictly
+        # log-concave where a check needs it, is a numerical failure, not a bad config
+        numerical = (heatflow.KernelUnderResolvedError, oracles.NotStrictlyConvexError)
+        return 3 if isinstance(exc, numerical) else 2
 
 
 if __name__ == "__main__":

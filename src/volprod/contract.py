@@ -7,6 +7,21 @@ Laplace kernel ``a x_k z_k``, the Brascamp-Lieb cross term and the L^r kernel
 ``r x_k y_k`` all factor this way, so each axis step touches ``M_k N_k
 prod_{l != k} N_l`` pairs instead of all pairs.
 
+A kernel is an ``(M, N)`` array or ``Outer(x, y)``: the rank-one kernel
+``W[i, j] = x[i] * y[j]`` held as its two axes, which is how ``legendre``
+passes the conjugate's ``x_k y_k``. A one-column step forms only the
+products it reads, ``np.multiply.outer(x[rows], y)`` for dense row blocks and
+coarse rows and ``x[i] * y[j]`` inside windows; other steps form the kernel
+whole. These are the IEEE products of the full kernel's entries, so an Outer
+kernel gives the bytes of its materialized array, and a 1D step never builds
+it (2.1 MB on 513 x 513). Its structure comes from its
+axes in O(M + N): it is centrally symmetric when ``x == -x[::-1]`` and
+``y == -y[::-1]``, since (-a) (-b) rounds exactly as a b; and it is finite and
+Monge when both axes are finite and nondecreasing, since then each 2 x 2
+difference of the exact products is (x[i+1] - x[i]) (y[j+1] - y[j]) >= 0.
+That is the property the windows rest on, and reading it off the rounded
+products would cost an ``M N`` read (2.5 ms on 513 x 513) per fresh kernel.
+
 Cost of one axis step with an ``(M, N)`` kernel on ``columns`` columns:
 
 - ``"lse"`` shifts each kernel row and each column by its maximum, so the step
@@ -29,22 +44,29 @@ Cost of one axis step with an ``(M, N)`` kernel on ``columns`` columns:
   ``(M, N, columns)`` sums in column chunks of at most ``WORK_ELEMS`` elements
   whenever a two-column chunk fits. A one-column step forms them in row blocks
   of ``ROW_ELEMS``: windowed, it would loop over ``N`` single numbers in Python
-  (1.6 against 0.5 ms on 1D 513). The windowed and dense steps return the same
-  values; only the sign of a zero maximum can differ at exact ties, where
-  numpy's dense max picks -0.0 or +0.0 by SIMD lane.
+  (1.6 against 0.5 ms on 1D 513). On an Outer kernel of at least
+  ``FLAT_ELEMS`` elements a one-column step takes the same windows flat: every
+  row's window of ``x[i] y[j] + block[j]`` is gathered into one array and
+  reduced by one ``np.maximum.reduceat``, about ``M N / STRIDE`` products for
+  the argmaxes plus the windows, with no Python loop (0.12 against 0.37 ms on
+  a 257 x 513 step). An array kernel would first need its ``M N`` Monge read.
+  The windowed and dense steps return the same values; only the sign of a
+  zero maximum can differ at exact ties, where numpy's dense max picks -0.0
+  or +0.0 by SIMD lane.
 
 ``even=True`` (an even input, centrally symmetric kernels) contracts only the
 ``M_0 - M_0 // 2`` rows of axis 0 with x_0 >= 0, so that step has half the
 rows and every later step half the columns, and fills the rest by reflection:
-about half the cost, plus one read of each kernel to check its symmetry. On
-one column (1D) that read costs about as much as the halved ``"max"`` step, so
-it runs once per immutable kernel, as below.
+about half the cost, plus one read of each array kernel to check its
+symmetry. On one column (1D) that read costs about as much as the halved
+``"max"`` step, so it runs once per immutable kernel, as below. The even slice
+of ``Outer(x, y)`` is ``Outer(x[M_0 // 2:], y)``.
 
 The structure checks (central symmetry; finite and Monge) read the kernel as
 passed, before the even slice, whose rows are finite and Monge when the whole
-kernel is. An immutable kernel, read-only and owning its data like the cached
-FP/OU kernels and the conjugate's ``x_k y_k``, is checked once: its verdicts
-are kept by identity until it is freed. Other kernels are checked on every call.
+kernel is. An immutable array kernel, read-only and owning its data like the
+cached FP/OU kernels, is checked once: its verdicts are kept by identity until
+it is freed. Other array kernels are checked on every call.
 
 ``np.einsum`` runs numpy's own loop; a BLAS product (``@``) would be faster
 single-threaded but stalls under a default-threaded OpenBLAS on small
@@ -54,6 +76,7 @@ matrices, and the library sets no thread variables.
 from __future__ import annotations
 
 import weakref
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,9 +96,32 @@ ROW_ELEMS = 2**15
 # rows between dense argmaxes in the windowed "max" step (4 to 16 measured; 8
 # was fastest on 2D 129^2 and 3D 33^3 and 65^3 polars)
 STRIDE = 8
+# a one-column "max" step on an Outer kernel takes flat windows from this many
+# kernel elements M N on (1D steps of 2^14 to 2^15 elements measured: the dense
+# step was 10-30% faster at 2^14, the two broke even near 2^14.5, and flat
+# windows were faster from 2^15, 3x at 257 x 513)
+FLAT_ELEMS = 2**15
 
 
-def _row_blocks(w: np.ndarray) -> list[slice]:
+class Outer(NamedTuple):
+    """The rank-one kernel ``W[i, j] = x[i] * y[j]``, held as its two 1D axes."""
+
+    x: np.ndarray
+    y: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.x.size, self.y.size)
+
+
+def _rows(w, rows) -> np.ndarray:
+    """``w[rows]`` as an array; an Outer kernel forms only those rows' products."""
+    if isinstance(w, Outer):
+        return np.multiply.outer(w.x[rows], w.y)
+    return w[rows]
+
+
+def _row_blocks(w) -> list[slice]:
     """Slices of w's rows holding at most ROW_ELEMS elements (one row at least)."""
     step = max(1, ROW_ELEMS // w.shape[1])
     return [slice(lo, lo + step) for lo in range(0, w.shape[0], step)]
@@ -95,8 +141,9 @@ def _lse_exact(w_rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return np.log(np.sum(summed, axis=1)) + m[:, 0]
 
 
-def _lse(w: np.ndarray, block: np.ndarray) -> np.ndarray:
+def _lse(w, block: np.ndarray) -> np.ndarray:
     """log sum_j exp(w[i, j] + block[j, c]) as a sum of products of shifted exponentials."""
+    w = _rows(w, slice(None))
     row_max = np.max(w, axis=1, keepdims=True)
     col_max = np.max(block, axis=0, keepdims=True)
     r, s = _finite_or_zero(row_max), _finite_or_zero(col_max)
@@ -125,9 +172,30 @@ def _monge(w: np.ndarray) -> bool:
     return bool(np.all(np.diff(np.diff(w, axis=1), axis=0) >= 0.0))
 
 
-def _max_windowed(w: np.ndarray, block: np.ndarray) -> np.ndarray:
+def _brackets(coarse: np.ndarray, first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row window bounds from the least (``first``) and greatest (``last``)
+    argmax on each coarse row: rows coarse[k] <= i < coarse[k + 1] take j in
+    [first at coarse[k], last at coarse[k + 1]]. The running min from the end
+    and max from the start keep both bounds nondecreasing even where rounding
+    at a near-tie breaks the monotone argmax, so the rows holding a given j are
+    contiguous."""
+    lo = np.minimum.accumulate(first[::-1])[::-1]
+    hi = np.maximum.accumulate(last)
+    span = np.append(np.diff(coarse), 1)  # the last row is its own interval
+    return np.repeat(lo, span), np.repeat(np.append(hi[1:], hi[-1]), span)
+
+
+def _coarse_rows(m: int) -> np.ndarray:
+    """Every STRIDE-th row and the last."""
+    return np.append(np.arange(0, m - 1, STRIDE), m - 1)
+
+
+def _max_windowed(w, block: np.ndarray) -> np.ndarray:
     """``_max`` for a finite Monge ``w``: each row reduces over a window of j
-    that holds its argmax, bracketed by dense argmaxes on every STRIDE-th row."""
+    that holds its argmax, bracketed by dense argmaxes on every STRIDE-th row.
+    An Outer kernel is formed whole first: its j loop would form a product per
+    row and j, 5-7% slower on 2D 129^2 and 3D 33^3 conjugates."""
+    w = _rows(w, slice(None))
     m = w.shape[0]
     live = np.max(block, axis=0) > -np.inf  # a dead column is -inf whatever the window
     acc = np.full((m, block.shape[1]), -np.inf)
@@ -135,16 +203,9 @@ def _max_windowed(w: np.ndarray, block: np.ndarray) -> np.ndarray:
         return acc
     live_rows = np.ascontiguousarray(block.T[live])  # (live columns, N): argmax runs along rows
     sums = np.empty_like(live_rows)
-    coarse = np.unique(np.r_[0:m:STRIDE, m - 1])
+    coarse = _coarse_rows(m)
     arg = np.array([np.argmax(np.add(live_rows, w[r], out=sums), axis=1) for r in coarse])
-    # rows coarse[k] <= i < coarse[k + 1] take j in [min argmax at coarse[k],
-    # max argmax at coarse[k + 1]]; the running min from the end and max from
-    # the start keep both bounds nondecreasing even where rounding at a near-tie
-    # breaks the monotone argmax, so the rows holding a given j are contiguous
-    lo = np.minimum.accumulate(arg.min(axis=1)[::-1])[::-1]
-    hi = np.maximum.accumulate(arg.max(axis=1))
-    span = np.append(np.diff(coarse), 1)  # the last row is its own interval
-    lo, hi = np.repeat(lo, span), np.repeat(np.append(hi[1:], hi[-1]), span)
+    lo, hi = _brackets(coarse, arg.min(axis=1), arg.max(axis=1))
     js = np.arange(lo[0], hi[-1] + 1)
     tmp = np.empty_like(acc)
     for j, r0, r1 in zip(js.tolist(), np.searchsorted(hi, js).tolist(), np.searchsorted(lo, js, "right").tolist()):
@@ -154,24 +215,54 @@ def _max_windowed(w: np.ndarray, block: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _max_flat(w: Outer, col: np.ndarray) -> np.ndarray:
+    """One-column ``_max`` for a finite Monge Outer kernel: the windows of
+    ``_max_windowed``, every row's gathered into one flat array and reduced
+    by one ``np.maximum.reduceat``."""
+    m = w.shape[0]
+    coarse = _coarse_rows(m)
+    sums = _rows(w, coarse)
+    sums += col
+    arg = np.argmax(sums, axis=1)
+    lo, hi = _brackets(coarse, arg, arg)
+    width = hi - lo + 1
+    start = np.cumsum(width) - width
+    i = np.repeat(np.arange(m), width)
+    j = np.arange(width.sum()) + np.repeat(lo - start, width)
+    return np.maximum.reduceat(w.x[i] * w.y[j] + col[j], start)[:, None]
+
+
 def _finite_monge(w: np.ndarray) -> bool:
     """w is finite (a -inf entry would break the Monge argument) and Monge."""
     return bool(np.isfinite(w).all()) and _monge(w)
 
 
-def _max(w: np.ndarray, block: np.ndarray, source: np.ndarray) -> np.ndarray:
+def _sorted_axes(w: Outer) -> bool:
+    """Finite, nondecreasing axes (a NaN fails the order test): the exact
+    products x[i] y[j] are then finite and Monge, since each 2 x 2 difference
+    is (x[i+1] - x[i]) (y[j+1] - y[j]) >= 0."""
+    return all(bool(np.isfinite(a).all() and (a[1:] >= a[:-1]).all()) for a in w)
+
+
+def _max(w, block: np.ndarray, source) -> np.ndarray:
     """max_j (w[i, j] + block[j, c]): windowed when the kernel ``source`` (``w``
     or the kernel whose lower rows ``w`` is) is finite and Monge and the step
-    has two or more columns and more than 2 STRIDE rows, else dense, in row
-    blocks of ROW_ELEMS on one column and in column chunks of WORK_ELEMS
-    otherwise."""
+    has more than 2 STRIDE rows and two or more columns, or one column of an
+    Outer kernel with at least FLAT_ELEMS elements; else dense, in row blocks of
+    ROW_ELEMS on one column and in column chunks of WORK_ELEMS otherwise."""
     m, n = w.shape
     cols = block.shape[1]
-    # one column would make the windowed j loop N Python steps on one number each
-    if cols >= 2 and m > 2 * STRIDE and _checked(source, _finite_monge):
-        return _max_windowed(w, block)
+    outer = isinstance(w, Outer)
+    # one column of an array kernel would make the windowed j loop N Python
+    # steps on one number each
+    if m > 2 * STRIDE and (cols >= 2 or (outer and m * n >= FLAT_ELEMS)):
+        if _sorted_axes(source) if outer else _checked(source, _finite_monge):
+            return _max_windowed(w, block) if cols >= 2 else _max_flat(w, block[:, 0])
     if cols == 1:
-        return np.concatenate([np.max(w[band] + block[:, 0], axis=1, keepdims=True) for band in _row_blocks(w)])
+        return np.concatenate(
+            [np.max(_rows(w, band) + block[:, 0], axis=1, keepdims=True) for band in _row_blocks(w)]
+        )
+    w = _rows(w, slice(None))
     # numpy reduces a lone column pairwise but several columns row by row, so
     # every chunk keeps two or more columns: the result is then bitwise
     # independent of the chunking
@@ -199,6 +290,14 @@ def _centrally_symmetric(w: np.ndarray) -> bool:
     return np.array_equal(flat[:half], flat[:-half - 1:-1])
 
 
+def _symmetric(w) -> bool:
+    """Central symmetry of a kernel; an Outer kernel has it when both axes are
+    odd (``x == -x[::-1]``), since (-a) (-b) rounds exactly as a b."""
+    if isinstance(w, Outer):
+        return all(np.array_equal(a, -a[::-1]) for a in w)
+    return _checked(w, _centrally_symmetric)
+
+
 # verdicts of the structure checks on immutable kernels, by id(kernel) and then
 # by check; an entry goes when its kernel is freed, so a later array at the
 # same address inherits nothing and the table holds live kernels only
@@ -223,7 +322,8 @@ def _checked(w: np.ndarray, check) -> bool:
 def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse", even: bool = False) -> np.ndarray:
     """Apply one log-kernel matrix per axis of ``log_f``, reducing by ``reduce``.
 
-    ``axis_kernels[k]`` has shape ``(M_k, log_f.shape[k])``; the result has
+    ``axis_kernels[k]`` is an array or an ``Outer`` kernel of shape ``(M_k,
+    log_f.shape[k])``; the result has
     shape ``(M_0, ..., M_{d-1})``. ``-inf`` entries of ``log_f`` (vanishing
     density, masked bodies) drop out; a column that is ``-inf`` throughout
     gives ``-inf``.
@@ -240,15 +340,17 @@ def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse", even: bool = 
         raise ValueError(f"kernels {[w.shape for w in axis_kernels]} do not fit an array of shape {out.shape}")
     steps = axis_kernels
     if even:
-        if not all(_checked(w, _centrally_symmetric) for w in axis_kernels):
+        if not all(_symmetric(w) for w in axis_kernels):
             raise ValueError("even=True needs centrally symmetric kernels")
-        low = axis_kernels[0].shape[0] // 2
-        steps = [axis_kernels[0][low:], *axis_kernels[1:]]
+        first = axis_kernels[0]
+        low = first.shape[0] // 2
+        steps = [Outer(first.x[low:], first.y) if isinstance(first, Outer) else first[low:], *axis_kernels[1:]]
     for k, (w, source) in enumerate(zip(steps, axis_kernels)):
-        moved = np.moveaxis(out, k, 0)
+        moved = np.moveaxis(out, k, 0) if k else out
         flat = moved.reshape(moved.shape[0], -1)  # (N, columns)
         res = _max(w, flat, source) if reduce == "max" else _lse(w, flat)
-        out = np.moveaxis(res.reshape((w.shape[0],) + moved.shape[1:]), 0, k)
+        res = res.reshape((w.shape[0],) + moved.shape[1:])
+        out = np.moveaxis(res, 0, k) if k else res
     if even:
         out = np.concatenate([np.empty_like(out[:low]), out])
         _fill_even(out)

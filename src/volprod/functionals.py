@@ -286,6 +286,8 @@ def bl_data(s: float, p: float | None = None, q: float | None = None) -> BLData:
     sched = ExponentSchedule(s)
     p = sched.p if p is None else p
     q = sched.q if q is None else q
+    if p == 0 or q == 0:
+        raise ValueError(f"bl_data needs nonzero exponents, got p = {p!r}, q = {q!r}")
     e2s = math.exp(-2 * s)
     es = math.exp(-s)
     denom = 2 * math.pi * (1 - e2s)

@@ -3,44 +3,30 @@
 The conjugate phi*(x) = max_y [<x, y> - phi(y)] over the grid nodes is one
 max-plus contraction of -phi with the per-axis kernel x_k y_k
 (``volprod.contract``), so it takes the max over every finite node, axis by
-axis. On sorted axes x_k y_k is Monge, so on 2D and 3D grids the engine
-searches each row only between the argmaxes of its neighbouring sampled rows;
-1D conjugates stay dense. ``oracles.hull_legendre`` checks it with a
-lower-convex-hull sweep.
-
-The kernels are read-only and shared through a weak table keyed by the exact
-axis values: ``polar_density`` holds its ``x_k y_k`` kernels while both of its
-conjugates run, so each is built, and checked by the engine, once per polar,
-and none outlives the call.
+axis. The kernel goes to the engine as its two axes, ``Outer(x_k, y_k)``, so
+no conjugate builds an ``(M, N)`` array or keeps one between calls: the engine
+forms only the products each step reads and reads the kernel's symmetry and
+Monge structure off the axes. On sorted axes x_k y_k is Monge, so the engine
+searches each row only between the argmaxes of its neighbouring sampled rows,
+in one flat reduction on large 1D steps. ``oracles.hull_legendre`` checks it
+with a lower-convex-hull sweep.
 """
 
 from __future__ import annotations
 
 import warnings
-import weakref
 
 import numpy as np
 
-from .contract import contract
+from .contract import Outer, contract
 from .core import GridSpec, LogDensity, make_grid
 from .quadrature import boundary_mask
 
 # polars of Gaussian-decay inputs should fall by this many nats inside the box
 DUAL_DECAY_NATS = 40.0
-
-# live kernels x (x) y by the bytes of (x, y); an entry goes with its last holder
-_PRODUCTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The read-only kernel x (x) y; calls with equal axes share it while one holds it."""
-    key = (x.tobytes(), y.tobytes())
-    kernel = _PRODUCTS.get(key)
-    if kernel is None:
-        kernel = np.multiply.outer(x, y)
-        kernel.flags.writeable = False
-        _PRODUCTS[key] = kernel
-    return kernel
+# the dual-grid ladder is searched on every LADDER_STEP-th rung, then within
+# the first coarse interval that reaches the target
+LADDER_STEP = 16
 
 
 def legendre_1d(y: np.ndarray, phi: np.ndarray, x: np.ndarray, even: bool = False) -> np.ndarray:
@@ -52,7 +38,7 @@ def legendre_1d(y: np.ndarray, phi: np.ndarray, x: np.ndarray, even: bool = Fals
     phi = np.asarray(phi, dtype=float)
     if not np.isfinite(phi).any():
         raise ValueError("conjugate of an everywhere-infinite function")
-    kernel = _product(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    kernel = Outer(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     return contract(-phi, [kernel], "max", even=even)
 
 
@@ -65,6 +51,12 @@ def default_dual_grid(f: LogDensity, points=None) -> GridSpec:
     candidate ladder. Where no candidate reaches it the half-width falls back
     to the 4096 cap with a RuntimeWarning naming the axis (downstream
     tail_ratio flags the truncation).
+
+    conj is a max of terms x y_j - phi_j. For x >= 0 a term with y_j < 0 stays
+    at or below conj(0), and one with y_j >= 0 never falls as x grows, rounded
+    or not, so the rungs that pass are those from the first hit on. Two
+    conjugates find it: one on x = 0 and every LADDER_STEP-th rung, then one
+    on the LADDER_STEP rungs that end at the first coarse hit.
     """
     grid = f.grid
     pts = points if points is not None else grid.points
@@ -76,13 +68,16 @@ def default_dual_grid(f: LogDensity, points=None) -> GridSpec:
         shadow = np.min(moved, axis=1)
         y = grid.axis(k)
         candidates = np.geomspace(grid.spacings[k], 4096.0, 256)
-        conj = legendre_1d(y, shadow, np.concatenate(([0.0], candidates)))
-        target = conj[0] + DUAL_DECAY_NATS
-        hit = np.nonzero(conj[1:] >= target)[0]
+        coarse = legendre_1d(y, shadow, np.concatenate(([0.0], candidates[LADDER_STEP - 1::LADDER_STEP])))
+        target = coarse[0] + DUAL_DECAY_NATS
+        hit = np.flatnonzero(coarse[1:] >= target)
         if not hit.size:
             warnings.warn(f"dual grid axis {k}: the conjugate rises less than {DUAL_DECAY_NATS:g} nats "
                           f"within the cap; half-width capped at 1.05 * 4096", RuntimeWarning, stacklevel=2)
-        hws.append(1.05 * (candidates[hit[0]] if hit.size else 4096.0))
+            hws.append(1.05 * 4096.0)
+            continue
+        rungs = candidates[hit[0] * LADDER_STEP:(hit[0] + 1) * LADDER_STEP]
+        hws.append(1.05 * rungs[np.argmax(legendre_1d(y, shadow, rungs) >= target)])
     return make_grid(grid.dim, tuple(hws), tuple(int(p) for p in pts))
 
 
@@ -95,7 +90,7 @@ def legendre_transform(f: LogDensity, dual: GridSpec | None = None) -> LogDensit
     if f.grid.dim == 1:
         acc = legendre_1d(f.grid.axis(0), f.phi, dual.axis(0), even=f.even)
     else:
-        kernels = [_product(dual.axis(k), f.grid.axis(k)) for k in range(f.grid.dim)]
+        kernels = [Outer(dual.axis(k), f.grid.axis(k)) for k in range(f.grid.dim)]
         acc = contract(-f.phi, kernels, "max", even=f.even)
     return LogDensity(grid=dual, phi=acc, even=f.even)
 
@@ -112,8 +107,6 @@ def polar_density(f: LogDensity, dual: GridSpec | None = None) -> LogDensity:
     if not f.even:
         warnings.warn("polar of a non-even density: Blaschke-Santalo hypotheses unmet")
     dual = dual if dual is not None else default_dual_grid(f)
-    # held until return, so that both conjugates below find these kernels in _PRODUCTS
-    held = [_product(dual.axis(k), f.grid.axis(k)) for k in range(f.grid.dim)]
     full = legendre_transform(f, dual)
     shell = boundary_mask(f.phi.shape)
     trimmed = np.where(shell, np.inf, f.phi)

@@ -187,12 +187,17 @@ def _hessian(phi: np.ndarray, grid: GridSpec) -> np.ndarray:
     return hess
 
 
+class NotStrictlyConvexError(ValueError):
+    """-log h is not strictly convex at some node: a numerical failure of the
+    input, not a bad configuration."""
+
+
 def _require_pd(hess: np.ndarray):
     eig = np.linalg.eigvalsh(hess)
     bad = eig[..., 0] <= 0
     if bad.any():
         loc = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise ValueError(f"-log h not strictly convex at interior node {loc}")
+        raise NotStrictlyConvexError(f"-log h not strictly convex at interior node {loc}")
 
 
 def pbl_check(h: LogDensity, g: np.ndarray, hessian: np.ndarray | None = None):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from volprod import cli, oracles
 from volprod.cli import (
     ConfigError,
     ExperimentConfig,
@@ -192,6 +193,15 @@ class TestMain:
         )
         assert main(["flow", "--config", cfg, "--out", str(tmp_path / "k")]) == 3
         assert "error: kernel std" in capsys.readouterr().err
+
+    def test_not_strictly_convex_exits_3(self, tmp_path, capsys, monkeypatch):
+        def scenario(cfg):
+            raise oracles.NotStrictlyConvexError("-log h not strictly convex at interior node (3,)")
+
+        monkeypatch.setitem(cli._RUNNERS, "validate", scenario)
+        cfg = _write(tmp_path, "[params]\n")
+        assert main(["validate", "--config", cfg, "--out", str(tmp_path / "v")]) == 3
+        assert "error: -log h not strictly convex" in capsys.readouterr().err
 
     def test_csv_comment_records_config(self, tmp_path):
         cfg = _write(tmp_path, FLOW_CFG)

@@ -9,7 +9,7 @@ from scipy.special import logsumexp
 
 from volprod import contract as contract_mod
 from volprod import oracles
-from volprod.contract import contract
+from volprod.contract import Outer, contract
 from volprod.core import (
     BodySpec,
     ellipsoid,
@@ -419,6 +419,112 @@ class TestStructureMemo:
             del w
         gc.collect()
         assert len(contract_mod._VERDICTS) == start
+
+
+@pytest.fixture
+def flat_steps(monkeypatch):
+    """Count the axis steps that take the flat one-column windows."""
+    calls = []
+    inner = contract_mod._max_flat
+
+    def spy(w, col):
+        calls.append(w.shape)
+        return inner(w, col)
+
+    monkeypatch.setattr(contract_mod, "_max_flat", spy)
+    return calls
+
+
+def _outer_case(rng, in_shape, out_shape, even, case):
+    """Outer kernels on sorted axes (odd ones, x == -x[::-1], when ``even``)
+    and an input with the entries ``case`` names."""
+    kernels = []
+    for m, n in zip(out_shape, in_shape):
+        if even:
+            x, y = (np.arange(m) - m // 2) * rng.uniform(0.05, 0.2), (np.arange(n) - n // 2) * rng.uniform(0.05, 0.2)
+        else:
+            x, y = np.sort(rng.normal(scale=2.0, size=m)), np.sort(rng.normal(scale=2.0, size=n))
+        kernels.append(Outer(x, y))
+    log_f = rng.normal(scale=3.0, size=in_shape)
+    if case == "minus_inf":
+        log_f[rng.random(in_shape) < 0.3] = -np.inf
+    elif case == "shell":  # the +inf boundary shell of phi that polar_density trims
+        log_f[boundary_mask(in_shape)] = -np.inf
+    elif case == "all_minus_inf":
+        log_f[...] = -np.inf
+    if even:
+        log_f = np.minimum(log_f, reflect(log_f))
+    return log_f, kernels
+
+
+# 1D steps below and above FLAT_ELEMS (also for the even half), then 2D and 3D
+# shapes whose steps have more than 2 STRIDE rows; M < N and M > N both
+# present, and odd sizes, so that even axes exist
+OUTER_SHAPES = [((65,), (97,)), ((97,), (65,)), ((257,), (301,)), ((301,), (257,)),
+                ((41, 19), (23, 29)), ((7, 5, 3), (19, 17, 21))]
+
+
+class TestOuterKernel:
+    def test_shapes_cover_both_sides_of_the_size_rule(self):
+        sizes = [in_shape[0] * out_shape[0] for in_shape, out_shape in OUTER_SHAPES[:4]]
+        halves = [in_shape[0] * (out_shape[0] - out_shape[0] // 2) for in_shape, out_shape in OUTER_SHAPES[:4]]
+        assert max(sizes[:2]) < contract_mod.FLAT_ELEMS <= min(sizes[2:] + halves[2:])
+
+    @pytest.mark.parametrize("reduce", ["lse", "max"])
+    @pytest.mark.parametrize("in_shape, out_shape", OUTER_SHAPES)
+    @pytest.mark.parametrize("even", [False, True])
+    @pytest.mark.parametrize("case", ["finite", "minus_inf", "shell", "all_minus_inf"])
+    def test_matches_its_materialized_array(self, flat_steps, windowed_steps, reduce, in_shape, out_shape, even, case):
+        rng = np.random.default_rng(sum(in_shape) + len(case) + even)
+        log_f, kernels = _outer_case(rng, in_shape, out_shape, even, case)
+        arrays = [np.multiply.outer(x, y) for x, y in kernels]
+        got = contract(log_f, kernels, reduce, even=even)
+        assert got.tobytes() == contract(log_f, arrays, reduce, even=even).tobytes()
+        want = _brute(log_f, arrays, reduce)
+        if reduce == "max":
+            assert got.tobytes() == want.tobytes()
+        else:
+            _close(got, want)
+        if case == "all_minus_inf":
+            assert np.all(got == -np.inf)
+        else:
+            assert np.isfinite(got).any()
+        flat = reduce == "max" and len(in_shape) == 1 and in_shape[0] > 100
+        assert len(flat_steps) == flat
+        assert bool(windowed_steps) == (reduce == "max" and len(in_shape) > 1)
+
+    @pytest.mark.parametrize("in_shape, out_shape", OUTER_SHAPES[2:4])
+    def test_plus_inf_entry(self, flat_steps, in_shape, out_shape):
+        rng = np.random.default_rng(37)
+        log_f, kernels = _outer_case(rng, in_shape, out_shape, False, "finite")
+        log_f[7] = np.inf
+        got = contract(log_f, kernels, "max")
+        assert np.all(got == np.inf) and len(flat_steps) == 1
+
+    @pytest.mark.parametrize("in_shape, out_shape", OUTER_SHAPES[2:])
+    def test_unsorted_axes_take_the_dense_step(self, flat_steps, windowed_steps, in_shape, out_shape):
+        rng = np.random.default_rng(41)
+        log_f, kernels = _outer_case(rng, in_shape, out_shape, False, "minus_inf")
+        kernels = [Outer(rng.permutation(x), y) for x, y in kernels]
+        got = contract(log_f, kernels, "max")
+        assert flat_steps == [] and windowed_steps == []
+        assert got.tobytes() == _brute(log_f, [np.multiply.outer(x, y) for x, y in kernels], "max").tobytes()
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_asymmetric_axis_raises(self, axis):
+        rng = np.random.default_rng(43)
+        log_f, kernels = _outer_case(rng, (257,), (301,), True, "finite")
+        x, y = kernels[0]
+        contract(log_f, kernels, even=True)
+        if axis == "x":
+            x = x.copy()
+            x[-1] = np.nextafter(x[-1], np.inf)
+        else:
+            y = y.copy()
+            y[0] = np.nextafter(y[0], -np.inf)
+        contract(log_f, [Outer(x, y)], "max", even=False)
+        with pytest.raises(ValueError, match="centrally symmetric"):
+            contract(log_f, [Outer(x, y)], "max", even=True)
 
 
 def _lr_all_pairs(body: BodySpec, r: float, outer_grid, inner_cells: int) -> float:

@@ -345,6 +345,11 @@ class TestBrascampLieb:
         with pytest.raises(ValueError, match="0 < p < 1 and q < 0"):
             gaussian_bl_constant(bl_data(0.3, p, q))
 
+    @pytest.mark.parametrize("p, q", [(0.0, -1.0), (0.5, 0.0)])
+    def test_zero_exponent_rejected(self, p, q):
+        with pytest.raises(ValueError, match="nonzero exponents"):
+            bl_data(0.3, p, q)
+
     def test_grid_integral_matches_closed_form(self):
         data = bl_data(S_HALF_LN2)
         opt = gaussian_bl_constant(data)

@@ -1,13 +1,13 @@
 import math
-import weakref
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from volprod import legendre as legendre_mod
-from volprod.contract import contract
 from volprod.core import LogDensity, body_to_logdensity, lp_ball, make_grid, reflect
-from volprod.densities import box, cross2d, exp_power, gaussian
+from volprod.densities import battery_1d, box, cross2d, exp_power, gaussian
 from volprod.heatflow import fp_evolve
 from volprod.legendre import (
     convex_envelope,
@@ -165,6 +165,51 @@ class TestLegendreTransformNd:
             assert np.all(np.abs(got[fin] - want[fin]) <= 4 * np.spacing(np.abs(want[fin])))
 
 
+def _full_ladder(f):
+    """default_dual_grid's half-widths and first hits (None where capped) from
+    the whole ladder: conj(0) and all 256 rungs, each a dense max over every node."""
+    hws, hits = [], []
+    for k in range(f.grid.dim):
+        shadow = np.min(np.moveaxis(f.phi, k, 0).reshape(f.grid.points[k], -1), axis=1)
+        candidates = np.geomspace(f.grid.spacings[k], 4096.0, 256)
+        conj = np.max(np.multiply.outer(np.r_[0.0, candidates], f.grid.axis(k)) - shadow, axis=1)
+        hit = np.flatnonzero(conj[1:] >= conj[0] + legendre_mod.DUAL_DECAY_NATS)
+        hws.append(1.05 * (candidates[hit[0]] if hit.size else 4096.0))
+        hits.append(int(hit[0]) if hit.size else None)
+    return tuple(hws), hits
+
+
+def _legendre_check_inputs(seed, count=50, points=65):
+    """The ``legendre-check`` scenario's random functions: not even, with +inf holes."""
+    rng = np.random.default_rng(seed)
+    grid = make_grid(1, 4.0, points)
+    for i in range(count):
+        phi = np.cumsum(rng.normal(size=points))
+        phi = phi - phi.min()
+        if i % 3 == 0:
+            phi[rng.random(points) < 0.2] = np.inf
+        yield LogDensity(grid, phi)
+
+
+def _ladder_inputs():
+    g1 = make_grid(1, 8.0, 513)
+    battery = dict(battery_1d(g1), gaussian=gaussian(g1))
+    for name, f in battery.items():
+        yield f"1d-{name}", f
+        for t in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0):  # the flow scenario's default times
+            yield f"1d-{name}-t{t}", fp_evolve(f, t)
+    for f in (cross2d(make_grid(2, 6.0, 129)), exp_power(make_grid(2, 6.0, 129), 2.7),
+              exp_power(make_grid(3, 6.0, 33), 2.7)):
+        for t in (0.0, 0.1, 0.5, 2.0):
+            yield f"{f.grid.dim}d-{f.grid.points[0]}-t{t}", f if t == 0 else fp_evolve(f, t)
+    for seed in (0, 11):
+        for i, f in enumerate(_legendre_check_inputs(seed)):
+            yield f"check-{seed}-{i}", f
+    # boxes: conj(x) = x max(y in the box), so the first hit sweeps the ladder up to the cap
+    for hw in np.geomspace(0.005, 8.0, 64):
+        yield f"box-{hw:.4g}", box(make_grid(1, hw, 65), half=hw / 2)
+
+
 class TestDefaultDualGrid:
     def test_cap_warns(self):
         # the conjugate of a box of half-width 0.005 is 0.005 |x|: 20 nats at the cap
@@ -172,6 +217,22 @@ class TestDefaultDualGrid:
         with pytest.warns(RuntimeWarning, match="axis 0"):
             dual = default_dual_grid(f)
         assert dual.axis(0)[-1] == pytest.approx(1.05 * 4096)
+
+    def test_two_level_search_matches_the_full_ladder(self):
+        hits = []
+        for name, f in _ladder_inputs():
+            want, first = _full_ladder(f)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = default_dual_grid(f)
+            assert got.half_widths == want, name
+            capped = [f"dual grid axis {k}" for k, hit in enumerate(first) if hit is None]
+            assert [str(w.message).split(":")[0] for w in caught] == capped, name
+            hits += first
+        assert len(hits) == 49 + 4 * (2 + 2 + 3) + 100 + 64
+        # first hits on both sides of a coarse rung (every 16th, from index 15) and the cap
+        found = {hit % legendre_mod.LADDER_STEP for hit in hits if hit is not None}
+        assert {0, 14, 15} <= found and None in hits
 
 
 class TestConvexEnvelope:
@@ -239,24 +300,17 @@ class TestPolarDensity:
         [gaussian(make_grid(1, 8.0, 513)), fp_evolve(cross2d(make_grid(2, 6.0, 65)), 0.5)],
         ids=["gaussian-1d", "cross2d-t0.5"],
     )
-    def test_conjugates_share_their_kernels(self, monkeypatch, f):
+    def test_polar_builds_no_kernel(self, f):
         dual = default_dual_grid(f)
-        assert len(legendre_mod._PRODUCTS) == 0
-        seen, shared = [], []
-
-        def spy(log_f, kernels, *args, **kwargs):
-            assert not any(w.flags.writeable for w in kernels)
-            if seen:
-                shared.append(all(ref() is w for ref, w in zip(seen[0], kernels)))
-            seen.append([weakref.ref(w) for w in kernels])
-            return contract(log_f, kernels, *args, **kwargs)
-
-        monkeypatch.setattr(legendre_mod, "contract", spy)
-        got = polar_density(f, dual)
-        monkeypatch.undo()
-        assert len(seen) == 2 and shared == [True]
-        assert all(ref() is None for refs in seen for ref in refs)
-        assert len(legendre_mod._PRODUCTS) == 0
+        polar_density(f, dual)  # first calls allocate numpy's caches
+        tracemalloc.start()
+        try:
+            got = polar_density(f, dual)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a 1D 513 kernel x (x) y takes 2.1 MB, its even half 1.05 MB
+        assert peak < 1e6
 
         # the polar rebuilt from two independent conjugates
         full = legendre_transform(f, dual).phi

@@ -11,11 +11,12 @@ from scipy.integrate import IntegrationWarning, quad
 import volprod
 
 from volprod.core import LogDensity, gaussian_to_logdensity, isotropic_gaussian, make_grid
-from volprod.densities import box, exp_power, gaussian
+from volprod.densities import box, exp_power, gaussian, two_bump
 from volprod.functionals import bl_data
 from volprod.heatflow import fp_evolve
 from volprod.legendre import default_dual_grid, legendre_transform
 from volprod.oracles import (
+    NotStrictlyConvexError,
     QuadraticForm,
     bl_search,
     cramer_rao_check,
@@ -113,6 +114,12 @@ class TestPbl:
         g = make_grid(1, 8.0, 65)
         with pytest.raises(ValueError):
             pbl_check(gaussian(g), np.zeros(7))
+
+    def test_not_log_concave_is_a_numerical_failure(self):
+        # the even two-bump mixture is log-convex between its bumps
+        g = make_grid(1, 6.0, 129)
+        with pytest.raises(NotStrictlyConvexError, match="not strictly convex"):
+            pbl_check(two_bump(g), g.axis(0))
 
     def test_non_logconcave_rejected(self):
         g = make_grid(1, 4.0, 129)
