@@ -9,13 +9,13 @@ prod_{l != k} N_l`` pairs instead of all pairs.
 
 A kernel is an ``(M, N)`` array or ``Outer(x, y)``: the rank-one kernel
 ``W[i, j] = x[i] * y[j]`` held as its two axes, which is how ``legendre``
-passes the conjugate's ``x_k y_k``. A one-column step forms only the
-products it reads, ``np.multiply.outer(x[rows], y)`` for dense row blocks and
-coarse rows and ``x[i] * y[j]`` inside windows; other steps form the kernel
-whole. These are the IEEE products of the full kernel's entries, so an Outer
-kernel gives the bytes of its materialized array, and a 1D step never builds
-it (2.1 MB on 513 x 513). Its structure comes from its
-axes in O(M + N): it is centrally symmetric when ``x == -x[::-1]`` and
+passes the conjugate's ``x_k y_k``. A one-column step forms only the products
+it reads, ``np.multiply.outer(x[rows], y)`` for dense row blocks and coarse
+rows and ``x[i] * y[j]`` inside windows; other steps form the kernel whole.
+These are the IEEE products of the full kernel's entries, so an Outer kernel
+gives the bytes of its materialized array, and a one-column step holds at most
+a row block of it (the whole is 2.1 MB on 513 x 513). Its structure comes from
+its axes in O(M + N): it is centrally symmetric when ``x == -x[::-1]`` and
 ``y == -y[::-1]``, since (-a) (-b) rounds exactly as a b; and it is finite and
 Monge when both axes are finite and nondecreasing, since then each 2 x 2
 difference of the exact products is (x[i+1] - x[i]) (y[j+1] - y[j]) >= 0.

@@ -3,10 +3,10 @@
 The conjugate phi*(x) = max_y [<x, y> - phi(y)] over the grid nodes is one
 max-plus contraction of -phi with the per-axis kernel x_k y_k
 (``volprod.contract``), so it takes the max over every finite node, axis by
-axis. The kernel goes to the engine as its two axes, ``Outer(x_k, y_k)``, so
-no conjugate builds an ``(M, N)`` array or keeps one between calls: the engine
-forms only the products each step reads and reads the kernel's symmetry and
-Monge structure off the axes. On sorted axes x_k y_k is Monge, so the engine
+axis. The kernel goes to the engine as its two axes, ``Outer(x_k, y_k)``: the
+engine reads its symmetry and Monge structure off the axes, no conjugate keeps
+an ``(M, N)`` array between calls, and a 1D conjugate forms its products a row
+block or a window at a time. On sorted axes x_k y_k is Monge, so the engine
 searches each row only between the argmaxes of its neighbouring sampled rows,
 in one flat reduction on large 1D steps. ``oracles.hull_legendre`` checks it
 with a lower-convex-hull sweep.
