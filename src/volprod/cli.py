@@ -392,7 +392,7 @@ def _scenario_legendre_check(cfg: ExperimentConfig):
         if i % 3 == 0:  # sprinkle in vanishing regions
             phi[rng.random(points) < 0.2] = np.inf
         f = LogDensity(grid, phi)
-        dual = legendre.default_dual_grid(f, points)
+        dual = legendre.default_dual_grid(f)
         fast = legendre.legendre_transform(f, dual)
         hull = oracles.hull_legendre(f, dual)
         dev = float(np.max(np.abs(fast.phi - hull.phi)))

@@ -8,19 +8,20 @@ Laplace kernel ``a x_k z_k``, the Brascamp-Lieb cross term and the L^r kernel
 prod_{l != k} N_l`` pairs instead of all pairs.
 
 A kernel is an ``(M, N)`` array or ``Outer(x, y)``: the rank-one kernel
-``W[i, j] = x[i] * y[j]`` held as its two axes, which is how ``legendre``
-passes the conjugate's ``x_k y_k``. A one-column step forms only the products
-it reads, ``np.multiply.outer(x[rows], y)`` for dense row blocks and coarse
-rows and ``x[i] * y[j]`` inside windows; other steps form the kernel whole.
-These are the IEEE products of the full kernel's entries, so an Outer kernel
-gives the bytes of its materialized array, and a one-column step holds at most
-a row block of it (the whole is 2.1 MB on 513 x 513). Its structure comes from
-its axes in O(M + N): it is centrally symmetric when ``x == -x[::-1]`` and
-``y == -y[::-1]``, since (-a) (-b) rounds exactly as a b; and it is finite and
-Monge when both axes are finite and nondecreasing, since then each 2 x 2
-difference of the exact products is (x[i+1] - x[i]) (y[j+1] - y[j]) >= 0.
-That is the property the windows rest on, and reading it off the rounded
-products would cost an ``M N`` read (2.5 ms on 513 x 513) per fresh kernel.
+``W[i, j] = x[i] * y[j]`` held as its two axes. Every rank-one kernel goes to
+the engine so, its scale folded into ``x``: the conjugate's ``x_k y_k``, the
+Laplace, Brascamp-Lieb and L^r kernels, and the OU edge flags' ``(e^{-s} /
+var) x_k z_k``, whose row term cannot move an argmax over z. A one-column step
+forms only the products it reads, ``np.multiply.outer(x[rows], y)`` for dense
+row blocks and coarse rows and ``x[i] * y[j]`` inside windows; other steps
+form the kernel whole. These are the IEEE products of the full kernel's
+entries, so an Outer kernel gives the bytes of its materialized array, and a
+one-column step holds at most a row block of it (the whole is 2.1 MB on 513 x
+513). Its structure comes from its axes in O(M + N): it is centrally symmetric
+when ``x == -x[::-1]`` and ``y == -y[::-1]``, since (-a) (-b) rounds exactly as
+a b; and it is finite and Monge when both axes are finite and nondecreasing,
+since then each 2 x 2 difference of the exact products is (x[i+1] - x[i])
+(y[j+1] - y[j]) >= 0. That is the property the windows rest on.
 
 Cost of one axis step with an ``(M, N)`` kernel on ``columns`` columns:
 
@@ -31,25 +32,20 @@ Cost of one axis step with an ``(M, N)`` kernel on ``columns`` columns:
   ``e^FLOOR`` it may have lost terms to underflow; those entries are
   recomputed with an exact per-entry max-shifted sum, gathered in chunks of at
   most ``WORK_ELEMS`` elements.
-- ``"max"`` on a finite Monge kernel (every adjacent 2 x 2 difference
-  ``W[i+1, j+1] - W[i+1, j] - W[i, j+1] + W[i, j]`` is >= 0, one ``M N``
-  read) with two or more columns and more than ``2 STRIDE`` rows is windowed.
-  Adding ``block[j, c]`` keeps each column Monge, so its first row argmax never
-  decreases with i (Aggarwal, Klawe, Moran, Shor and Wilber, Algorithmica 2,
-  1987): a dense argmax on every ``STRIDE``-th row brackets the rows between,
-  and each row reduces only over its bracket. That is ``M N columns / STRIDE``
-  for the argmaxes plus ``M columns`` per bracketed j, with no ``(M, N,
-  columns)`` array. The conjugate's ``x_k y_k``, the Laplace ``a x_k z_k``
-  and the Mehler kernels are Monge on sorted axes. Other kernels form the
-  ``(M, N, columns)`` sums in column chunks of at most ``WORK_ELEMS`` elements
-  whenever a two-column chunk fits. A one-column step forms them in row blocks
-  of ``ROW_ELEMS``: windowed, it would loop over ``N`` single numbers in Python
-  (1.6 against 0.5 ms on 1D 513). On an Outer kernel of at least
-  ``FLAT_ELEMS`` elements a one-column step takes the same windows flat: every
+- ``"max"`` on an Outer kernel on sorted axes with two or more columns and
+  more than ``2 STRIDE`` rows is windowed. Adding ``block[j, c]`` keeps each
+  column Monge, so its first row argmax never decreases with i (Aggarwal,
+  Klawe, Moran, Shor and Wilber, Algorithmica 2, 1987): a dense argmax on every
+  ``STRIDE``-th row brackets the rows between, and each row reduces only over
+  its bracket. That is ``M N columns / STRIDE`` for the argmaxes plus ``M
+  columns`` per bracketed j, with no ``(M, N, columns)`` array. A one-column
+  step of at least ``FLAT_ELEMS`` elements takes the same windows flat: every
   row's window of ``x[i] y[j] + block[j]`` is gathered into one array and
   reduced by one ``np.maximum.reduceat``, about ``M N / STRIDE`` products for
   the argmaxes plus the windows, with no Python loop (0.12 against 0.37 ms on
-  a 257 x 513 step). An array kernel would first need its ``M N`` Monge read.
+  a 257 x 513 step). Array kernels and all other steps form the ``(M, N,
+  columns)`` sums in column chunks of at most ``WORK_ELEMS`` elements whenever
+  a two-column chunk fits, and one-column sums in row blocks of ``ROW_ELEMS``.
   The windowed and dense steps return the same values; only the sign of a
   zero maximum can differ at exact ties, where numpy's dense max picks -0.0
   or +0.0 by SIMD lane.
@@ -58,15 +54,11 @@ Cost of one axis step with an ``(M, N)`` kernel on ``columns`` columns:
 ``M_0 - M_0 // 2`` rows of axis 0 with x_0 >= 0, so that step has half the
 rows and every later step half the columns, and fills the rest by reflection:
 about half the cost, plus one read of each array kernel to check its
-symmetry. On one column (1D) that read costs about as much as the halved
-``"max"`` step, so it runs once per immutable kernel, as below. The even slice
-of ``Outer(x, y)`` is ``Outer(x[M_0 // 2:], y)``.
-
-The structure checks (central symmetry; finite and Monge) read the kernel as
-passed, before the even slice, whose rows are finite and Monge when the whole
-kernel is. An immutable array kernel, read-only and owning its data like the
-cached FP/OU kernels, is checked once: its verdicts are kept by identity until
-it is freed. Other array kernels are checked on every call.
+symmetry. On one column (1D) that read costs about as much as the halved step,
+so an immutable array kernel, read-only and owning its data like the cached
+FP/OU kernels, is read once: its verdict is kept by identity until it is
+freed. Other array kernels are read on every call. The even slice of
+``Outer(x, y)`` is ``Outer(x[M_0 // 2:], y)``.
 
 ``np.einsum`` runs numpy's own loop; a BLAS product (``@``) would be faster
 single-threaded but stalls under a default-threaded OpenBLAS on small
@@ -167,11 +159,6 @@ def _lse(w, block: np.ndarray) -> np.ndarray:
     return out
 
 
-def _monge(w: np.ndarray) -> bool:
-    """Every adjacent 2 x 2 difference W[i+1, j+1] - W[i+1, j] - W[i, j+1] + W[i, j] is >= 0."""
-    return bool(np.all(np.diff(np.diff(w, axis=1), axis=0) >= 0.0))
-
-
 def _brackets(coarse: np.ndarray, first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row window bounds from the least (``first``) and greatest (``last``)
     argmax on each coarse row: rows coarse[k] <= i < coarse[k + 1] take j in
@@ -191,10 +178,10 @@ def _coarse_rows(m: int) -> np.ndarray:
 
 
 def _max_windowed(w, block: np.ndarray) -> np.ndarray:
-    """``_max`` for a finite Monge ``w``: each row reduces over a window of j
-    that holds its argmax, bracketed by dense argmaxes on every STRIDE-th row.
-    An Outer kernel is formed whole first: its j loop would form a product per
-    row and j, 5-7% slower on 2D 129^2 and 3D 33^3 conjugates."""
+    """``_max`` for an Outer ``w`` on sorted axes: each row reduces over a
+    window of j that holds its argmax, bracketed by dense argmaxes on every
+    STRIDE-th row. The kernel is formed whole first: its j loop would form a
+    product per row and j, 5-7% slower on 2D 129^2 and 3D 33^3 conjugates."""
     w = _rows(w, slice(None))
     m = w.shape[0]
     live = np.max(block, axis=0) > -np.inf  # a dead column is -inf whatever the window
@@ -216,7 +203,7 @@ def _max_windowed(w, block: np.ndarray) -> np.ndarray:
 
 
 def _max_flat(w: Outer, col: np.ndarray) -> np.ndarray:
-    """One-column ``_max`` for a finite Monge Outer kernel: the windows of
+    """One-column ``_max`` for an Outer kernel on sorted axes: the windows of
     ``_max_windowed``, every row's gathered into one flat array and reduced
     by one ``np.maximum.reduceat``."""
     m = w.shape[0]
@@ -232,11 +219,6 @@ def _max_flat(w: Outer, col: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(w.x[i] * w.y[j] + col[j], start)[:, None]
 
 
-def _finite_monge(w: np.ndarray) -> bool:
-    """w is finite (a -inf entry would break the Monge argument) and Monge."""
-    return bool(np.isfinite(w).all()) and _monge(w)
-
-
 def _sorted_axes(w: Outer) -> bool:
     """Finite, nondecreasing axes (a NaN fails the order test): the exact
     products x[i] y[j] are then finite and Monge, since each 2 x 2 difference
@@ -244,20 +226,17 @@ def _sorted_axes(w: Outer) -> bool:
     return all(bool(np.isfinite(a).all() and (a[1:] >= a[:-1]).all()) for a in w)
 
 
-def _max(w, block: np.ndarray, source) -> np.ndarray:
-    """max_j (w[i, j] + block[j, c]): windowed when the kernel ``source`` (``w``
-    or the kernel whose lower rows ``w`` is) is finite and Monge and the step
-    has more than 2 STRIDE rows and two or more columns, or one column of an
-    Outer kernel with at least FLAT_ELEMS elements; else dense, in row blocks of
-    ROW_ELEMS on one column and in column chunks of WORK_ELEMS otherwise."""
+def _max(w, block: np.ndarray) -> np.ndarray:
+    """max_j (w[i, j] + block[j, c]): windowed when w is an Outer kernel on
+    sorted axes and the step has more than 2 STRIDE rows and two or more
+    columns, or one column and at least FLAT_ELEMS elements; else dense, in row
+    blocks of ROW_ELEMS on one column and in column chunks of WORK_ELEMS
+    otherwise."""
     m, n = w.shape
     cols = block.shape[1]
-    outer = isinstance(w, Outer)
-    # one column of an array kernel would make the windowed j loop N Python
-    # steps on one number each
-    if m > 2 * STRIDE and (cols >= 2 or (outer and m * n >= FLAT_ELEMS)):
-        if _sorted_axes(source) if outer else _checked(source, _finite_monge):
-            return _max_windowed(w, block) if cols >= 2 else _max_flat(w, block[:, 0])
+    # a windowed one-column step below FLAT_ELEMS costs more than the dense one
+    if isinstance(w, Outer) and m > 2 * STRIDE and (cols >= 2 or m * n >= FLAT_ELEMS) and _sorted_axes(w):
+        return _max_windowed(w, block) if cols >= 2 else _max_flat(w, block[:, 0])
     if cols == 1:
         return np.concatenate(
             [np.max(_rows(w, band) + block[:, 0], axis=1, keepdims=True) for band in _row_blocks(w)]
@@ -290,33 +269,26 @@ def _centrally_symmetric(w: np.ndarray) -> bool:
     return np.array_equal(flat[:half], flat[:-half - 1:-1])
 
 
+# symmetry verdicts of immutable array kernels, by id(kernel); an entry goes
+# when its kernel is freed, so a later array at the same address inherits
+# nothing and the table holds live kernels only
+_VERDICTS: dict[int, bool] = {}
+
+
 def _symmetric(w) -> bool:
-    """Central symmetry of a kernel; an Outer kernel has it when both axes are
-    odd (``x == -x[::-1]``), since (-a) (-b) rounds exactly as a b."""
+    """Central symmetry of a kernel. An Outer kernel has it when both axes are
+    odd (``x == -x[::-1]``), since (-a) (-b) rounds exactly as a b. An array
+    kernel is read once if immutable (read-only and owning its data, so no
+    view can write it) and on every call otherwise; the verdict lasts until
+    it is freed, so it must not be made writable and changed."""
     if isinstance(w, Outer):
         return all(np.array_equal(a, -a[::-1]) for a in w)
-    return _checked(w, _centrally_symmetric)
-
-
-# verdicts of the structure checks on immutable kernels, by id(kernel) and then
-# by check; an entry goes when its kernel is freed, so a later array at the
-# same address inherits nothing and the table holds live kernels only
-_VERDICTS: dict[int, dict] = {}
-
-
-def _checked(w: np.ndarray, check) -> bool:
-    """``check(w)``, run once per immutable kernel (read-only and owning its
-    data, so no view can write it) and on every call for any other. The
-    verdict lasts until w is freed: w must not be made writable and changed."""
     if w.flags.writeable or w.base is not None:
-        return check(w)
-    verdicts = _VERDICTS.get(id(w))
-    if verdicts is None:
-        verdicts = _VERDICTS[id(w)] = {}
+        return _centrally_symmetric(w)
+    if id(w) not in _VERDICTS:
+        _VERDICTS[id(w)] = _centrally_symmetric(w)
         weakref.finalize(w, _VERDICTS.pop, id(w), None)
-    if check not in verdicts:
-        verdicts[check] = check(w)
-    return verdicts[check]
+    return _VERDICTS[id(w)]
 
 
 def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse", even: bool = False) -> np.ndarray:
@@ -345,10 +317,10 @@ def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse", even: bool = 
         first = axis_kernels[0]
         low = first.shape[0] // 2
         steps = [Outer(first.x[low:], first.y) if isinstance(first, Outer) else first[low:], *axis_kernels[1:]]
-    for k, (w, source) in enumerate(zip(steps, axis_kernels)):
+    for k, w in enumerate(steps):
         moved = np.moveaxis(out, k, 0) if k else out
         flat = moved.reshape(moved.shape[0], -1)  # (N, columns)
-        res = _max(w, flat, source) if reduce == "max" else _lse(w, flat)
+        res = _max(w, flat) if reduce == "max" else _lse(w, flat)
         res = res.reshape((w.shape[0],) + moved.shape[1:])
         out = np.moveaxis(res, 0, k) if k else res
     if even:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .core import (
     NEG_INF,
     make_grid,
 )
-from .contract import contract
+from .contract import Outer, contract
 from .heatflow import KernelUnderResolvedError, fp_evolve, ou_apply, ou_edge_flags
 from .legendre import polar_density
 from .quadrature import (
@@ -61,10 +61,6 @@ class BLData:
     @property
     def c2(self) -> float:
         return (self.q - 1.0) / self.q  # 1/q'
-
-    @property
-    def dim(self) -> int:
-        return self.qform.shape[0] // 2
 
 
 @dataclass(frozen=True)
@@ -114,6 +110,16 @@ def _in_window(flags: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Flagged nodes whose log q-integrand w is within FLAG_WINDOW_NATS of the unflagged maximum."""
     ref = float(np.max(w[~flags])) if (~flags).any() else float(np.max(w))
     return flags & (w > ref - FLAG_WINDOW_NATS)
+
+
+def _laplace_lq_norm(bigf: LogDensity, flags: np.ndarray, q: float) -> LogQuad:
+    """``log_lq_norm(bigf, q)`` of a Laplace transform whose z-integral peaked
+    on the grid edge at ``flags``. Its tail ratio is at least the share of
+    flagged x-nodes within the window: only they can move the q-norm, and
+    far-field nodes are 40 nats down by construction."""
+    lq = log_lq_norm(bigf, q, LEBESGUE)
+    share = float(np.mean(_in_window(flags, -q * bigf.phi)))
+    return replace(lq, tail_ratio=max(lq.tail_ratio, share))
 
 
 def rev_hc_value(f0: LogDensity, s: float, p: float | None = None, q: float | None = None) -> RevHCReport:
@@ -168,8 +174,9 @@ def gaussian_rev_hc(beta: float, a, s: float, p: float, q: float) -> LogQuad:
     return LogQuad(log_abs=total, sign=1)
 
 
-def laplace_grid(f: LogDensity, q: float, power: float, arg_scale: float, points=None) -> GridSpec:
-    """x-grid wide enough that q log F has decayed LAPLACE_DECAY_NATS nats.
+def laplace_grid(f: LogDensity, q: float, scale: float) -> GridSpec:
+    """x-grid wide enough that q log F has decayed LAPLACE_DECAY_NATS nats,
+    with F = ``log_laplace``'s transform at ``scale``.
 
     Along each axis the half-width is the first rung of the ladder 4 * 1.5^j
     where q (log F(r e_k) - log F(0)) <= -LAPLACE_DECAY_NATS, or the first rung
@@ -177,49 +184,44 @@ def laplace_grid(f: LogDensity, q: float, power: float, arg_scale: float, points
     even f, log F is even and convex so its q-weighted maximum sits at 0.
     """
     n = f.grid.dim
-    pts = points if points is not None else f.grid.points
     ladder = [4.0]
     while ladder[-1] < 512.0:
         ladder.append(ladder[-1] * 1.5)
     xs = np.array([0.0] + ladder[:-1])
-    log_f = -power * f.phi + trapezoid_log_weights(f.grid)
+    log_f = -scale * f.phi + trapezoid_log_weights(f.grid)
     hws = []
     for k in range(n):
         # log F at x = r e_k for every rung r at once (and at x = 0)
         kernels = [np.zeros((1, m)) for m in f.grid.points]
-        kernels[k] = np.outer(xs, f.grid.axis(k))
-        kernels[k] *= arg_scale
+        kernels[k] = Outer(scale * xs, f.grid.axis(k))
         log_lap = contract(log_f, kernels).ravel()
         hit = np.flatnonzero(q * (log_lap[1:] - log_lap[0]) <= -LAPLACE_DECAY_NATS)
         if not hit.size:
             warnings.warn(f"Laplace grid axis {k}: q log F falls less than {LAPLACE_DECAY_NATS:g} nats "
                           f"within the cap; half-width capped at {ladder[-1]:g}", RuntimeWarning, stacklevel=2)
         hws.append(ladder[hit[0]] if hit.size else ladder[-1])
-    return make_grid(n, tuple(hws), pts)
+    return make_grid(n, tuple(hws), f.grid.points)
 
 
-def log_laplace(f: LogDensity, x_grid: GridSpec, power: float = 1.0, arg_scale: float = 1.0):
-    """log of int e^{arg_scale <x, z>} f(z)^power dz on the whole x grid.
+def log_laplace(f: LogDensity, x_grid: GridSpec, scale: float = 1.0):
+    """log of int e^{scale <x, z>} f(z)^scale dz on the whole x grid.
 
     Returns (log values, boundary-dominated flags); a flagged node means the
     z-integrand peaked on the z-boundary and the value is unreliable.
     """
     grid = f.grid
-    base = -power * f.phi
-    kernels = [np.outer(x_grid.axis(k), grid.axis(k)) for k in range(grid.dim)]
-    for w in kernels:
-        w *= arg_scale  # in place: one (M, N) temporary fewer
+    base = -scale * f.phi
+    kernels = [Outer(scale * x_grid.axis(k), grid.axis(k)) for k in range(grid.dim)]
     out = contract(base + trapezoid_log_weights(grid), kernels)
     return out, edge_dominated(base, kernels)
 
 
-def laplace_f_t(f_t: LogDensity, s: float, x_grid: GridSpec | None = None):
+def laplace_f_t(f_t: LogDensity, s: float):
     """F_t(x) = Laplace[f_t^{1/p}](x/p) at endpoint p, as (LogDensity of F, flags)."""
     sched = ExponentSchedule(s)
     inv_p = 1.0 / sched.p
-    if x_grid is None:
-        x_grid = laplace_grid(f_t, sched.q, power=inv_p, arg_scale=inv_p)
-    log_f, flags = log_laplace(f_t, x_grid, power=inv_p, arg_scale=inv_p)
+    x_grid = laplace_grid(f_t, sched.q, inv_p)
+    log_f, flags = log_laplace(f_t, x_grid, inv_p)
     return LogDensity(grid=x_grid, phi=-log_f, even=f_t.even), flags
 
 
@@ -255,7 +257,7 @@ def equiv_form_check(f_t: LogDensity, s: float) -> tuple[LogQuad, LogQuad]:
     lhs = LogQuad(log_abs=sched.q * report.log_lhs.log_abs, sign=1,
                   tail_ratio=report.log_lhs.tail_ratio)
     bigf, flags = laplace_f_t(f_t, s)
-    lq = log_lq_norm(bigf, sched.q, LEBESGUE)
+    lq = _laplace_lq_norm(bigf, flags, sched.q)
     rhs_log = sched.q * log_c_s(s, n) + n * s + sched.q * lq.log_abs
     rhs = LogQuad(log_abs=rhs_log, sign=1, tail_ratio=lq.tail_ratio)
     return lhs, rhs
@@ -266,16 +268,11 @@ def laplace_norm_ratio(f: LogDensity, p: float) -> LogQuad:
     if not (0 < p < 1):
         raise ValueError("p must lie in (0, 1)")
     q = p / (p - 1.0)
-    x_grid = laplace_grid(f, q, power=1.0, arg_scale=1.0)
-    log_lf, flags = log_laplace(f, x_grid, power=1.0, arg_scale=1.0)
-    lf = LogDensity(grid=x_grid, phi=-log_lf, even=f.even)
-    num = log_lq_norm(lf, q, LEBESGUE)
+    x_grid = laplace_grid(f, q, 1.0)
+    log_lf, flags = log_laplace(f, x_grid)
+    num = _laplace_lq_norm(LogDensity(grid=x_grid, phi=-log_lf, even=f.even), flags, q)
     den = log_lq_norm(f, p, LEBESGUE)
-    # only z-truncation flags at x-nodes that actually contribute to the
-    # q-norm matter; far-field nodes are 40 nats down by construction
-    relevant = _in_window(flags, q * log_lf)
-    tail = max(num.tail_ratio, float(np.mean(relevant)))
-    return LogQuad(log_abs=num.log_abs - den.log_abs, sign=1, tail_ratio=tail)
+    return LogQuad(log_abs=num.log_abs - den.log_abs, sign=1, tail_ratio=num.tail_ratio)
 
 
 def bl_data(s: float, p: float | None = None, q: float | None = None) -> BLData:
@@ -311,9 +308,7 @@ def bl_integral(f1: LogDensity, f2: LogDensity, data: BLData) -> LogQuad:
     # the cross term couples each coordinate of x1 with the same coordinate of
     # x2, so x2 is integrated out axis by axis
     cross = -2 * math.pi * q2[0, 1]
-    kernels = [np.outer(f1.grid.axis(k), f2.grid.axis(k)) for k in range(n)]
-    for w in kernels:
-        w *= cross
+    kernels = [Outer(cross * f1.grid.axis(k), f2.grid.axis(k)) for k in range(n)]
     total = logsumexp_all(base1 + contract(base2, kernels))
     if total == NEG_INF:
         return LogQuad(NEG_INF, 0)
@@ -411,9 +406,9 @@ def lr_volume_product(
         probe = np.eye(n)
         inradius = float(min(1.0 / body.gauge(probe[k]) for k in range(n)))
         hw = LAPLACE_DECAY_NATS / inradius + 2.0
-        outer_grid = make_grid(n, hw, 129 if n == 1 else 129)
+        outer_grid = make_grid(n, hw, 129)
     # K enters as a 0 / -inf mask on the cell centers; the kernel r <x, y> splits by axis
-    kernels = [r * np.outer(outer_grid.axis(k), centers_1d) for k in range(n)]
+    kernels = [Outer(r * outer_grid.axis(k), centers_1d) for k in range(n)]
     inner_logmean = contract(np.where(inside, 0.0, NEG_INF), kernels) + log_cell - log_vol
     integrand = -inner_logmean / r
     outer = log_integral(LogDensity(outer_grid, -integrand))

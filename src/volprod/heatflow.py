@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .contract import contract
+from .contract import Outer, contract
 from .core import GridSpec, LogDensity
 from .quadrature import edge_dominated, trapezoid_log_weights
 
@@ -86,10 +86,14 @@ def ou_edge_flags(g: LogDensity, s: float) -> np.ndarray:
     """Nodes x where the z-integrand of P_s g peaks on the grid edge.
 
     There the grid cuts the OU integral short, so ``ou_apply`` falls below the
-    continuum P_s g, and is finite where P_s g = +inf.
+    continuum P_s g, and is finite where P_s g = +inf. The OU exponent
+    -(e^{-s} x - z)^2 / (2 var) is e^{-s} x z / var - z^2 / (2 var) plus a
+    term in x alone, which moves no argmax over z, so the max-plus step runs
+    on the rank-one kernel (e^{-s} / var) x_k z_k.
     """
-    kernels = [_axis_kernel(g.grid.axis(k), s, "ou") for k in range(g.grid.dim)]
-    return edge_dominated(g.log_values(), kernels)
+    var = -math.expm1(-2 * s)
+    log_g = g.log_values() - sum(m * m for m in g.grid.meshgrid()) / (2 * var)
+    return edge_dominated(log_g, [Outer(math.exp(-s) / var * a, a) for a in g.grid.axes()])
 
 
 def flow_trajectory(f0: LogDensity, times) -> list[LogDensity]:

@@ -42,7 +42,7 @@ def legendre_1d(y: np.ndarray, phi: np.ndarray, x: np.ndarray, even: bool = Fals
     return contract(-phi, [kernel], "max", even=even)
 
 
-def default_dual_grid(f: LogDensity, points=None) -> GridSpec:
+def default_dual_grid(f: LogDensity) -> GridSpec:
     """Dual grid sized so the polar decays by DUAL_DECAY_NATS inside the box.
 
     Along each dual axis e_k the conjugate is the 1D conjugate of the shadow
@@ -59,9 +59,6 @@ def default_dual_grid(f: LogDensity, points=None) -> GridSpec:
     on the LADDER_STEP rungs that end at the first coarse hit.
     """
     grid = f.grid
-    pts = points if points is not None else grid.points
-    if not np.iterable(pts):
-        pts = (pts,) * grid.dim
     hws = []
     for k in range(grid.dim):
         moved = np.moveaxis(f.phi, k, 0).reshape(grid.points[k], -1)
@@ -78,7 +75,7 @@ def default_dual_grid(f: LogDensity, points=None) -> GridSpec:
             continue
         rungs = candidates[hit[0] * LADDER_STEP:(hit[0] + 1) * LADDER_STEP]
         hws.append(1.05 * rungs[np.argmax(legendre_1d(y, shadow, rungs) >= target)])
-    return make_grid(grid.dim, tuple(hws), tuple(int(p) for p in pts))
+    return make_grid(grid.dim, tuple(hws), grid.points)
 
 
 def legendre_transform(f: LogDensity, dual: GridSpec | None = None) -> LogDensity:

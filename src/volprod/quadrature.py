@@ -99,13 +99,8 @@ def _tail_ratio(log_integrand: np.ndarray) -> float:
 
 
 def log_integral(f: LogDensity, measure: Measure = LEBESGUE) -> LogQuad:
-    """log of the tensor-trapezoid approximation of int f dmu."""
-    log_integrand = f.log_values() + measure.log_weight(f.grid)
-    terms = log_integrand + trapezoid_log_weights(f.grid)
-    la = logsumexp_all(terms)
-    if la == NEG_INF:
-        return LogQuad(log_abs=NEG_INF, sign=0)
-    return LogQuad(log_abs=la, sign=1, tail_ratio=_tail_ratio(log_integrand))
+    """log of the tensor-trapezoid approximation of int f dmu: the L^1 norm."""
+    return log_lq_norm(f, 1.0, measure)
 
 
 def log_lq_norm(f: LogDensity, q: float, measure: Measure = LEBESGUE) -> LogQuad:

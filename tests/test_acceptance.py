@@ -239,7 +239,7 @@ def test_criterion_11_legendre_correctness():
             if not np.isfinite(phi).any():
                 phi[0] = 0.0
         f = LogDensity(g, phi)
-        dual = default_dual_grid(f, 65)
+        dual = default_dual_grid(f)
         if np.array_equal(legendre_transform(f, dual).phi, hull_legendre(f, dual).phi):
             exact += 1
     conv = LogDensity(G1, 0.5 * G1.axis(0) ** 2, even=True)

@@ -12,6 +12,7 @@ from volprod import oracles
 from volprod.contract import Outer, contract
 from volprod.core import (
     BodySpec,
+    ExponentSchedule,
     ellipsoid,
     gaussian_to_logdensity,
     isotropic_gaussian,
@@ -20,8 +21,8 @@ from volprod.core import (
     reflect,
 )
 from volprod.densities import box, cross2d, exp_power, gaussian
-from volprod.functionals import bl_data, bl_integral, log_laplace, lr_volume_product
-from volprod.heatflow import fp_evolve, ou_apply
+from volprod.functionals import bl_data, bl_integral, laplace_f_t, log_laplace, lr_volume_product, volume_product
+from volprod.heatflow import fp_evolve, ou_apply, ou_edge_flags
 from volprod.legendre import legendre_transform, polar_density
 from volprod.quadrature import boundary_mask, trapezoid_log_weights
 
@@ -33,6 +34,7 @@ def _brute(log_f, kernels, reduce):
     d = log_f.ndim
     total = log_f.reshape((1,) * d + log_f.shape)
     for k, w in enumerate(kernels):
+        w = np.multiply.outer(*w) if isinstance(w, Outer) else w
         shape = [1] * (2 * d)
         shape[k], shape[d + k] = w.shape
         total = total + w.reshape(shape)
@@ -238,7 +240,7 @@ class TestEvenPath:
 
 
 def _monge_case(rng, in_shape, out_shape, integer=False):
-    """Kernels row[:, None] + col[None, :] + c x (x) y on sorted axes, which are Monge.
+    """Outer kernels on sorted axes, which are Monge.
 
     ``integer=True`` draws small integers everywhere (axes without 0, so no
     signed zero arises), so exact ties abound."""
@@ -251,11 +253,9 @@ def _monge_case(rng, in_shape, out_shape, integer=False):
         if integer:
             x = np.sort(rng.choice(np.r_[-9:0, 1:10], size=m)).astype(float)
             y = np.sort(rng.choice(np.r_[-9:0, 1:10], size=n)).astype(float)
-            row, col, c = rng.integers(-3, 4, size=m), rng.integers(-3, 4, size=n), 1.0
         else:
-            x, y = np.sort(rng.normal(size=m)), np.sort(rng.normal(size=n))
-            row, col, c = rng.normal(size=m), rng.normal(size=n), rng.uniform(0.5, 4.0)
-        kernels.append(row[:, None] + col[None, :] + c * np.multiply.outer(x, y))
+            x, y = np.sort(rng.normal(size=m)) * rng.uniform(0.5, 4.0), np.sort(rng.normal(size=n))
+        kernels.append(Outer(x, y))
     return log_f, kernels
 
 
@@ -270,6 +270,20 @@ def windowed_steps(monkeypatch):
         return inner(w, block)
 
     monkeypatch.setattr(contract_mod, "_max_windowed", spy)
+    return calls
+
+
+@pytest.fixture
+def flat_steps(monkeypatch):
+    """Count the axis steps that take the flat one-column windows."""
+    calls = []
+    inner = contract_mod._max_flat
+
+    def spy(w, col):
+        calls.append(w.shape)
+        return inner(w, col)
+
+    monkeypatch.setattr(contract_mod, "_max_flat", spy)
     return calls
 
 
@@ -315,31 +329,32 @@ class TestWindowedMax:
         log_f = rng.normal(scale=3.0, size=in_shape)
         log_f[rng.random(in_shape) < 0.2] = -np.inf
         log_f = np.minimum(log_f, reflect(log_f))
-        kernels = []
-        for m, n in zip(out_shape, in_shape):
-            # symmetric axes and symmetric row and column terms: centrally symmetric and Monge
-            x, y = np.arange(m) - m // 2, (np.arange(n) - n // 2) * 0.75
-            row, col = rng.normal(size=m), rng.normal(size=n)
-            kernels.append((row + row[::-1])[:, None] + (col + col[::-1])[None, :] + 1.5 * np.multiply.outer(x, y))
+        # odd, sorted axes: centrally symmetric and Monge
+        kernels = [Outer(1.5 * (np.arange(m) - m // 2), (np.arange(n) - n // 2) * 0.75)
+                   for m, n in zip(out_shape, in_shape)]
         got = contract(log_f, kernels, "max", even=True)
         assert len(windowed_steps) == len(in_shape)
         assert got.tobytes() == _brute(log_f, kernels, "max").tobytes()
         assert _is_even(got)
 
-    @pytest.mark.parametrize("in_shape, out_shape", WINDOWED_SHAPES)
-    @pytest.mark.parametrize("kernel", ["not_monge", "minus_inf_entry"])
-    def test_other_kernels_take_the_dense_step(self, windowed_steps, in_shape, out_shape, kernel):
+    @pytest.mark.parametrize("in_shape, out_shape", [((301,), (257,))] + WINDOWED_SHAPES)
+    @pytest.mark.parametrize("kernel", ["monge", "not_monge"])
+    def test_array_kernels_take_the_dense_step(self, windowed_steps, flat_steps, in_shape, out_shape, kernel):
         rng = np.random.default_rng(17)
-        if kernel == "not_monge":
-            log_f, kernels = _random_case(rng, in_shape, out_shape)
-            assert not any(contract_mod._monge(w) for w in kernels)
+        if kernel == "monge":
+            log_f, outers = _monge_case(rng, in_shape, out_shape)
+            # row and column terms leave every 2 x 2 difference of x (x) y as it is
+            kernels = [rng.normal(size=(m, 1)) + rng.normal(size=n) + np.multiply.outer(x, y)
+                       for (x, y), m, n in zip(outers, out_shape, in_shape)]
         else:
-            log_f, kernels = _monge_case(rng, in_shape, out_shape)
-            for w in kernels:
-                w[1, 2] = -np.inf
+            log_f, kernels = _random_case(rng, in_shape, out_shape)
+        monge = [bool(np.all(np.diff(np.diff(w, axis=1), axis=0) >= 0.0)) for w in kernels]
+        assert monge == [kernel == "monge"] * len(kernels)
         log_f[rng.random(in_shape) < 0.2] = -np.inf
+        for w in kernels:
+            w.flags.writeable = False  # immutable, like the cached FP/OU kernels
         got = contract(log_f, kernels, "max")
-        assert windowed_steps == []
+        assert windowed_steps == [] and flat_steps == []
         assert got.tobytes() == _brute(log_f, kernels, "max").tobytes()
 
 
@@ -349,55 +364,32 @@ def _read_only(w):
 
 
 @pytest.fixture
-def check_calls(monkeypatch):
-    """Count the calls of each structure check, by name."""
-    calls = {"_centrally_symmetric": 0, "_finite_monge": 0}
-    for name in calls:
-        inner = getattr(contract_mod, name)
+def symmetry_reads(monkeypatch):
+    """Count the full reads of array kernels for central symmetry."""
+    calls = []
+    inner = contract_mod._centrally_symmetric
 
-        def spy(w, name=name, inner=inner):
-            calls[name] += 1
-            return inner(w)
+    def spy(w):
+        calls.append(w.shape)
+        return inner(w)
 
-        monkeypatch.setattr(contract_mod, name, spy)
+    monkeypatch.setattr(contract_mod, "_centrally_symmetric", spy)
     return calls
 
 
 class TestStructureMemo:
-    def test_writable_kernel_made_non_monge_takes_the_dense_step(self, windowed_steps):
-        in_shape, out_shape = WINDOWED_SHAPES[0]
-        rng = np.random.default_rng(23)
-        log_f, kernels = _monge_case(rng, in_shape, out_shape)
-        got = contract(log_f, kernels, "max")
-        assert len(windowed_steps) == 2
-        assert got.tobytes() == _brute(log_f, kernels, "max").tobytes()
-        kernels[0][...] = kernels[0][:, ::-1].copy()  # in place: each row argmax now falls with i
-        assert not contract_mod._monge(kernels[0])
-        windowed_steps.clear()
-        got = contract(log_f, kernels, "max")
-        assert windowed_steps == [(out_shape[1], in_shape[1])]  # axis 1 only
-        assert got.tobytes() == _brute(log_f, kernels, "max").tobytes()
-
-    def test_immutable_kernels_are_checked_once(self, check_calls):
+    def test_immutable_kernels_are_read_once(self, symmetry_reads):
         rng = np.random.default_rng(29)
         log_f, kernels = _even_case(rng, (9,), (13,))
         w = _read_only(kernels[0])
         want = contract(log_f, [w], even=True)
         for _ in range(9):
             assert contract(log_f, [w], even=True).tobytes() == want.tobytes()
-        assert check_calls["_centrally_symmetric"] == 1
-        # a view may alias writable memory, so it is checked on every call
+        assert len(symmetry_reads) == 1
+        # a view may alias writable memory, so it is read on every call
         for _ in range(3):
             contract(log_f, [w[:]], even=True)
-        assert check_calls["_centrally_symmetric"] == 4
-
-        in_shape, out_shape = WINDOWED_SHAPES[0]
-        log_f, kernels = _monge_case(rng, in_shape, out_shape)
-        kernels = [_read_only(w) for w in kernels]
-        want = _brute(log_f, kernels, "max")
-        for _ in range(10):
-            assert contract(log_f, kernels, "max").tobytes() == want.tobytes()
-        assert check_calls["_finite_monge"] == 2
+        assert len(symmetry_reads) == 4
 
     def test_verdicts_go_with_their_kernels(self):
         rng = np.random.default_rng(31)
@@ -419,20 +411,6 @@ class TestStructureMemo:
             del w
         gc.collect()
         assert len(contract_mod._VERDICTS) == start
-
-
-@pytest.fixture
-def flat_steps(monkeypatch):
-    """Count the axis steps that take the flat one-column windows."""
-    calls = []
-    inner = contract_mod._max_flat
-
-    def spy(w, col):
-        calls.append(w.shape)
-        return inner(w, col)
-
-    monkeypatch.setattr(contract_mod, "_max_flat", spy)
-    return calls
 
 
 def _outer_case(rng, in_shape, out_shape, even, case):
@@ -527,6 +505,38 @@ class TestOuterKernel:
             contract(log_f, [Outer(x, y)], "max", even=True)
 
 
+@pytest.fixture
+def max_kernels(monkeypatch):
+    """Every kernel that a "max" axis step receives."""
+    seen = []
+    inner = contract_mod._max
+
+    def spy(w, block):
+        seen.append(w)
+        return inner(w, block)
+
+    monkeypatch.setattr(contract_mod, "_max", spy)
+    return seen
+
+
+GRIDS = [make_grid(1, 8.0, 513), make_grid(2, 6.0, 65), make_grid(3, 4.0, 17)]
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize(
+    "route",
+    [lambda g: volume_product(exp_power(g, 1.5)), lambda g: volume_product(fp_evolve(box(g), 0.3)),
+     lambda g: laplace_f_t(exp_power(g, 1.5), 0.1), lambda g: ou_edge_flags(exp_power(g, 1.5), 0.2)],
+    ids=["volume_product", "volume_product_of_a_flow", "laplace_flags", "ou_edge_flags"],
+)
+def test_library_max_steps_get_outer_kernels(max_kernels, grid, route):
+    """No library route hands a "max" step an array kernel: each gets an Outer
+    kernel on sorted axes, which may take the windows."""
+    route(grid)
+    assert max_kernels
+    assert all(isinstance(w, Outer) and contract_mod._sorted_axes(w) for w in max_kernels)
+
+
 def _lr_all_pairs(body: BodySpec, r: float, outer_grid, inner_cells: int) -> float:
     """M_r(K) with every (outer node, inner cell) pair summed explicitly."""
     n = body.dim
@@ -542,15 +552,15 @@ def _lr_all_pairs(body: BodySpec, r: float, outer_grid, inner_cells: int) -> flo
     return log_vol + float(logsumexp(outer))
 
 
-def _laplace_per_node(f, x_grid, power, arg_scale):
+def _laplace_per_node(f, x_grid, scale):
     """log Laplace transform and boundary flags, one x node at a time."""
     mesh = f.grid.meshgrid()
-    base = -power * f.phi
+    base = -scale * f.phi
     zw = trapezoid_log_weights(f.grid)
     bmask = boundary_mask(f.grid.points)
     vals, flags = [], []
     for x in x_grid.nodes():
-        e = arg_scale * sum(xk * mk for xk, mk in zip(x, mesh)) + base
+        e = scale * sum(xk * mk for xk, mk in zip(x, mesh)) + base
         vals.append(float(logsumexp(e + zw)))
         flags.append(bool(np.max(e[bmask]) >= np.max(e[~bmask])))
     return np.reshape(vals, x_grid.points), np.reshape(flags, x_grid.points)
@@ -579,20 +589,21 @@ class TestPortsMatchAllPairs:
         assert abs(got - want) <= REL * max(1.0, abs(want))
 
     @pytest.mark.parametrize(
-        "make, power, arg_scale",
-        [(lambda g: gaussian(g), 1.0, 1.0), (lambda g: exp_power(g, 3.0), 1.0, 20.0),
-         (lambda g: box(g, half=6.0), 1.0, 1.0), (lambda g: cross2d(g, long=6.0), 1.0, 1.0)],
+        "make, scale",
+        # exp_power at 1 / p(s = 0.1), the scale laplace_f_t takes at s = 0.1
+        [(lambda g: gaussian(g), 1.0), (lambda g: exp_power(g, 1.5), 1.0 / ExponentSchedule(0.1).p),
+         (lambda g: box(g, half=6.0), 1.0), (lambda g: cross2d(g, long=6.0), 1.0)],
         ids=["gaussian", "exp_power", "box", "cross2d"],
     )
-    def test_log_laplace_values_and_flags(self, make, power, arg_scale):
+    def test_log_laplace_values_and_flags(self, make, scale):
         for grid, x_grid in [(make_grid(1, 6.0, 41), make_grid(1, 9.0, 31)),
                              (make_grid(2, 6.0, 17), make_grid(2, (7.0, 5.0), (13, 11)))]:
             try:
                 f = make(grid)
             except ValueError:  # cross2d is 2D only
                 continue
-            vals, flags = log_laplace(f, x_grid, power, arg_scale)
-            want_vals, want_flags = _laplace_per_node(f, x_grid, power, arg_scale)
+            vals, flags = log_laplace(f, x_grid, scale)
+            want_vals, want_flags = _laplace_per_node(f, x_grid, scale)
             _close(vals, want_vals)
             assert np.array_equal(flags, want_flags)
             assert flags.any()

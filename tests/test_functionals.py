@@ -178,7 +178,7 @@ class TestLaplaceGrid:
     def test_cap_warns(self):
         # with q = -1e-6, q log F falls far less than 40 nats before the cap
         with pytest.warns(RuntimeWarning, match="axis 0"):
-            x_grid = laplace_grid(gaussian(GRID), -1e-6, power=1.0, arg_scale=1.0)
+            x_grid = laplace_grid(gaussian(GRID), -1e-6, 1.0)
         assert x_grid.axis(0)[-1] == pytest.approx(4 * 1.5**12)
 
 
@@ -228,6 +228,15 @@ class TestEquivForm:
         ft = fp_evolve(box(GRID), 0.5)
         lhs, rhs = equiv_form_check(ft, S_HALF_LN2)
         assert abs(math.expm1(lhs.log_abs - rhs.log_abs)) <= 5e-3
+
+    def test_laplace_flags_reach_the_rhs(self):
+        # e^{-|x|} at s = ln 2 / 2: about half the x-nodes of F_t have their
+        # z-integral cut by the grid edge within the window, as
+        # laplace_norm_ratio also reports; the Gaussian's are not cut
+        _, rhs = equiv_form_check(exp_power(GRID, 1.0), S_HALF_LN2)
+        assert rhs.flagged and rhs.tail_ratio > 0.4
+        _, rhs = equiv_form_check(gaussian(GRID), S_HALF_LN2)
+        assert not rhs.flagged
 
 
 class TestLaplaceNormRatio:

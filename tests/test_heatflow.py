@@ -135,7 +135,7 @@ class TestOrnsteinUhlenbeck:
             ou_apply(gaussian(g), 0.0)
 
     @pytest.mark.parametrize("s", [0.2, 0.5])
-    @pytest.mark.parametrize("dim, points", [(1, 33), (2, (17, 21))])
+    @pytest.mark.parametrize("dim, points", [(1, 33), (2, (17, 21)), (3, (17, 19, 21))])
     def test_edge_flags_match_brute_force(self, dim, points, s):
         # g grows like e^{0.6 |z|^2}: the z-integrand of P_s g peaks on the
         # grid edge for outer x and inside it near the origin
@@ -144,10 +144,12 @@ class TestOrnsteinUhlenbeck:
         g = LogDensity(grid, -0.6 * r**2 + 0.1 * r)
         var, decay = -math.expm1(-2 * s), math.exp(-s)
         nodes = grid.nodes()
-        d = decay * nodes[:, None, :] - nodes[None, :, :]
-        terms = -(d * d).sum(axis=-1) / (2 * var) + g.log_values().ravel()[None, :]
         edge = boundary_mask(grid.points).ravel()
-        edge_max, inner_max = terms[:, edge].max(axis=1), terms[:, ~edge].max(axis=1)
+        edge_max, inner_max = np.empty(len(nodes)), np.empty(len(nodes))
+        for lo in range(0, len(nodes), 256):  # all pairs, 256 x nodes at a time
+            sq = sum((decay * nodes[lo:lo + 256, k, None] - nodes[None, :, k]) ** 2 for k in range(dim))
+            terms = -sq / (2 * var) + g.log_values().ravel()[None, :]
+            edge_max[lo:lo + 256], inner_max[lo:lo + 256] = terms[:, edge].max(axis=1), terms[:, ~edge].max(axis=1)
         want = (edge_max >= inner_max).reshape(grid.points)
         assert np.min(np.abs(edge_max - inner_max)) > 1e-9  # no near-ties to round either way
         assert 0 < want.mean() < 1

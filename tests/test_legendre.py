@@ -63,7 +63,7 @@ class TestLegendre1d:
         g = make_grid(1, 4.0, 65)
         for i in range(50):
             f = _random_density(rng, g, with_inf=(i % 3 == 0))
-            dual = default_dual_grid(f, 65)
+            dual = default_dual_grid(f)
             fast = legendre_transform(f, dual)
             hull = hull_legendre(f, dual)
             assert np.array_equal(fast.phi, hull.phi), f"input {i} deviates"
@@ -117,7 +117,7 @@ class TestLegendreTransformNd:
         g = make_grid(1, 4.0, 65)
         f1 = _random_density(rng, g)
         f2 = LogDensity(g, f1.phi + rng.random(65))  # f2 >= f1 pointwise in phi
-        dual = default_dual_grid(f1, 65)
+        dual = default_dual_grid(f1)
         c1 = legendre_transform(f1, dual)
         c2 = legendre_transform(f2, dual)
         assert np.all(c1.phi >= c2.phi)
@@ -126,7 +126,7 @@ class TestLegendreTransformNd:
         rng = np.random.default_rng(6)
         g = make_grid(1, 4.0, 65)
         f = _random_density(rng, g)
-        dual = default_dual_grid(f, 65)
+        dual = default_dual_grid(f)
         conj = legendre_transform(f, dual)
         y = g.axis(0)[:, None]
         x = dual.axis(0)[None, :]

@@ -83,7 +83,7 @@ class TestHullLegendre:
     def test_matches_fast_path(self):
         g = make_grid(1, 4.0, 65)
         f = exp_power(g, 3.0)
-        dual = default_dual_grid(f, 65)
+        dual = default_dual_grid(f)
         assert np.array_equal(hull_legendre(f, dual).phi, legendre_transform(f, dual).phi)
 
 
