@@ -7,28 +7,43 @@ Laplace kernel ``a x_k z_k``, the Brascamp-Lieb cross term and the L^r kernel
 ``r x_k y_k`` all factor this way, so each axis step touches ``M_k N_k
 prod_{l != k} N_l`` pairs instead of all pairs.
 
-A kernel is an ``(M, N)`` array or ``Outer(x, y)``: the rank-one kernel
-``W[i, j] = x[i] * y[j]`` held as its two axes. Every rank-one kernel goes to
-the engine so, its scale folded into ``x``: the conjugate's ``x_k y_k``, the
-Laplace, Brascamp-Lieb and L^r kernels, and the OU edge flags' ``(e^{-s} /
-var) x_k z_k``, whose row term cannot move an argmax over z. A one-column step
-forms only the products it reads, ``np.multiply.outer(x[rows], y)`` for dense
-row blocks and coarse rows and ``x[i] * y[j]`` inside windows; other steps
-form the kernel whole. These are the IEEE products of the full kernel's
-entries, so an Outer kernel gives the bytes of its materialized array, and a
-one-column step holds at most a row block of it (the whole is 2.1 MB on 513 x
-513). Its structure comes from its axes in O(M + N): it is centrally symmetric
-when ``x == -x[::-1]`` and ``y == -y[::-1]``, since (-a) (-b) rounds exactly as
-a b; and it is finite and Monge when both axes are finite and nondecreasing,
-since then each 2 x 2 difference of the exact products is (x[i+1] - x[i])
-(y[j+1] - y[j]) >= 0. That is the property the windows rest on.
+A kernel is one of three kinds: an ``(M, N)`` array, an ``Outer`` kernel or a
+``Gauss`` kernel.
+
+``Outer(x, y)`` is the rank-one kernel ``W[i, j] = x[i] * y[j]`` held as its
+two axes. Every rank-one kernel goes to the engine so, its scale folded into
+``x``: the conjugate's ``x_k y_k``, the Laplace, Brascamp-Lieb and L^r
+kernels, and the OU edge flags' ``(e^{-s} / var) x_k z_k``, whose row term
+cannot move an argmax over z. A one-column step forms only the products it
+reads, ``np.multiply.outer(x[rows], y)`` for dense row blocks and coarse rows
+and ``x[i] * y[j]`` inside windows; other steps form the kernel whole. These
+are the IEEE products of the full kernel's entries, so an Outer kernel gives
+the bytes of its materialized array, and a one-column step holds at most a row
+block of it (the whole is 2.1 MB on 513 x 513). Its structure comes from its
+axes in O(M + N): it is centrally symmetric when ``x == -x[::-1]`` and ``y ==
+-y[::-1]``, since (-a) (-b) rounds exactly as a b; and it is finite and Monge
+when both axes are finite and nondecreasing, since then each 2 x 2 difference
+of the exact products is (x[i+1] - x[i]) (y[j+1] - y[j]) >= 0. That is the
+property the windows rest on.
+
+``Gauss`` is the Gaussian log-kernel ``W[i, j] = -(u[i] - v[j])^2 / (2 var) -
+log(2 pi var) / 2`` of the FP/OU flow, held as its axes, ``var``, its row
+maxima and the read-only ``exp(W - r)`` (r the row maxima, infinities as 0),
+which ``Gauss.of`` forms once in W's own memory. It keeps no log array, so it
+costs one ``(M, N)`` array, no more than that log array. An ``"lse"`` step
+reads bands of its exponential and exponentiates nothing (a halved 1D 513
+step, 257 x 513 on one column: 0.17 against 0.96 ms on its log array); the
+underflow fallback re-forms the log rows it needs from the axes with the IEEE
+operations of the build, so a Gauss kernel gives the bytes of its log array.
+Its central symmetry comes from its axes as for Outer, since (-a) - (-b)
+rounds exactly as -(a - b).
 
 Cost of one axis step with an ``(M, N)`` kernel on ``columns`` columns:
 
 - ``"lse"`` shifts each kernel row and each column by its maximum, so the step
   is one ``M N columns`` sum of products (``np.einsum``, over row blocks of at
-  most ``ROW_ELEMS`` kernel elements) plus ``M N + N columns`` exponentials,
-  with no ``(M, N, columns)`` array. Where the shifted sum falls below
+  most ``ROW_ELEMS`` kernel elements) plus ``M N + N columns`` exponentials
+  (``N columns`` on a Gauss kernel), with no ``(M, N, columns)`` array. Where the shifted sum falls below
   ``e^FLOOR`` it may have lost terms to underflow; those entries are
   recomputed with an exact per-entry max-shifted sum, gathered in chunks of at
   most ``WORK_ELEMS`` elements.
@@ -53,12 +68,10 @@ Cost of one axis step with an ``(M, N)`` kernel on ``columns`` columns:
 ``even=True`` (an even input, centrally symmetric kernels) contracts only the
 ``M_0 - M_0 // 2`` rows of axis 0 with x_0 >= 0, so that step has half the
 rows and every later step half the columns, and fills the rest by reflection:
-about half the cost, plus one read of each array kernel to check its
-symmetry. On one column (1D) that read costs about as much as the halved step,
-so an immutable array kernel, read-only and owning its data like the cached
-FP/OU kernels, is read once: its verdict is kept by identity until it is
-freed. Other array kernels are read on every call. The even slice of
-``Outer(x, y)`` is ``Outer(x[M_0 // 2:], y)``.
+about half the cost, plus one read of each array kernel on every call to
+check its symmetry (Outer and Gauss kernels check their axes). The even slice
+of ``Outer(x, y)`` is ``Outer(x[M_0 // 2:], y)``; that of a Gauss kernel cuts
+``u``, the row maxima and ``exp(W - r)`` at ``M_0 // 2``.
 
 ``np.einsum`` runs numpy's own loop; a BLAS product (``@``) would be faster
 single-threaded but stalls under a default-threaded OpenBLAS on small
@@ -67,7 +80,7 @@ matrices, and the library sets no thread variables.
 
 from __future__ import annotations
 
-import weakref
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -106,10 +119,50 @@ class Outer(NamedTuple):
         return (self.x.size, self.y.size)
 
 
+class Gauss(NamedTuple):
+    """The Gaussian log-kernel ``W[i, j] = -(u[i] - v[j])^2 / (2 var) - log(2
+    pi var) / 2``, held as its axes, its ``(M, 1)`` row maxima and the
+    read-only ``shifted = exp(W - r)``; build it with ``Gauss.of``."""
+
+    u: np.ndarray
+    v: np.ndarray
+    var: float
+    row_max: np.ndarray
+    shifted: np.ndarray
+
+    @classmethod
+    def of(cls, u: np.ndarray, v: np.ndarray, var: float) -> Gauss:
+        """Form W once, shift each row by its maximum and exponentiate, in place."""
+        w = _gauss_rows(u, v, var)
+        row_max = np.max(w, axis=1, keepdims=True)
+        w -= _finite_or_zero(row_max)
+        np.exp(w, out=w)
+        w.flags.writeable = False
+        return cls(u, v, var, row_max, w)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.u.size, self.v.size)
+
+
+def _gauss_rows(u: np.ndarray, v: np.ndarray, var: float) -> np.ndarray:
+    """-(u[i] - v[j])^2 / (2 var) - log(2 pi var) / 2, in place: negating the
+    square is exact, so these are the bytes of ``-d * d / (2 * var) - c``."""
+    w = np.subtract.outer(u, v)
+    np.multiply(w, w, out=w)
+    np.negative(w, out=w)
+    w /= 2 * var
+    w -= 0.5 * math.log(2 * math.pi * var)
+    return w
+
+
 def _rows(w, rows) -> np.ndarray:
-    """``w[rows]`` as an array; an Outer kernel forms only those rows' products."""
+    """``w[rows]`` as an array; an Outer or Gauss kernel forms only those rows
+    from its axes (a Gauss kernel its log rows)."""
     if isinstance(w, Outer):
         return np.multiply.outer(w.x[rows], w.y)
+    if isinstance(w, Gauss):
+        return _gauss_rows(w.u[rows], w.v, w.var)
     return w[rows]
 
 
@@ -134,17 +187,24 @@ def _lse_exact(w_rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def _lse(w, block: np.ndarray) -> np.ndarray:
-    """log sum_j exp(w[i, j] + block[j, c]) as a sum of products of shifted exponentials."""
-    w = _rows(w, slice(None))
-    row_max = np.max(w, axis=1, keepdims=True)
+    """log sum_j exp(w[i, j] + block[j, c]) as a sum of products of shifted
+    exponentials; a Gauss kernel brings its row-shifted exponential."""
+    if isinstance(w, Gauss):
+        row_max = w.row_max
+    else:
+        w = _rows(w, slice(None))
+        row_max = np.max(w, axis=1, keepdims=True)
     col_max = np.max(block, axis=0, keepdims=True)
     r, s = _finite_or_zero(row_max), _finite_or_zero(col_max)
     kb = block - s
     np.exp(kb, out=kb)
     log_sum = np.empty((w.shape[0], block.shape[1]))
     for band in _row_blocks(w):
-        kw = w[band] - r[band]
-        np.exp(kw, out=kw)
+        if isinstance(w, Gauss):
+            kw = w.shifted[band]
+        else:
+            kw = w[band] - r[band]
+            np.exp(kw, out=kw)
         np.einsum("ij,jc->ic", kw, kb, out=log_sum[band])
     with np.errstate(divide="ignore"):
         np.log(log_sum, out=log_sum)
@@ -155,7 +215,7 @@ def _lse(w, block: np.ndarray) -> np.ndarray:
     step = max(1, WORK_ELEMS // w.shape[1])
     for lo in range(0, rows.size, step):
         i, c = rows[lo:lo + step], cols[lo:lo + step]
-        out[i, c] = _lse_exact(w[i], block[:, c].T)
+        out[i, c] = _lse_exact(_rows(w, i), block[:, c].T)
     return out
 
 
@@ -269,36 +329,31 @@ def _centrally_symmetric(w: np.ndarray) -> bool:
     return np.array_equal(flat[:half], flat[:-half - 1:-1])
 
 
-# symmetry verdicts of immutable array kernels, by id(kernel); an entry goes
-# when its kernel is freed, so a later array at the same address inherits
-# nothing and the table holds live kernels only
-_VERDICTS: dict[int, bool] = {}
-
-
 def _symmetric(w) -> bool:
-    """Central symmetry of a kernel. An Outer kernel has it when both axes are
-    odd (``x == -x[::-1]``), since (-a) (-b) rounds exactly as a b. An array
-    kernel is read once if immutable (read-only and owning its data, so no
-    view can write it) and on every call otherwise; the verdict lasts until
-    it is freed, so it must not be made writable and changed."""
+    """Central symmetry of a kernel. An Outer or Gauss kernel has it when its
+    axes are odd (``x == -x[::-1]``), since (-a) (-b) rounds exactly as a b
+    and (-a) - (-b) as -(a - b); an array kernel is read whole."""
+    if isinstance(w, (Outer, Gauss)):
+        return all(np.array_equal(a, -a[::-1]) for a in w[:2])
+    return _centrally_symmetric(w)
+
+
+def _low_cut(w, low: int):
+    """Rows ``low:`` of a kernel, of its own kind."""
     if isinstance(w, Outer):
-        return all(np.array_equal(a, -a[::-1]) for a in w)
-    if w.flags.writeable or w.base is not None:
-        return _centrally_symmetric(w)
-    if id(w) not in _VERDICTS:
-        _VERDICTS[id(w)] = _centrally_symmetric(w)
-        weakref.finalize(w, _VERDICTS.pop, id(w), None)
-    return _VERDICTS[id(w)]
+        return Outer(w.x[low:], w.y)
+    if isinstance(w, Gauss):
+        return Gauss(w.u[low:], w.v, w.var, w.row_max[low:], w.shifted[low:])
+    return w[low:]
 
 
 def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse", even: bool = False) -> np.ndarray:
     """Apply one log-kernel matrix per axis of ``log_f``, reducing by ``reduce``.
 
-    ``axis_kernels[k]`` is an array or an ``Outer`` kernel of shape ``(M_k,
-    log_f.shape[k])``; the result has
-    shape ``(M_0, ..., M_{d-1})``. ``-inf`` entries of ``log_f`` (vanishing
-    density, masked bodies) drop out; a column that is ``-inf`` throughout
-    gives ``-inf``.
+    ``axis_kernels[k]`` is an array, an ``Outer`` or a ``Gauss`` kernel of
+    shape ``(M_k, log_f.shape[k])``; the result has shape ``(M_0, ...,
+    M_{d-1})``. ``-inf`` entries of ``log_f`` (vanishing density, masked
+    bodies) drop out; a column that is ``-inf`` throughout gives ``-inf``.
 
     ``even=True`` declares ``log_f`` even under x -> -x; every kernel must then
     be centrally symmetric (``W[i, j] = W[-1 - i, -1 - j]``) or ``ValueError``
@@ -314,9 +369,8 @@ def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse", even: bool = 
     if even:
         if not all(_symmetric(w) for w in axis_kernels):
             raise ValueError("even=True needs centrally symmetric kernels")
-        first = axis_kernels[0]
-        low = first.shape[0] // 2
-        steps = [Outer(first.x[low:], first.y) if isinstance(first, Outer) else first[low:], *axis_kernels[1:]]
+        low = axis_kernels[0].shape[0] // 2
+        steps = [_low_cut(axis_kernels[0], low), *axis_kernels[1:]]
     for k, w in enumerate(steps):
         moved = np.moveaxis(out, k, 0) if k else out
         flat = moved.reshape(moved.shape[0], -1)  # (N, columns)

@@ -1,9 +1,11 @@
 """Ornstein-Uhlenbeck semigroup P_s and its Fokker-Planck dual via exact kernels.
 
 Each requested time gets its own Gaussian kernel (no time stepping), so
-trajectories carry no accumulation error. Kernels factorize over axes; the
-per-axis log-kernel matrices are built and cached here and contracted in log
-domain by ``volprod.contract``.
+trajectories carry no accumulation error. Kernels factorize over axes; each
+per-axis Mehler kernel is built here once, as a ``contract.Gauss`` kernel (its
+axes and its row-shifted exponential ``exp(W - r)``, no log array), cached,
+and contracted in log domain by ``volprod.contract``, whose ``"lse"`` steps
+then exponentiate no kernel.
 """
 
 from __future__ import annotations
@@ -12,13 +14,13 @@ import math
 
 import numpy as np
 
-from .contract import Outer, contract
+from .contract import Gauss, Outer, contract
 from .core import GridSpec, LogDensity
 from .quadrature import edge_dominated, trapezoid_log_weights
 
-# cache of per-axis log-kernel matrices keyed by (kind, t, n, half_width); each
-# is read-only, since every later call shares it
-_KERNEL_CACHE: dict[tuple, np.ndarray] = {}
+# cache of per-axis Gauss kernels keyed by (kind, t, n, half_width); each holds
+# one (n, n) array, its read-only exp(W - r), which every later call shares
+_KERNEL_CACHE: dict[tuple, Gauss] = {}
 
 
 class KernelUnderResolvedError(ValueError):
@@ -34,26 +36,19 @@ def _check_resolution(grid: GridSpec, t: float):
             )
 
 
-def _axis_kernel(axis: np.ndarray, t: float, kind: str) -> np.ndarray:
-    """log of the 1D kernel matrix W[i, j], read-only.
+def _axis_kernel(axis: np.ndarray, t: float, kind: str) -> Gauss:
+    """The 1D log-kernel W[i, j] as a Gauss kernel, built once per key.
 
-    kind 'fp':  exponent -(x_i - e^{-t} y_j)^2 / (2 (1 - e^{-2t}))
-    kind 'ou':  exponent -(e^{-t} x_i - y_j)^2 / (2 (1 - e^{-2t}))
+    kind 'fp':  exponent -(x_i - e^{-t} y_j)^2 / (2 (1 - e^{-2t})), u = x, v = e^{-t} x
+    kind 'ou':  exponent -(e^{-t} x_i - y_j)^2 / (2 (1 - e^{-2t})), u = e^{-t} x, v = x
     """
     key = (kind, float(t), len(axis), float(axis[-1]))
     cached = _KERNEL_CACHE.get(key)
     if cached is not None:
         return cached
     var = -math.expm1(-2 * t)
-    decay = math.exp(-t)
-    x = axis[:, None]
-    y = axis[None, :]
-    if kind == "fp":
-        d = x - decay * y
-    else:
-        d = decay * x - y
-    w = -d * d / (2 * var) - 0.5 * math.log(2 * math.pi * var)
-    w.flags.writeable = False
+    scaled = math.exp(-t) * axis
+    w = Gauss.of(axis, scaled, var) if kind == "fp" else Gauss.of(scaled, axis, var)
     _KERNEL_CACHE[key] = w
     return w
 

@@ -14,6 +14,7 @@ with a lower-convex-hull sweep.
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
@@ -42,6 +43,15 @@ def legendre_1d(y: np.ndarray, phi: np.ndarray, x: np.ndarray, even: bool = Fals
     return contract(-phi, [kernel], "max", even=even)
 
 
+@functools.lru_cache(maxsize=16)
+def _ladder(h: float) -> np.ndarray:
+    """The 256 candidate half-widths from spacing h to the 4096 cap, read-only:
+    every call on a grid of spacing h shares them."""
+    rungs = np.geomspace(h, 4096.0, 256)
+    rungs.flags.writeable = False
+    return rungs
+
+
 def default_dual_grid(f: LogDensity) -> GridSpec:
     """Dual grid sized so the polar decays by DUAL_DECAY_NATS inside the box.
 
@@ -64,7 +74,7 @@ def default_dual_grid(f: LogDensity) -> GridSpec:
         moved = np.moveaxis(f.phi, k, 0).reshape(grid.points[k], -1)
         shadow = np.min(moved, axis=1)
         y = grid.axis(k)
-        candidates = np.geomspace(grid.spacings[k], 4096.0, 256)
+        candidates = _ladder(grid.spacings[k])
         coarse = legendre_1d(y, shadow, np.concatenate(([0.0], candidates[LADDER_STEP - 1::LADDER_STEP])))
         target = coarse[0] + DUAL_DECAY_NATS
         hit = np.flatnonzero(coarse[1:] >= target)

@@ -1,5 +1,4 @@
 import ast
-import gc
 import inspect
 import math
 
@@ -9,7 +8,7 @@ from scipy.special import logsumexp
 
 from volprod import contract as contract_mod
 from volprod import oracles
-from volprod.contract import Outer, contract
+from volprod.contract import Gauss, Outer, contract
 from volprod.core import (
     BodySpec,
     ExponentSchedule,
@@ -218,7 +217,6 @@ class TestEvenPath:
         rng = np.random.default_rng(3)
         log_f, kernels = _even_case(rng, (5, 7), (3, 5))
         contract(log_f, kernels, even=True)
-        assert kernels[1].flags.writeable  # so the verdict of the call above is not kept
         kernels[1][entry] += 1e-9  # an entry of the first half, the middle row, the second half
         contract(log_f, kernels, even=False)
         with pytest.raises(ValueError, match="centrally symmetric"):
@@ -352,15 +350,10 @@ class TestWindowedMax:
         assert monge == [kernel == "monge"] * len(kernels)
         log_f[rng.random(in_shape) < 0.2] = -np.inf
         for w in kernels:
-            w.flags.writeable = False  # immutable, like the cached FP/OU kernels
+            w.flags.writeable = False  # read-only arrays take the dense step too
         got = contract(log_f, kernels, "max")
         assert windowed_steps == [] and flat_steps == []
         assert got.tobytes() == _brute(log_f, kernels, "max").tobytes()
-
-
-def _read_only(w):
-    w.flags.writeable = False
-    return w
 
 
 @pytest.fixture
@@ -377,40 +370,15 @@ def symmetry_reads(monkeypatch):
     return calls
 
 
-class TestStructureMemo:
-    def test_immutable_kernels_are_read_once(self, symmetry_reads):
-        rng = np.random.default_rng(29)
-        log_f, kernels = _even_case(rng, (9,), (13,))
-        w = _read_only(kernels[0])
-        want = contract(log_f, [w], even=True)
-        for _ in range(9):
-            assert contract(log_f, [w], even=True).tobytes() == want.tobytes()
-        assert len(symmetry_reads) == 1
-        # a view may alias writable memory, so it is read on every call
-        for _ in range(3):
-            contract(log_f, [w[:]], even=True)
-        assert len(symmetry_reads) == 4
-
-    def test_verdicts_go_with_their_kernels(self):
-        rng = np.random.default_rng(31)
-        log_f, kernels = _even_case(rng, (15,), (17,))
-        symmetric = kernels[0]
-        asymmetric = symmetric.copy()
-        asymmetric[2, 3] += 1.0
-        start = len(contract_mod._VERDICTS)
-        for i in range(1000):
-            # fresh arrays of one size: freed addresses are reused, so a verdict
-            # left behind would be inherited by the next kernel at its address
-            w = _read_only((symmetric if i % 2 else asymmetric).copy())
-            if i % 2:
-                contract(log_f, [w], "max", even=True)
-            else:
-                with pytest.raises(ValueError, match="centrally symmetric"):
-                    contract(log_f, [w], "max", even=True)
-            assert id(w) in contract_mod._VERDICTS
-            del w
-        gc.collect()
-        assert len(contract_mod._VERDICTS) == start
+def test_array_kernels_are_read_for_symmetry_on_every_call(symmetry_reads):
+    rng = np.random.default_rng(29)
+    log_f, kernels = _even_case(rng, (9,), (13,))
+    w = kernels[0]
+    w.flags.writeable = False
+    want = contract(log_f, [w], even=True)
+    for _ in range(3):
+        assert contract(log_f, [w], even=True).tobytes() == want.tobytes()
+    assert len(symmetry_reads) == 4
 
 
 def _outer_case(rng, in_shape, out_shape, even, case):
@@ -503,6 +471,46 @@ class TestOuterKernel:
         contract(log_f, [Outer(x, y)], "max", even=False)
         with pytest.raises(ValueError, match="centrally symmetric"):
             contract(log_f, [Outer(x, y)], "max", even=True)
+
+
+def _gauss_case(rng, in_shape, out_shape, even, case):
+    """Gauss kernels on the axes of ``_outer_case``, each with its own variance."""
+    log_f, outers = _outer_case(rng, in_shape, out_shape, even, case)
+    return log_f, [Gauss.of(x, y, rng.uniform(0.05, 2.0)) for x, y in outers]
+
+
+class TestGaussKernel:
+    @pytest.mark.parametrize("reduce", ["lse", "max"])
+    @pytest.mark.parametrize("in_shape, out_shape", OUTER_SHAPES)
+    @pytest.mark.parametrize("even", [False, True])
+    @pytest.mark.parametrize("case", ["finite", "minus_inf", "all_minus_inf"])
+    def test_matches_its_log_array(self, reduce, in_shape, out_shape, even, case):
+        rng = np.random.default_rng(sum(out_shape) + len(case) + even)
+        log_f, kernels = _gauss_case(rng, in_shape, out_shape, even, case)
+        arrays = [contract_mod._rows(w, slice(None)) for w in kernels]
+        for w, a in zip(kernels, arrays):
+            assert not w.shifted.flags.writeable
+            assert w.shifted.tobytes() == np.exp(a - w.row_max).tobytes()
+        got = contract(log_f, kernels, reduce, even=even)
+        assert got.tobytes() == contract(log_f, arrays, reduce, even=even).tobytes()
+        assert np.all(got == -np.inf) == (case == "all_minus_inf")
+
+    @pytest.mark.parametrize("axis", ["u", "v"])
+    def test_axis_one_ulp_off_odd_raises(self, axis):
+        rng = np.random.default_rng(47)
+        log_f, kernels = _gauss_case(rng, (257,), (301,), True, "finite")
+        u, v, var = kernels[0].u, kernels[0].v, kernels[0].var
+        contract(log_f, kernels, even=True)
+        if axis == "u":
+            u = u.copy()
+            u[-1] = np.nextafter(u[-1], np.inf)
+        else:
+            v = v.copy()
+            v[0] = np.nextafter(v[0], -np.inf)
+        off = [Gauss.of(u, v, var)]
+        contract(log_f, off, even=False)
+        with pytest.raises(ValueError, match="centrally symmetric"):
+            contract(log_f, off, even=True)
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from volprod import contract as contract_mod
 from volprod import heatflow
 from volprod.contract import contract
 from volprod.core import LogDensity, gaussian_to_logdensity, isotropic_gaussian, make_grid
@@ -156,31 +157,89 @@ class TestOrnsteinUhlenbeck:
         assert np.array_equal(ou_edge_flags(g, s), want)
 
 
+def _log_kernel(x, t, kind):
+    """The Mehler log-kernel as a writable array, formed with the flow's own
+    IEEE operations; ``contract`` reads it for symmetry on every call."""
+    var, decay = -math.expm1(-2 * t), math.exp(-t)
+    d = x[:, None] - decay * x[None, :] if kind == "fp" else decay * x[:, None] - x[None, :]
+    return -d * d / (2 * var) - 0.5 * math.log(2 * math.pi * var)
+
+
+@pytest.fixture
+def exact_entries(monkeypatch):
+    """Count the entries that ``contract``'s "lse" fallback recomputes."""
+    entries = []
+    inner = contract_mod._lse_exact
+
+    def spy(w_rows, cols):
+        entries.append(len(w_rows))
+        return inner(w_rows, cols)
+
+    monkeypatch.setattr(contract_mod, "_lse_exact", spy)
+    return entries
+
+
 class TestKernelCache:
     def test_cached_kernels_are_read_only(self):
-        axis = make_grid(1, 8.0, 65).axis(0)
+        x = make_grid(1, 8.0, 65).axis(0)
         for kind in ("fp", "ou"):
-            w = heatflow._axis_kernel(axis, 0.5, kind)
+            kernel = heatflow._axis_kernel(x, 0.5, kind)
             with pytest.raises(ValueError, match="read-only"):
-                w *= 2.0
+                kernel.shifted *= 2.0
             with pytest.raises(ValueError, match="read-only"):
-                w[0, 0] = 0.0
-            assert heatflow._axis_kernel(axis, 0.5, kind) is w
+                kernel.shifted[0, 0] = 0.0
+            assert heatflow._axis_kernel(x, 0.5, kind) is kernel
+            w = _log_kernel(x, 0.5, kind)
+            row_max = np.max(w, axis=1, keepdims=True)
+            assert contract_mod._rows(kernel, slice(None)).tobytes() == w.tobytes()
+            assert kernel.row_max.tobytes() == row_max.tobytes()
+            assert kernel.shifted.tobytes() == np.exp(w - row_max).tobytes()
 
     @pytest.mark.parametrize("t", [0.05, 0.5, 2.0])
     @pytest.mark.parametrize("kind, apply", [("fp", fp_evolve), ("ou", ou_apply)])
     def test_flow_matches_a_writable_kernel_bitwise(self, kind, apply, t):
-        # the kernel built here, writable, is checked on every call
         grid = make_grid(1, 8.0, 513)
-        x = grid.axis(0)
-        var, decay = -math.expm1(-2 * t), math.exp(-t)
-        d = x[:, None] - decay * x[None, :] if kind == "fp" else decay * x[:, None] - x[None, :]
-        w = -d * d / (2 * var) - 0.5 * math.log(2 * math.pi * var)
-        assert heatflow._axis_kernel(x, t, kind).tobytes() == w.tobytes()
+        w = _log_kernel(grid.axis(0), t, kind)
         for f in battery_1d(grid).values():
             want = -contract(f.log_values() + trapezoid_log_weights(grid), [w], even=f.even)
-            for _ in range(2):  # the second call reuses the cached kernel's verdict
+            for _ in range(2):  # the second call reuses the cached kernel
                 assert apply(f, t).phi.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind, apply", [("fp", fp_evolve), ("ou", ou_apply)])
+    def test_underflow_fallback_matches_a_writable_kernel_bitwise(self, exact_entries, kind, apply):
+        # mass only below x = -7.5: far rows' shifted sums fall under e^FLOOR,
+        # so the fallback re-forms those log rows from the kernel's axes
+        grid = make_grid(1, 8.0, 513)
+        x = grid.axis(0)
+        f = LogDensity(grid, np.where(x < -7.5, x * x / 2, np.inf))
+        got = apply(f, 0.05).phi
+        assert 100 <= sum(exact_entries) <= 200
+        want = -contract(f.log_values() + trapezoid_log_weights(grid), [_log_kernel(x, 0.05, kind)])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "f", [gaussian(make_grid(2, 6.0, 129)), exp_power(make_grid(3, 4.0, 33), 1.5), box(make_grid(3, 4.0, 65))],
+        ids=["2d129", "3d33", "3d65"],
+    )
+    @pytest.mark.parametrize("kind, apply", [("fp", fp_evolve), ("ou", ou_apply)])
+    def test_nd_flow_matches_writable_kernels_bitwise(self, f, kind, apply):
+        for even in (True, False):
+            f = LogDensity(f.grid, f.phi, even=even)
+            kernels = [_log_kernel(a, 0.3, kind) for a in f.grid.axes()]
+            want = -contract(f.log_values() + trapezoid_log_weights(f.grid), kernels, even=even)
+            assert apply(f, 0.3).phi.tobytes() == want.tobytes()
+
+    def test_cache_holds_one_square_array_per_time(self, monkeypatch):
+        # a log array kept beside the exponential would double the cache
+        monkeypatch.setattr(heatflow, "_KERNEL_CACHE", {})
+        grid = make_grid(1, 8.0, 513)
+        flow_trajectory(gaussian(grid), [0.1, 0.5, 2.0])
+        assert len(heatflow._KERNEL_CACHE) == 3
+        for kernel in heatflow._KERNEL_CACHE.values():
+            square = [a for a in kernel if isinstance(a, np.ndarray) and a.size == 513 * 513]
+            assert len(square) == 1 and square[0] is kernel.shifted and square[0].dtype == np.float64
+            assert sum(a.size for a in kernel if isinstance(a, np.ndarray)) == 513 * 513 + 3 * 513
+            assert np.all(kernel.shifted <= 1.0) and np.all(kernel.shifted.max(axis=1) == 1.0)
 
 
 class TestTrajectory:
