@@ -65,12 +65,13 @@ Cost of one axis step with an ``(M, N)`` kernel on ``columns`` columns:
   zero maximum can differ at exact ties, where numpy's dense max picks -0.0
   or +0.0 by SIMD lane.
 
-``even=True`` (an even input, centrally symmetric kernels) contracts only the
-``M_0 - M_0 // 2`` rows of axis 0 with x_0 >= 0, so that step has half the
-rows and every later step half the columns, and fills the rest by reflection:
-about half the cost, plus one read of each array kernel on every call to
-check its symmetry (Outer and Gauss kernels check their axes). The even slice
-of ``Outer(x, y)`` is ``Outer(x[M_0 // 2:], y)``; that of a Gauss kernel cuts
+An exactly even input (equal to its reflection under x -> -x) with
+centrally symmetric kernels takes the half path: only the ``M_0 - M_0 // 2``
+rows of axis 0 with x_0 >= 0 are contracted, so that step has half the rows
+and every later step half the columns, and the rest is filled by reflection.
+The kernels are checked first (Outer and Gauss kernels from their axes, an
+array kernel by one read), the input only if they pass. The even slice of
+``Outer(x, y)`` is ``Outer(x[M_0 // 2:], y)``; that of a Gauss kernel cuts
 ``u``, the row maxima and ``exp(W - r)`` at ``M_0 // 2``.
 
 ``np.einsum`` runs numpy's own loop; a BLAS product (``@``) would be faster
@@ -322,20 +323,15 @@ def _fill_even(a: np.ndarray) -> None:
         _fill_even(a[low])
 
 
-def _centrally_symmetric(w: np.ndarray) -> bool:
-    """``W == W[::-1, ::-1]``, read once: the flattened W is a palindrome."""
-    flat = w.ravel()
-    half = flat.size // 2
-    return np.array_equal(flat[:half], flat[:-half - 1:-1])
-
-
 def _symmetric(w) -> bool:
     """Central symmetry of a kernel. An Outer or Gauss kernel has it when its
     axes are odd (``x == -x[::-1]``), since (-a) (-b) rounds exactly as a b
-    and (-a) - (-b) as -(a - b); an array kernel is read whole."""
+    and (-a) - (-b) as -(a - b); an array kernel is read once: the flattened
+    W is then a palindrome."""
     if isinstance(w, (Outer, Gauss)):
         return all(np.array_equal(a, -a[::-1]) for a in w[:2])
-    return _centrally_symmetric(w)
+    flat, half = w.ravel(), w.size // 2
+    return np.array_equal(flat[:half], flat[:-half - 1:-1])
 
 
 def _low_cut(w, low: int):
@@ -347,7 +343,7 @@ def _low_cut(w, low: int):
     return w[low:]
 
 
-def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse", even: bool = False) -> np.ndarray:
+def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse") -> np.ndarray:
     """Apply one log-kernel matrix per axis of ``log_f``, reducing by ``reduce``.
 
     ``axis_kernels[k]`` is an array, an ``Outer`` or a ``Gauss`` kernel of
@@ -355,10 +351,9 @@ def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse", even: bool = 
     M_{d-1})``. ``-inf`` entries of ``log_f`` (vanishing density, masked
     bodies) drop out; a column that is ``-inf`` throughout gives ``-inf``.
 
-    ``even=True`` declares ``log_f`` even under x -> -x; every kernel must then
-    be centrally symmetric (``W[i, j] = W[-1 - i, -1 - j]``) or ``ValueError``
-    is raised. The result is even, and exactly so: rows ``M_0 // 2:`` of axis
-    0 are contracted and the rest is their reflection.
+    When every kernel is centrally symmetric, ``W[i, j] = W[-1 - i, -1 - j]``,
+    and ``log_f`` is exactly even, the result is even, and exactly so: rows
+    ``M_0 // 2:`` of axis 0 are contracted and the rest is their reflection.
     """
     if reduce not in ("lse", "max"):
         raise ValueError(f"reduce must be 'lse' or 'max', got {reduce!r}")
@@ -366,9 +361,8 @@ def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse", even: bool = 
     if [w.shape[1] for w in axis_kernels] != list(out.shape):
         raise ValueError(f"kernels {[w.shape for w in axis_kernels]} do not fit an array of shape {out.shape}")
     steps = axis_kernels
+    even = out.ndim > 0 and all(_symmetric(w) for w in axis_kernels) and np.array_equal(out, reflect(out))
     if even:
-        if not all(_symmetric(w) for w in axis_kernels):
-            raise ValueError("even=True needs centrally symmetric kernels")
         low = axis_kernels[0].shape[0] // 2
         steps = [_low_cut(axis_kernels[0], low), *axis_kernels[1:]]
     for k, w in enumerate(steps):

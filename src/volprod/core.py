@@ -70,11 +70,10 @@ def make_grid(dim: int, half_width, points) -> GridSpec:
 
 @dataclass(frozen=True)
 class LogDensity:
-    """Even-or-not density f = e^{-phi} sampled on a grid, phi in [-inf excluded, +inf allowed]."""
+    """Density f = e^{-phi} sampled on a grid, phi in [-inf excluded, +inf allowed]."""
 
     grid: GridSpec
     phi: np.ndarray
-    even: bool = False
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=float)
@@ -230,7 +229,7 @@ def gaussian_to_logdensity(g: GaussianSpec, grid: GridSpec) -> LogDensity:
     x = np.stack(mesh, axis=-1)
     quad = np.einsum("...i,ij,...j->...", x, inv, x)
     phi = 0.5 * quad + 0.5 * logdet - math.log(g.mass)
-    return LogDensity(grid=grid, phi=phi, even=True)
+    return LogDensity(grid=grid, phi=phi)
 
 
 def body_to_logdensity(body: BodySpec, grid: GridSpec) -> LogDensity:
@@ -239,7 +238,7 @@ def body_to_logdensity(body: BodySpec, grid: GridSpec) -> LogDensity:
         raise ValueError("dimension mismatch between body and grid")
     x = np.stack(grid.meshgrid(), axis=-1)
     phi = 0.5 * body.gauge(x) ** 2
-    return LogDensity(grid=grid, phi=phi, even=True)
+    return LogDensity(grid=grid, phi=phi)
 
 
 def reflect(arr: np.ndarray) -> np.ndarray:
@@ -247,13 +246,7 @@ def reflect(arr: np.ndarray) -> np.ndarray:
     return arr[tuple(slice(None, None, -1) for _ in range(arr.ndim))]
 
 
-def check_even(f: LogDensity, tol: float = 0.0) -> bool:
-    """True iff phi(x) = phi(-x) within tol at every node (inf = inf allowed)."""
-    a, b = f.phi, reflect(f.phi)
-    inf_a, inf_b = np.isinf(a), np.isinf(b)
-    if (inf_a != inf_b).any():
-        return False
-    finite = ~inf_a
-    if not finite.any():
-        return True
-    return float(np.max(np.abs(a[finite] - b[finite]))) <= tol
+def check_even(f: LogDensity) -> bool:
+    """True iff phi(x) = phi(-x) exactly at every node (inf = inf allowed), the
+    test ``contract`` applies to its input."""
+    return np.array_equal(f.phi, reflect(f.phi))

@@ -20,7 +20,7 @@ def box(grid: GridSpec, half: float = 1.0, height: float = 1.0) -> LogDensity:
     for m in mesh:
         inside &= np.abs(m) <= half + 1e-12
     phi = np.where(inside, -math.log(height), np.inf)
-    return LogDensity(grid=grid, phi=phi, even=True)
+    return LogDensity(grid=grid, phi=phi)
 
 
 def exp_power(grid: GridSpec, alpha: float, scale: float = 1.0) -> LogDensity:
@@ -28,7 +28,7 @@ def exp_power(grid: GridSpec, alpha: float, scale: float = 1.0) -> LogDensity:
     mesh = grid.meshgrid()
     r = np.sqrt(sum(m * m for m in mesh))
     phi = r**alpha - math.log(scale)
-    return LogDensity(grid=grid, phi=phi, even=True)
+    return LogDensity(grid=grid, phi=phi)
 
 
 def two_bump(grid: GridSpec, center: float = 1.0, var: float = 0.5) -> LogDensity:
@@ -39,7 +39,7 @@ def two_bump(grid: GridSpec, center: float = 1.0, var: float = 0.5) -> LogDensit
     la = -((x - center) ** 2) / (2 * var)
     lb = -((x + center) ** 2) / (2 * var)
     log_f = np.logaddexp(la, lb) - math.log(2.0) - 0.5 * math.log(2 * math.pi * var)
-    return LogDensity(grid=grid, phi=-log_f, even=True)
+    return LogDensity(grid=grid, phi=-log_f)
 
 
 def cross2d(grid: GridSpec, long: float = 2.0, short: float = 0.5) -> LogDensity:
@@ -50,7 +50,7 @@ def cross2d(grid: GridSpec, long: float = 2.0, short: float = 0.5) -> LogDensity
     arm1 = (np.abs(x) <= long) & (np.abs(y) <= short)
     arm2 = (np.abs(x) <= short) & (np.abs(y) <= long)
     phi = np.where(arm1 | arm2, 0.0, np.inf)
-    return LogDensity(grid=grid, phi=phi, even=True)
+    return LogDensity(grid=grid, phi=phi)
 
 
 FAMILIES = {

@@ -102,7 +102,7 @@ def nelson_q(s: float, p: float) -> float:
 def _ou_lift(f0: LogDensity, s: float, p: float) -> tuple[LogDensity, LogDensity]:
     """g = (f0/gamma)^{1/p} and P_s g."""
     g_phi = (f0.phi + GAUSSIAN.log_weight(f0.grid)) / p  # -log[(f0/gamma)^{1/p}]
-    g = LogDensity(grid=f0.grid, phi=g_phi, even=f0.even)
+    g = LogDensity(grid=f0.grid, phi=g_phi)
     return g, ou_apply(g, s)
 
 
@@ -192,7 +192,7 @@ def laplace_grid(f: LogDensity, q: float, scale: float) -> GridSpec:
     hws = []
     for k in range(n):
         # log F at x = r e_k for every rung r at once (and at x = 0)
-        kernels = [np.zeros((1, m)) for m in f.grid.points]
+        kernels = [Outer(np.zeros(1), a) for a in f.grid.axes()]
         kernels[k] = Outer(scale * xs, f.grid.axis(k))
         log_lap = contract(log_f, kernels).ravel()
         hit = np.flatnonzero(q * (log_lap[1:] - log_lap[0]) <= -LAPLACE_DECAY_NATS)
@@ -222,7 +222,7 @@ def laplace_f_t(f_t: LogDensity, s: float):
     inv_p = 1.0 / sched.p
     x_grid = laplace_grid(f_t, sched.q, inv_p)
     log_f, flags = log_laplace(f_t, x_grid, inv_p)
-    return LogDensity(grid=x_grid, phi=-log_f, even=f_t.even), flags
+    return LogDensity(grid=x_grid, phi=-log_f), flags
 
 
 def q_functional(f0: LogDensity, s: float, times) -> list[tuple[float, float]]:
@@ -270,7 +270,7 @@ def laplace_norm_ratio(f: LogDensity, p: float) -> LogQuad:
     q = p / (p - 1.0)
     x_grid = laplace_grid(f, q, 1.0)
     log_lf, flags = log_laplace(f, x_grid)
-    num = _laplace_lq_norm(LogDensity(grid=x_grid, phi=-log_lf, even=f.even), flags, q)
+    num = _laplace_lq_norm(LogDensity(grid=x_grid, phi=-log_lf), flags, q)
     den = log_lq_norm(f, p, LEBESGUE)
     return LogQuad(log_abs=num.log_abs - den.log_abs, sign=1, tail_ratio=num.tail_ratio)
 

@@ -54,11 +54,11 @@ def _axis_kernel(axis: np.ndarray, t: float, kind: str) -> Gauss:
 
 
 def _apply_kernel(f: LogDensity, t: float, kind: str) -> LogDensity:
-    """Contract f with the per-axis kernels of ``kind`` at time t; even f stay even."""
+    """Contract f with the per-axis kernels of ``kind`` at time t; even f stay exactly even."""
     _check_resolution(f.grid, t)
     kernels = [_axis_kernel(f.grid.axis(k), t, kind) for k in range(f.grid.dim)]
-    phi = -contract(f.log_values() + trapezoid_log_weights(f.grid), kernels, even=f.even)
-    return LogDensity(grid=f.grid, phi=phi, even=f.even)
+    phi = -contract(f.log_values() + trapezoid_log_weights(f.grid), kernels)
+    return LogDensity(grid=f.grid, phi=phi)
 
 
 def fp_evolve(f0: LogDensity, t: float) -> LogDensity:

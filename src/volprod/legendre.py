@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 
 from .contract import Outer, contract
-from .core import GridSpec, LogDensity, make_grid
+from .core import GridSpec, LogDensity, check_even, make_grid
 from .quadrature import boundary_mask
 
 # polars of Gaussian-decay inputs should fall by this many nats inside the box
@@ -30,17 +30,17 @@ DUAL_DECAY_NATS = 40.0
 LADDER_STEP = 16
 
 
-def legendre_1d(y: np.ndarray, phi: np.ndarray, x: np.ndarray, even: bool = False) -> np.ndarray:
+def legendre_1d(y: np.ndarray, phi: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Exact discrete conjugate of the sampled phi, evaluated at dual nodes x.
 
     All-inf input is rejected; +inf samples simply do not participate in the sup.
-    ``even=True`` (phi even, y and x symmetric) computes the x >= 0 half only.
+    An exactly even phi on odd y and x gets the engine's half path.
     """
     phi = np.asarray(phi, dtype=float)
     if not np.isfinite(phi).any():
         raise ValueError("conjugate of an everywhere-infinite function")
     kernel = Outer(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    return contract(-phi, [kernel], "max", even=even)
+    return contract(-phi, [kernel], "max")
 
 
 @functools.lru_cache(maxsize=16)
@@ -95,11 +95,11 @@ def legendre_transform(f: LogDensity, dual: GridSpec | None = None) -> LogDensit
     if dual.dim != f.grid.dim:
         raise ValueError("dual grid dimension mismatch")
     if f.grid.dim == 1:
-        acc = legendre_1d(f.grid.axis(0), f.phi, dual.axis(0), even=f.even)
+        acc = legendre_1d(f.grid.axis(0), f.phi, dual.axis(0))
     else:
         kernels = [Outer(dual.axis(k), f.grid.axis(k)) for k in range(f.grid.dim)]
-        acc = contract(-f.phi, kernels, "max", even=f.even)
-    return LogDensity(grid=dual, phi=acc, even=f.even)
+        acc = contract(-f.phi, kernels, "max")
+    return LogDensity(grid=dual, phi=acc)
 
 
 def polar_density(f: LogDensity, dual: GridSpec | None = None) -> LogDensity:
@@ -111,7 +111,7 @@ def polar_density(f: LogDensity, dual: GridSpec | None = None) -> LogDensity:
     They are detected by conjugating once more with the boundary shell
     removed: any strict decrease means the boundary was the maximizer.
     """
-    if not f.even:
+    if not check_even(f):
         warnings.warn("polar of a non-even density: Blaschke-Santalo hypotheses unmet")
     dual = dual if dual is not None else default_dual_grid(f)
     full = legendre_transform(f, dual)
@@ -120,11 +120,11 @@ def polar_density(f: LogDensity, dual: GridSpec | None = None) -> LogDensity:
     # a shell that is +inf already (a box) cannot win; an all-shell input has no inner conjugate
     if not np.isfinite(f.phi[shell]).any() or not np.isfinite(trimmed).any():
         return full
-    inner = legendre_transform(LogDensity(f.grid, trimmed, f.even), dual)
+    inner = legendre_transform(LogDensity(f.grid, trimmed), dual)
     scale = 1.0 + np.where(np.isfinite(full.phi), np.abs(full.phi), 0.0)
     boundary_won = full.phi > inner.phi + 1e-12 * scale
     phi = np.where(boundary_won, np.inf, full.phi)
-    return LogDensity(grid=dual, phi=phi, even=full.even)
+    return LogDensity(grid=dual, phi=phi)
 
 
 def convex_envelope(f: LogDensity, dual: GridSpec | None = None) -> LogDensity:

@@ -122,7 +122,7 @@ def hull_legendre(f: LogDensity, dual: GridSpec) -> LogDensity:
         if k > 0:
             acc = -acc
         acc = _hull_axis(acc, f.grid.axis(k), dual.axis(k), axis=k)
-    return LogDensity(grid=dual, phi=acc, even=False)
+    return LogDensity(grid=dual, phi=acc)
 
 
 def _interior(shape) -> tuple[slice, ...]:
@@ -282,6 +282,8 @@ def gaussian_closed_forms(name: str, **params) -> LogQuad:
     """Hand-derived closed forms used as quantitative oracles.
 
     v_gamma(n):             v(gamma) = (2 pi)^n.
+    v_shifted_gamma(a, t=0): v of the FP flow at time t of gamma(. - a), polar
+                            at the origin: (2 pi)^n e^{e^{-2t} |a|^2 / 2}.
     fp_variance_law(beta, t): variance of the flowed Gaussian,
                             1 - e^{-2t} + e^{-2t} beta.
     laplace_gamma_ratio(p, n=1): ||L gamma||_{p'} / ||gamma||_p for 0 < p < 1,
@@ -290,6 +292,10 @@ def gaussian_closed_forms(name: str, **params) -> LogQuad:
     if name == "v_gamma":
         n = int(params["n"])
         return LogQuad(log_abs=n * math.log(2 * math.pi), sign=1)
+    if name == "v_shifted_gamma":
+        a = np.atleast_1d(np.asarray(params["a"], dtype=float))
+        t = float(params.get("t", 0.0))
+        return LogQuad(log_abs=a.size * math.log(2 * math.pi) + math.exp(-2 * t) * float(a @ a) / 2, sign=1)
     if name == "fp_variance_law":
         beta = float(params["beta"])
         t = float(params["t"])

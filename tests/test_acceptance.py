@@ -181,7 +181,7 @@ def test_criterion_09_tropical_limit():
     qmass = log_integral(quartic).value()
     cases = {
         "gamma": gaussian(G1),
-        "quartic": LogDensity(G1, quartic.phi + math.log(qmass), even=True),
+        "quartic": LogDensity(G1, quartic.phi + math.log(qmass)),
         "exp_abs": exp_power(G1, 1.0),
     }
     details, ok = [], True
@@ -242,7 +242,7 @@ def test_criterion_11_legendre_correctness():
         dual = default_dual_grid(f)
         if np.array_equal(legendre_transform(f, dual).phi, hull_legendre(f, dual).phi):
             exact += 1
-    conv = LogDensity(G1, 0.5 * G1.axis(0) ** 2, even=True)
+    conv = LogDensity(G1, 0.5 * G1.axis(0) ** 2)
     env_dev = float(np.max(np.abs(convex_envelope(conv, make_grid(1, 10.0, 1025)).phi - conv.phi)))
     v_dev = abs(volume_product(exp_power(G1, 1.0)).value() / 4.0 - 1.0)
     ok = exact == 50 and env_dev <= 1e-12 and v_dev <= 1e-2
@@ -283,7 +283,7 @@ def test_criterion_13_pbl_and_cramer_rao():
         a = rng.uniform(0.3, 2.0)
         b = rng.uniform(0.0, 0.5)
         c = rng.uniform(0.0, 0.3)
-        h = LogDensity(G1, 0.5 * a * x**2 + b * x**4 + c * np.log(np.cosh(x)), even=True)
+        h = LogDensity(G1, 0.5 * a * x**2 + b * x**4 + c * np.log(np.cosh(x)))
         g_test = np.sin(rng.uniform(0.5, 2.0) * x) + rng.uniform(-0.5, 0.5) * x
         var, dirichlet = pbl_check(h, g_test)
         worst_pbl = min(worst_pbl, (dirichlet - var) / max(var, 1e-12))

@@ -20,12 +20,30 @@ from volprod.core import (
     reflect,
 )
 from volprod.densities import box, cross2d, exp_power, gaussian
-from volprod.functionals import bl_data, bl_integral, laplace_f_t, log_laplace, lr_volume_product, volume_product
+from volprod.functionals import (
+    bl_data,
+    bl_integral,
+    laplace_f_t,
+    laplace_grid,
+    log_laplace,
+    lr_volume_product,
+    volume_product,
+)
 from volprod.heatflow import fp_evolve, ou_apply, ou_edge_flags
-from volprod.legendre import legendre_transform, polar_density
+from volprod.legendre import default_dual_grid, legendre_transform, polar_density
 from volprod.quadrature import boundary_mask, trapezoid_log_weights
 
 REL = 1e-12
+
+
+def _log_array(w):
+    """The (M, N) log array of a kernel of any kind, formed by its definition."""
+    if isinstance(w, Outer):
+        return np.multiply.outer(w.x, w.y)
+    if isinstance(w, Gauss):
+        d = np.subtract.outer(w.u, w.v)
+        return -(d * d) / (2 * w.var) - 0.5 * math.log(2 * math.pi * w.var)
+    return w
 
 
 def _brute(log_f, kernels, reduce):
@@ -33,7 +51,7 @@ def _brute(log_f, kernels, reduce):
     d = log_f.ndim
     total = log_f.reshape((1,) * d + log_f.shape)
     for k, w in enumerate(kernels):
-        w = np.multiply.outer(*w) if isinstance(w, Outer) else w
+        w = _log_array(w)
         shape = [1] * (2 * d)
         shape[k], shape[d + k] = w.shape
         total = total + w.reshape(shape)
@@ -183,58 +201,107 @@ def _is_even(a):
     return a.tobytes() == reflect(a).tobytes()
 
 
+@pytest.fixture
+def low_cuts(monkeypatch):
+    """The axis-0 kernels whose even slice a contraction takes: one per call
+    on the half path."""
+    calls = []
+    inner = contract_mod._low_cut
+
+    def spy(w, low):
+        calls.append(w)
+        return inner(w, low)
+
+    monkeypatch.setattr(contract_mod, "_low_cut", spy)
+    return calls
+
+
+def _symmetric_case(rng, kind, in_shape, out_shape):
+    """An exactly even input with -inf entries and centrally symmetric kernels
+    of one kind: arrays, Outer or Gauss kernels on odd axes."""
+    if kind == "array":
+        return _even_case(rng, in_shape, out_shape)
+    return (_outer_case if kind == "outer" else _gauss_case)(rng, in_shape, out_shape, True, "minus_inf")
+
+
+def _one_ulp_off(w, where):
+    """w with one entry (an array) or one axis end (Outer, Gauss) moved up by
+    one ulp: ``where`` is "rows" (x or u) or "columns" (y or v)."""
+    if isinstance(w, (Outer, Gauss)):
+        axes = [a.copy() for a in w[:2]]
+        axes[where == "columns"][-1] = np.nextafter(axes[where == "columns"][-1], np.inf)
+        return Outer(*axes) if isinstance(w, Outer) else Gauss.of(*axes, w.var)
+    w = w.copy()
+    entry = (1, 0) if where == "rows" else (w.shape[0] // 2, 1)  # a finite entry off the centre
+    w[entry] = np.nextafter(w[entry], np.inf)
+    return w
+
+
+def _matches_brute(got, log_f, kernels, reduce):
+    want = _brute(log_f, kernels, reduce)
+    if reduce == "max":
+        assert got.tobytes() == want.tobytes()
+    else:
+        _close(got, want)
+
+
+EVEN_SHAPES = [((9,), (5,)), ((9,), (13,)), ((257,), (301,)), ((15, 31), (9, 41)), ((5, 13, 7), (7, 11, 15))]
+
+
 class TestEvenPath:
-    @pytest.mark.parametrize("reduce", ["lse", "max"])
-    @pytest.mark.parametrize(
-        "in_shape, out_shape",
-        [((9,), (5,)), ((9,), (13,)), ((15, 31), (9, 41)), ((5, 13, 7), (7, 11, 15))],
-    )
-    def test_matches_the_full_contraction(self, reduce, in_shape, out_shape):
-        rng = np.random.default_rng(len(in_shape) + out_shape[0])
-        log_f, kernels = _even_case(rng, in_shape, out_shape)
-        full = contract(log_f, kernels, reduce)
-        half = contract(log_f, kernels, reduce, even=True)
-        assert half.shape == out_shape
-        assert _is_even(half)
-        assert (half == -np.inf).any() and np.isfinite(half).any()
-        if reduce == "max":
-            assert half.tobytes() == full.tobytes()
-        else:
-            _close(half, full)
+    """``contract`` takes the half path exactly when every kernel is centrally
+    symmetric and the input is exactly even."""
 
     @pytest.mark.parametrize("reduce", ["lse", "max"])
-    def test_plus_inf_input(self, reduce):
+    @pytest.mark.parametrize("kind", ["array", "outer", "gauss"])
+    @pytest.mark.parametrize("in_shape, out_shape", EVEN_SHAPES)
+    def test_even_input_takes_the_half_path(self, low_cuts, reduce, kind, in_shape, out_shape):
+        rng = np.random.default_rng(len(in_shape) + out_shape[0] + len(kind))
+        log_f, kernels = _symmetric_case(rng, kind, in_shape, out_shape)
+        got = contract(log_f, kernels, reduce)
+        assert len(low_cuts) == 1 and low_cuts[0] is kernels[0]
+        assert got.shape == out_shape and _is_even(got) and np.isfinite(got).any()
+        _matches_brute(got, log_f, kernels, reduce)
+
+    @pytest.mark.parametrize("reduce", ["lse", "max"])
+    @pytest.mark.parametrize("kind", ["array", "outer", "gauss"])
+    @pytest.mark.parametrize("off", ["input", "rows", "columns"])
+    @pytest.mark.parametrize("in_shape, out_shape", EVEN_SHAPES[2:])
+    def test_one_ulp_off_takes_the_full_path(self, low_cuts, reduce, kind, off, in_shape, out_shape):
+        rng = np.random.default_rng(len(in_shape) + len(kind) + len(off))
+        log_f, kernels = _symmetric_case(rng, kind, in_shape, out_shape)
+        if off == "input":
+            flat = log_f.ravel()
+            i = np.flatnonzero(np.isfinite(flat))[0]
+            assert i != flat.size - 1 - i
+            flat[i] = np.nextafter(flat[i], np.inf)
+        else:  # an axis of the last kernel, so that the earlier ones pass
+            kernels[-1] = _one_ulp_off(kernels[-1], off)
+        got = contract(log_f, kernels, reduce)
+        assert low_cuts == []
+        _matches_brute(got, log_f, kernels, reduce)
+
+    @pytest.mark.parametrize("reduce", ["lse", "max"])
+    def test_plus_inf_input(self, low_cuts, reduce):
         log_f = np.zeros((5, 7))
         log_f[1, 2] = log_f[3, 4] = np.inf
         kernels = [np.add.outer(np.arange(3.0), np.arange(5.0)) % 3, np.ones((9, 7))]
         kernels[0] = kernels[0] + kernels[0][::-1, ::-1]
-        full = contract(log_f, kernels, reduce)
-        assert np.isposinf(full).all()
-        assert contract(log_f, kernels, reduce, even=True).tobytes() == full.tobytes()
-
-    @pytest.mark.parametrize("entry", [(0, 0), (2, 1), (4, 4), (1, 3)])
-    def test_asymmetric_kernel_raises(self, entry):
-        rng = np.random.default_rng(3)
-        log_f, kernels = _even_case(rng, (5, 7), (3, 5))
-        contract(log_f, kernels, even=True)
-        kernels[1][entry] += 1e-9  # an entry of the first half, the middle row, the second half
-        contract(log_f, kernels, even=False)
-        with pytest.raises(ValueError, match="centrally symmetric"):
-            contract(log_f, kernels, even=True)
+        got = contract(log_f, kernels, reduce)
+        assert len(low_cuts) == 1 and np.isposinf(got).all()
+        assert got.tobytes() == _brute(log_f, kernels, reduce).tobytes()
 
     @pytest.mark.parametrize("apply", [fp_evolve, ou_apply])
     def test_flow_of_an_even_density_is_exactly_even(self, apply):
         for f in (exp_power(make_grid(2, 6.0, (33, 21)), 2.5), gaussian(make_grid(3, 4.0, (17, 19, 21)))):
-            out = apply(f, 0.3)
-            assert out.even and _is_even(out.phi)
+            assert _is_even(apply(f, 0.3).phi)
 
     def test_conjugate_of_an_even_density_is_exactly_even(self):
         for f in (exp_power(make_grid(1, 6.0, 65), 3.0), box(make_grid(2, 3.0, (17, 13)), half=1.2),
                   exp_power(make_grid(3, 4.0, (9, 11, 7)), 2.5)):
             for out in (legendre_transform(f), polar_density(f)):
-                assert out.even and _is_even(out.phi)
+                assert _is_even(out.phi)
                 assert np.isfinite(out.phi).any()
-
 
 
 def _monge_case(rng, in_shape, out_shape, integer=False):
@@ -322,7 +389,7 @@ class TestWindowedMax:
             assert np.isfinite(got).any()
 
     @pytest.mark.parametrize("in_shape, out_shape", [((27, 31), (41, 35)), ((7, 5, 3), (33, 17, 19))])
-    def test_even_path(self, windowed_steps, in_shape, out_shape):
+    def test_even_path(self, windowed_steps, low_cuts, in_shape, out_shape):
         rng = np.random.default_rng(13)
         log_f = rng.normal(scale=3.0, size=in_shape)
         log_f[rng.random(in_shape) < 0.2] = -np.inf
@@ -330,8 +397,8 @@ class TestWindowedMax:
         # odd, sorted axes: centrally symmetric and Monge
         kernels = [Outer(1.5 * (np.arange(m) - m // 2), (np.arange(n) - n // 2) * 0.75)
                    for m, n in zip(out_shape, in_shape)]
-        got = contract(log_f, kernels, "max", even=True)
-        assert len(windowed_steps) == len(in_shape)
+        got = contract(log_f, kernels, "max")
+        assert len(windowed_steps) == len(in_shape) and len(low_cuts) == 1
         assert got.tobytes() == _brute(log_f, kernels, "max").tobytes()
         assert _is_even(got)
 
@@ -360,13 +427,14 @@ class TestWindowedMax:
 def symmetry_reads(monkeypatch):
     """Count the full reads of array kernels for central symmetry."""
     calls = []
-    inner = contract_mod._centrally_symmetric
+    inner = contract_mod._symmetric
 
     def spy(w):
-        calls.append(w.shape)
+        if isinstance(w, np.ndarray):
+            calls.append(w.shape)
         return inner(w)
 
-    monkeypatch.setattr(contract_mod, "_centrally_symmetric", spy)
+    monkeypatch.setattr(contract_mod, "_symmetric", spy)
     return calls
 
 
@@ -375,9 +443,9 @@ def test_array_kernels_are_read_for_symmetry_on_every_call(symmetry_reads):
     log_f, kernels = _even_case(rng, (9,), (13,))
     w = kernels[0]
     w.flags.writeable = False
-    want = contract(log_f, [w], even=True)
+    want = contract(log_f, [w])
     for _ in range(3):
-        assert contract(log_f, [w], even=True).tobytes() == want.tobytes()
+        assert contract(log_f, [w]).tobytes() == want.tobytes()
     assert len(symmetry_reads) == 4
 
 
@@ -420,12 +488,14 @@ class TestOuterKernel:
     @pytest.mark.parametrize("in_shape, out_shape", OUTER_SHAPES)
     @pytest.mark.parametrize("even", [False, True])
     @pytest.mark.parametrize("case", ["finite", "minus_inf", "shell", "all_minus_inf"])
-    def test_matches_its_materialized_array(self, flat_steps, windowed_steps, reduce, in_shape, out_shape, even, case):
+    def test_matches_its_materialized_array(self, flat_steps, windowed_steps, low_cuts, reduce, in_shape, out_shape,
+                                            even, case):
         rng = np.random.default_rng(sum(in_shape) + len(case) + even)
         log_f, kernels = _outer_case(rng, in_shape, out_shape, even, case)
         arrays = [np.multiply.outer(x, y) for x, y in kernels]
-        got = contract(log_f, kernels, reduce, even=even)
-        assert got.tobytes() == contract(log_f, arrays, reduce, even=even).tobytes()
+        got = contract(log_f, kernels, reduce)
+        assert got.tobytes() == contract(log_f, arrays, reduce).tobytes()
+        assert len(low_cuts) == 2 * even
         want = _brute(log_f, arrays, reduce)
         if reduce == "max":
             assert got.tobytes() == want.tobytes()
@@ -456,22 +526,6 @@ class TestOuterKernel:
         assert flat_steps == [] and windowed_steps == []
         assert got.tobytes() == _brute(log_f, [np.multiply.outer(x, y) for x, y in kernels], "max").tobytes()
 
-    @pytest.mark.parametrize("axis", ["x", "y"])
-    def test_asymmetric_axis_raises(self, axis):
-        rng = np.random.default_rng(43)
-        log_f, kernels = _outer_case(rng, (257,), (301,), True, "finite")
-        x, y = kernels[0]
-        contract(log_f, kernels, even=True)
-        if axis == "x":
-            x = x.copy()
-            x[-1] = np.nextafter(x[-1], np.inf)
-        else:
-            y = y.copy()
-            y[0] = np.nextafter(y[0], -np.inf)
-        contract(log_f, [Outer(x, y)], "max", even=False)
-        with pytest.raises(ValueError, match="centrally symmetric"):
-            contract(log_f, [Outer(x, y)], "max", even=True)
-
 
 def _gauss_case(rng, in_shape, out_shape, even, case):
     """Gauss kernels on the axes of ``_outer_case``, each with its own variance."""
@@ -484,46 +538,31 @@ class TestGaussKernel:
     @pytest.mark.parametrize("in_shape, out_shape", OUTER_SHAPES)
     @pytest.mark.parametrize("even", [False, True])
     @pytest.mark.parametrize("case", ["finite", "minus_inf", "all_minus_inf"])
-    def test_matches_its_log_array(self, reduce, in_shape, out_shape, even, case):
+    def test_matches_its_log_array(self, low_cuts, reduce, in_shape, out_shape, even, case):
         rng = np.random.default_rng(sum(out_shape) + len(case) + even)
         log_f, kernels = _gauss_case(rng, in_shape, out_shape, even, case)
         arrays = [contract_mod._rows(w, slice(None)) for w in kernels]
         for w, a in zip(kernels, arrays):
             assert not w.shifted.flags.writeable
             assert w.shifted.tobytes() == np.exp(a - w.row_max).tobytes()
-        got = contract(log_f, kernels, reduce, even=even)
-        assert got.tobytes() == contract(log_f, arrays, reduce, even=even).tobytes()
+        got = contract(log_f, kernels, reduce)
+        assert got.tobytes() == contract(log_f, arrays, reduce).tobytes()
+        assert len(low_cuts) == 2 * even
         assert np.all(got == -np.inf) == (case == "all_minus_inf")
-
-    @pytest.mark.parametrize("axis", ["u", "v"])
-    def test_axis_one_ulp_off_odd_raises(self, axis):
-        rng = np.random.default_rng(47)
-        log_f, kernels = _gauss_case(rng, (257,), (301,), True, "finite")
-        u, v, var = kernels[0].u, kernels[0].v, kernels[0].var
-        contract(log_f, kernels, even=True)
-        if axis == "u":
-            u = u.copy()
-            u[-1] = np.nextafter(u[-1], np.inf)
-        else:
-            v = v.copy()
-            v[0] = np.nextafter(v[0], -np.inf)
-        off = [Gauss.of(u, v, var)]
-        contract(log_f, off, even=False)
-        with pytest.raises(ValueError, match="centrally symmetric"):
-            contract(log_f, off, even=True)
 
 
 @pytest.fixture
-def max_kernels(monkeypatch):
-    """Every kernel that a "max" axis step receives."""
-    seen = []
-    inner = contract_mod._max
+def engine_kernels(monkeypatch):
+    """Every kernel that an axis step receives, by reducer."""
+    seen = {"lse": [], "max": []}
+    for name in seen:
+        inner = getattr(contract_mod, "_" + name)
 
-    def spy(w, block):
-        seen.append(w)
-        return inner(w, block)
+        def spy(w, block, inner=inner, name=name):
+            seen[name].append(w)
+            return inner(w, block)
 
-    monkeypatch.setattr(contract_mod, "_max", spy)
+        monkeypatch.setattr(contract_mod, "_" + name, spy)
     return seen
 
 
@@ -534,15 +573,54 @@ GRIDS = [make_grid(1, 8.0, 513), make_grid(2, 6.0, 65), make_grid(3, 4.0, 17)]
 @pytest.mark.parametrize(
     "route",
     [lambda g: volume_product(exp_power(g, 1.5)), lambda g: volume_product(fp_evolve(box(g), 0.3)),
-     lambda g: laplace_f_t(exp_power(g, 1.5), 0.1), lambda g: ou_edge_flags(exp_power(g, 1.5), 0.2)],
-    ids=["volume_product", "volume_product_of_a_flow", "laplace_flags", "ou_edge_flags"],
+     lambda g: laplace_f_t(exp_power(g, 1.5), 0.1), lambda g: ou_edge_flags(exp_power(g, 1.5), 0.2),
+     lambda g: laplace_grid(gaussian(g), -1.0, 1.0),
+     lambda g: bl_integral(gaussian(g), exp_power(g, 3.0), bl_data(0.2))],
+    ids=["volume_product", "volume_product_of_a_flow", "laplace_flags", "ou_edge_flags", "laplace_grid",
+         "bl_integral"],
 )
-def test_library_max_steps_get_outer_kernels(max_kernels, grid, route):
-    """No library route hands a "max" step an array kernel: each gets an Outer
-    kernel on sorted axes, which may take the windows."""
+def test_library_max_steps_get_outer_kernels(engine_kernels, grid, route):
+    """No library route hands the engine an array kernel: each "max" step gets
+    an Outer kernel on sorted axes, which may take the windows, and each
+    "lse" step an Outer or a Gauss kernel."""
     route(grid)
-    assert max_kernels
-    assert all(isinstance(w, Outer) and contract_mod._sorted_axes(w) for w in max_kernels)
+    assert engine_kernels["lse"] or engine_kernels["max"]
+    assert all(isinstance(w, Outer) and contract_mod._sorted_axes(w) for w in engine_kernels["max"])
+    assert all(isinstance(w, (Outer, Gauss)) for w in engine_kernels["lse"])
+
+
+TRAFFIC_GRIDS = [make_grid(1, 8.0, 513), make_grid(2, 6.0, 65)]
+
+
+@pytest.mark.parametrize("grid", TRAFFIC_GRIDS, ids=["1d513", "2d65"])
+@pytest.mark.parametrize(
+    "route",
+    [lambda g: log_laplace(exp_power(g, 1.5), make_grid(g.dim, 9.0, g.points), 1.25),
+     lambda g: bl_integral(gaussian(g), exp_power(g, 3.0), bl_data(0.2)),
+     lambda g: lr_volume_product(lp_ball(2.0, g.dim), 2.0, g),
+     lambda g: ou_edge_flags(exp_power(g, 1.5), 0.2),
+     lambda g: fp_evolve(box(g), 0.3),
+     lambda g: polar_density(exp_power(g, 1.5), make_grid(g.dim, 4.0, g.points))],
+    ids=["log_laplace", "bl_integral", "lr_volume_product", "ou_edge_flags", "fp_evolve", "polar_density"],
+)
+def test_even_routes_take_the_half_path(engine_kernels, low_cuts, grid, route):
+    """Each route contracts every axis per call, and every call takes the half path."""
+    route(grid)
+    steps = len(engine_kernels["lse"]) + len(engine_kernels["max"])
+    assert low_cuts and len(low_cuts) * grid.dim == steps
+
+
+@pytest.mark.parametrize("grid", TRAFFIC_GRIDS, ids=["1d513", "2d65"])
+@pytest.mark.parametrize(
+    "route",
+    [lambda g: default_dual_grid(exp_power(g, 1.5)), lambda g: laplace_grid(gaussian(g), -1.0, 1.0)],
+    ids=["default_dual_grid", "laplace_grid"],
+)
+def test_ladder_routes_take_the_full_path(engine_kernels, low_cuts, grid, route):
+    """Their first kernel's x axis is a ladder of nonnegative rungs, not odd."""
+    route(grid)
+    assert engine_kernels["lse"] or engine_kernels["max"]
+    assert low_cuts == []
 
 
 def _lr_all_pairs(body: BodySpec, r: float, outer_grid, inner_cells: int) -> float:

@@ -82,7 +82,7 @@ class TestLogDensity:
     def test_inf_sentinel_allowed(self):
         g = make_grid(1, 1.0, 5)
         phi = np.array([np.inf, 0.0, 0.0, 0.0, np.inf])
-        f = LogDensity(g, phi, even=True)
+        f = LogDensity(g, phi)
         assert f.log_values()[0] == -np.inf
 
 
@@ -148,7 +148,7 @@ class TestBodySpec:
     def test_body_density_even(self):
         g = make_grid(2, 2.0, 17)
         f = body_to_logdensity(lp_ball(2.0, 2), g)
-        assert f.even and check_even(f, 0.0)
+        assert check_even(f)
 
     def test_exponent_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -182,6 +182,6 @@ class TestEvenness:
     def test_check_even_with_inf(self):
         g = make_grid(1, 1.0, 5)
         phi = np.array([np.inf, 1.0, 0.0, 1.0, np.inf])
-        assert check_even(LogDensity(g, phi), 0.0)
+        assert check_even(LogDensity(g, phi))
         phi2 = np.array([np.inf, 1.0, 0.0, 1.0, 0.0])
-        assert not check_even(LogDensity(g, phi2), 0.0)
+        assert not check_even(LogDensity(g, phi2))

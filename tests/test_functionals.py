@@ -63,6 +63,25 @@ class TestVolumeProduct:
         v_aniso = volume_product(f)
         assert v_aniso.value() == pytest.approx(v_iso.value(), rel=1e-3)
 
+    @pytest.mark.parametrize(
+        "grid, a", [(GRID, [0.5]), (make_grid(2, 6.0, 129), [0.5, -0.3])], ids=["1d513", "2d129"]
+    )
+    def test_shifted_gaussian_non_even_control(self, grid, a):
+        """gamma(. - a) is not even: its v, polar at the origin, lies above
+        (2 pi)^n and falls along the flow, as the closed form says."""
+        n = grid.dim
+        phi = sum(0.5 * (m - ak) ** 2 for m, ak in zip(grid.meshgrid(), a)) + 0.5 * n * math.log(2 * math.pi)
+        f = LogDensity(grid, phi)
+        times = [0.0, 0.1, 0.5, 2.0]
+        logs = []
+        for t in times:
+            with pytest.warns(UserWarning, match="non-even"):
+                logs.append(volume_product(fp_evolve(f, t)).log_abs)
+            want = gaussian_closed_forms("v_shifted_gamma", a=a, t=t).log_abs
+            assert abs(math.expm1(logs[-1] - want)) <= 5e-3
+        assert min(logs) > n * math.log(2 * math.pi)
+        assert all(b < a for a, b in zip(logs, logs[1:]))
+
 
 class TestRevHC:
     def test_gamma_equality(self):
@@ -73,7 +92,7 @@ class TestRevHC:
     def test_quartic_inequality(self):
         f = exp_power(GRID, 4.0)
         mass = log_integral(f).value()
-        fn = LogDensity(GRID, f.phi + math.log(mass), even=True)
+        fn = LogDensity(GRID, f.phi + math.log(mass))
         rep = rev_hc_value(fn, S_HALF_LN2)
         assert rep.slack >= -1e-4
 
@@ -170,7 +189,7 @@ class TestLaplaceFt:
         f = box(GRID)
         F, _ = laplace_f_t(f, s)
         n0 = (F.grid.points[0] - 1) // 2
-        target = log_integral(LogDensity(GRID, f.phi / sched.p, even=True)).log_abs
+        target = log_integral(LogDensity(GRID, f.phi / sched.p)).log_abs
         assert -F.phi[n0] == pytest.approx(target, abs=1e-12)
 
 
@@ -376,7 +395,7 @@ class TestBrascampLieb:
 
     def test_obs2_tropical_limit(self):
         # (bl_integral of (f-polar, f))^{p_s} approaches 1 as s drops
-        f = LogDensity(GRID, 0.7 * GRID.axis(0) ** 2, even=True)
+        f = LogDensity(GRID, 0.7 * GRID.axis(0) ** 2)
         fpol = polar_density(f)
         vals = []
         for s in (0.4, 0.2, 0.1):

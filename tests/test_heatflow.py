@@ -7,7 +7,7 @@ from scipy.special import logsumexp
 from volprod import contract as contract_mod
 from volprod import heatflow
 from volprod.contract import contract
-from volprod.core import LogDensity, gaussian_to_logdensity, isotropic_gaussian, make_grid
+from volprod.core import LogDensity, check_even, gaussian_to_logdensity, isotropic_gaussian, make_grid
 from volprod.densities import battery_1d, box, exp_power, gaussian, two_bump
 from volprod.heatflow import (
     KernelUnderResolvedError,
@@ -106,7 +106,7 @@ class TestFokkerPlanck:
 class TestOrnsteinUhlenbeck:
     def test_constants_fixed(self):
         g = make_grid(1, 8.0, 513)
-        ones = LogDensity(g, np.full(513, -math.log(3.0)), even=True)
+        ones = LogDensity(g, np.full(513, -math.log(3.0)))
         out = ou_apply(ones, 0.9)
         center = np.abs(g.axis(0)) <= 4.0
         assert np.max(np.abs(out.phi[center] + math.log(3.0))) <= 1e-10
@@ -125,7 +125,7 @@ class TestOrnsteinUhlenbeck:
     def test_gaussian_invariance_of_mean(self):
         # int P_s g dgamma = int g dgamma
         g = make_grid(1, 8.0, 513)
-        f = LogDensity(g, 0.05 * g.axis(0) ** 4, even=True)
+        f = LogDensity(g, 0.05 * g.axis(0) ** 4)
         before = log_integral(f, GAUSSIAN).log_abs
         after = log_integral(ou_apply(f, 0.6), GAUSSIAN).log_abs
         assert after == pytest.approx(before, abs=1e-8)
@@ -201,7 +201,7 @@ class TestKernelCache:
         grid = make_grid(1, 8.0, 513)
         w = _log_kernel(grid.axis(0), t, kind)
         for f in battery_1d(grid).values():
-            want = -contract(f.log_values() + trapezoid_log_weights(grid), [w], even=f.even)
+            want = -contract(f.log_values() + trapezoid_log_weights(grid), [w])
             for _ in range(2):  # the second call reuses the cached kernel
                 assert apply(f, t).phi.tobytes() == want.tobytes()
 
@@ -223,11 +223,14 @@ class TestKernelCache:
     )
     @pytest.mark.parametrize("kind, apply", [("fp", fp_evolve), ("ou", ou_apply)])
     def test_nd_flow_matches_writable_kernels_bitwise(self, f, kind, apply):
-        for even in (True, False):
-            f = LogDensity(f.grid, f.phi, even=even)
-            kernels = [_log_kernel(a, 0.3, kind) for a in f.grid.axes()]
-            want = -contract(f.log_values() + trapezoid_log_weights(f.grid), kernels, even=even)
-            assert apply(f, 0.3).phi.tobytes() == want.tobytes()
+        # f itself, then f one node off even: the half and the full path
+        off = f.phi.copy()
+        off[(f.grid.points[0] // 2 + 1,) + tuple(n // 2 for n in f.grid.points[1:])] += 0.5
+        kernels = [_log_kernel(a, 0.3, kind) for a in f.grid.axes()]
+        for g in (f, LogDensity(f.grid, off)):
+            want = -contract(g.log_values() + trapezoid_log_weights(g.grid), kernels)
+            assert apply(g, 0.3).phi.tobytes() == want.tobytes()
+        assert check_even(f) and not check_even(LogDensity(f.grid, off))
 
     def test_cache_holds_one_square_array_per_time(self, monkeypatch):
         # a log array kept beside the exponential would double the cache

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from volprod import legendre as legendre_mod
-from volprod.core import LogDensity, body_to_logdensity, lp_ball, make_grid, reflect
+from volprod.core import LogDensity, body_to_logdensity, check_even, lp_ball, make_grid, reflect
 from volprod.densities import battery_1d, box, cross2d, exp_power, gaussian
 from volprod.heatflow import fp_evolve
 from volprod.legendre import (
@@ -74,7 +74,7 @@ class TestLegendreTransformNd:
         g = make_grid(2, 6.0, 129)
         x1, x2 = g.meshgrid()
         phi = 0.5 * (x1**2 / 1.0 + x2**2 / 4.0)  # A = diag(1, 4) inverse form
-        f = LogDensity(g, phi, even=True)
+        f = LogDensity(g, phi)
         dual = make_grid(2, 1.5, 65)
         out = legendre_transform(f, dual)
         d1, d2 = dual.meshgrid()
@@ -136,7 +136,7 @@ class TestLegendreTransformNd:
     def test_evenness_preserved(self):
         g = make_grid(1, 8.0, 513)
         out = legendre_transform(exp_power(g, 4.0))
-        assert out.even
+        assert check_even(out)
 
 
     @pytest.mark.parametrize(
@@ -155,7 +155,7 @@ class TestLegendreTransformNd:
             phi[rng.random(g.points) < 0.2] = np.inf
         if even:
             phi = np.maximum(phi, reflect(phi))
-        f = LogDensity(g, phi, even=even)
+        f = LogDensity(g, phi)
         dual = make_grid(dim, 2.0, points)
         hull = hull_legendre(f, dual).phi
         for got, want in ((legendre_transform(f, dual).phi, hull),
@@ -239,14 +239,14 @@ class TestConvexEnvelope:
     def test_involution_on_convex(self):
         g = make_grid(1, 8.0, 513)
         phi = 0.5 * g.axis(0) ** 2
-        f = LogDensity(g, phi, even=True)
+        f = LogDensity(g, phi)
         env = convex_envelope(f, make_grid(1, 10.0, 1025))
         assert np.max(np.abs(env.phi - phi)) <= 1e-12
 
     def test_double_well_envelope(self):
         g = make_grid(1, 2.0, 257)
         y = g.axis(0)
-        f = LogDensity(g, (y**2 - 1.0) ** 2, even=True)
+        f = LogDensity(g, (y**2 - 1.0) ** 2)
         env = convex_envelope(f)
         inside = np.abs(y) <= 1.0
         assert np.max(np.abs(env.phi[inside])) <= 1e-10
@@ -315,7 +315,7 @@ class TestPolarDensity:
         # the polar rebuilt from two independent conjugates
         full = legendre_transform(f, dual).phi
         trimmed = np.where(boundary_mask(f.phi.shape), np.inf, f.phi)
-        inner = legendre_transform(LogDensity(f.grid, trimmed, f.even), dual).phi
+        inner = legendre_transform(LogDensity(f.grid, trimmed), dual).phi
         scale = 1.0 + np.where(np.isfinite(full), np.abs(full), 0.0)
         want = np.where(full > inner + 1e-12 * scale, np.inf, full)
         assert np.isinf(want).any() and np.isfinite(want).any()
@@ -323,6 +323,21 @@ class TestPolarDensity:
 
     def test_non_even_warns(self):
         g = make_grid(1, 4.0, 65)
-        f = LogDensity(g, 0.5 * (g.axis(0) - 0.5) ** 2, even=False)
+        f = LogDensity(g, 0.5 * (g.axis(0) - 0.5) ** 2)
         with pytest.warns(UserWarning):
+            polar_density(f)
+
+    def test_one_ulp_off_even_warns(self):
+        g = make_grid(1, 4.0, 65)
+        phi = 0.5 * g.axis(0) ** 2
+        phi[40] = np.nextafter(phi[40], np.inf)
+        with pytest.warns(UserWarning, match="non-even"):
+            polar_density(LogDensity(g, phi))
+
+    @pytest.mark.parametrize("dim, points", [(1, 65), (2, 33), (3, 17)])
+    def test_even_density_built_from_its_values_does_not_warn(self, dim, points):
+        g = make_grid(dim, 4.0, points)
+        f = LogDensity(g, sum(0.5 * m**2 + np.abs(m) for m in g.meshgrid()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             polar_density(f)

@@ -99,7 +99,7 @@ class TestPbl:
 
     def test_strict_inequality_quartic(self):
         g = make_grid(1, 6.0, 513)
-        f = LogDensity(g, g.axis(0) ** 4 + g.axis(0) ** 2, even=True)
+        f = LogDensity(g, g.axis(0) ** 4 + g.axis(0) ** 2)
         var, dirichlet = pbl_check(f, np.sin(g.axis(0)))
         assert var <= dirichlet + 1e-10
 
@@ -123,7 +123,7 @@ class TestPbl:
 
     def test_non_logconcave_rejected(self):
         g = make_grid(1, 4.0, 129)
-        f = LogDensity(g, -0.5 * g.axis(0) ** 2, even=True)
+        f = LogDensity(g, -0.5 * g.axis(0) ** 2)
         with pytest.raises(ValueError):
             pbl_check(f, g.axis(0))
 
@@ -138,7 +138,7 @@ class TestCramerRao:
 
     def test_quartic_psd(self):
         g = make_grid(1, 6.0, 513)
-        f = LogDensity(g, g.axis(0) ** 4 + 0.5 * g.axis(0) ** 2, even=True)
+        f = LogDensity(g, g.axis(0) ** 4 + 0.5 * g.axis(0) ** 2)
         inv_cov, int_hess = cramer_rao_check(f)
         assert np.linalg.eigvalsh(int_hess - inv_cov).min() >= -1e-8
 
@@ -163,7 +163,7 @@ class TestCramerRao:
             b = rng.uniform(0.0, 0.5)
             c = rng.uniform(0.0, 0.3)
             phi = 0.5 * a * x**2 + b * x**4 + c * np.log(np.cosh(x))
-            inv_cov, int_hess = cramer_rao_check(LogDensity(g, phi, even=True))
+            inv_cov, int_hess = cramer_rao_check(LogDensity(g, phi))
             assert np.linalg.eigvalsh(int_hess - inv_cov).min() >= -1e-6
 
 
@@ -214,6 +214,28 @@ class TestClosedForms:
         target = gaussian_closed_forms("laplace_gamma_ratio", p=0.5).value()
         g = make_grid(1, 8.0, 513)
         assert laplace_norm_ratio(gaussian(g), 0.5).value() == pytest.approx(target, rel=5e-3)
+
+    def test_v_shifted_gamma(self):
+        from scipy.integrate import quad
+        from scipy.optimize import minimize_scalar
+
+        assert (gaussian_closed_forms("v_shifted_gamma", a=[0.0, 0.0], t=0.4).log_abs
+                == gaussian_closed_forms("v_gamma", n=2).log_abs)
+        # 1D: f_t = gamma(. - e^{-t} a); both integrals by quad, phi* by a bounded maximisation
+        a, t = 0.7, 0.3
+        at = math.exp(-t) * a
+
+        def phi(x):
+            return 0.5 * (x - at) ** 2 + 0.5 * math.log(2 * math.pi)
+
+        def conj(y):
+            return -minimize_scalar(lambda x: phi(x) - x * y, bounds=(-60.0, 60.0), method="bounded",
+                                    options={"xatol": 1e-10}).fun
+
+        mass = quad(lambda x: math.exp(-phi(x)), -np.inf, np.inf)[0]
+        polar = quad(lambda y: math.exp(-conj(y)), -30.0, 30.0)[0]
+        want = gaussian_closed_forms("v_shifted_gamma", a=a, t=t).value()
+        assert mass * polar == pytest.approx(want, rel=1e-8)
 
     def test_laplace_gamma_ratio_domain(self):
         with pytest.raises(ValueError):

@@ -50,7 +50,7 @@ def test_box_integral_exact():
 
 def test_measure_gaussian_weight():
     g = make_grid(1, 8.0, 513)
-    ones = LogDensity(g, np.zeros(513), even=True)
+    ones = LogDensity(g, np.zeros(513))
     v = log_integral(ones, GAUSSIAN)
     assert v.value() == pytest.approx(1.0, rel=1e-10)
 
@@ -80,7 +80,7 @@ def test_scaling_covariance():
     # int c f = c int f, exactly in log domain
     g = make_grid(1, 8.0, 257)
     f = gaussian(g)
-    fc = LogDensity(g, f.phi - math.log(3.0), even=True)
+    fc = LogDensity(g, f.phi - math.log(3.0))
     assert log_integral(fc).log_abs - log_integral(f).log_abs == pytest.approx(
         math.log(3.0), abs=1e-13
     )
@@ -115,7 +115,7 @@ def test_negative_q_ignores_zero_nodes():
 def test_jensen_monotonicity_of_lq_norms():
     # q -> ||f||_{L^q(gamma)} is nondecreasing for a probability measure
     g = make_grid(1, 8.0, 513)
-    f = LogDensity(g, 0.1 * g.axis(0) ** 2 + 0.3, even=True)
+    f = LogDensity(g, 0.1 * g.axis(0) ** 2 + 0.3)
     norms = [log_lq_norm(f, q, GAUSSIAN).log_abs for q in (-2.0, -1.0, 0.5, 1.0, 2.0)]
     assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
 
