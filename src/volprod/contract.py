@@ -14,12 +14,13 @@ A kernel is one of three kinds: an ``(M, N)`` array, an ``Outer`` kernel or a
 two axes. Every rank-one kernel goes to the engine so, its scale folded into
 ``x``: the conjugate's ``x_k y_k``, the Laplace, Brascamp-Lieb and L^r
 kernels, and the OU edge flags' ``(e^{-s} / var) x_k z_k``, whose row term
-cannot move an argmax over z. A one-column step forms only the products it
-reads, ``np.multiply.outer(x[rows], y)`` for dense row blocks and coarse rows
-and ``x[i] * y[j]`` inside windows; other steps form the kernel whole. These
-are the IEEE products of the full kernel's entries, so an Outer kernel gives
-the bytes of its materialized array, and a one-column step holds at most a row
-block of it (the whole is 2.1 MB on 513 x 513). Its structure comes from its
+cannot move an argmax over z. An ``"lse"`` step and a one-column ``"max"``
+step form only the products they read, ``np.multiply.outer(x[rows], y)`` for
+row bands and coarse rows and ``x[i] * y[j]`` inside windows (an ``"lse"``
+step takes its row maxima from the axes); other steps form the kernel whole.
+These are the IEEE products of the full kernel's entries, so an Outer kernel
+gives the bytes of its materialized array, and those steps hold at most a row
+band of it (the whole is 2.1 MB on 513 x 513). Its structure comes from its
 axes in O(M + N): it is centrally symmetric when ``x == -x[::-1]`` and ``y ==
 -y[::-1]``, since (-a) (-b) rounds exactly as a b; and it is finite and Monge
 when both axes are finite and nondecreasing, since then each 2 x 2 difference
@@ -157,11 +158,12 @@ def _gauss_rows(u: np.ndarray, v: np.ndarray, var: float) -> np.ndarray:
     return w
 
 
-def _rows(w, rows) -> np.ndarray:
+def _rows(w, rows, out: np.ndarray | None = None) -> np.ndarray:
     """``w[rows]`` as an array; an Outer or Gauss kernel forms only those rows
-    from its axes (a Gauss kernel its log rows)."""
+    from its axes (a Gauss kernel its log rows), an Outer kernel in ``out``
+    when given."""
     if isinstance(w, Outer):
-        return np.multiply.outer(w.x[rows], w.y)
+        return np.multiply.outer(w.x[rows], w.y, out=out)
     if isinstance(w, Gauss):
         return _gauss_rows(w.u[rows], w.v, w.var)
     return w[rows]
@@ -169,8 +171,8 @@ def _rows(w, rows) -> np.ndarray:
 
 def _row_blocks(w) -> list[slice]:
     """Slices of w's rows holding at most ROW_ELEMS elements (one row at least)."""
-    step = max(1, ROW_ELEMS // w.shape[1])
-    return [slice(lo, lo + step) for lo in range(0, w.shape[0], step)]
+    m, step = w.shape[0], max(1, ROW_ELEMS // w.shape[1])
+    return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
 
 
 def _finite_or_zero(a: np.ndarray) -> np.ndarray:
@@ -187,24 +189,38 @@ def _lse_exact(w_rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return np.log(np.sum(summed, axis=1)) + m[:, 0]
 
 
+def _row_max(w) -> np.ndarray:
+    """The ``(M, 1)`` row maxima of a kernel. An Outer kernel's come from its
+    axes: rounding is monotone, so max_j x[i] y[j] rounds as x[i] max(y) where
+    x[i] >= 0 and as x[i] min(y) elsewhere."""
+    if isinstance(w, Gauss):
+        return w.row_max
+    if isinstance(w, Outer):
+        return np.where(w.x >= 0, w.x * np.max(w.y), w.x * np.min(w.y))[:, None]
+    return np.max(w, axis=1, keepdims=True)
+
+
 def _lse(w, block: np.ndarray) -> np.ndarray:
     """log sum_j exp(w[i, j] + block[j, c]) as a sum of products of shifted
-    exponentials; a Gauss kernel brings its row-shifted exponential."""
-    if isinstance(w, Gauss):
-        row_max = w.row_max
-    else:
-        w = _rows(w, slice(None))
-        row_max = np.max(w, axis=1, keepdims=True)
+    exponentials; a Gauss kernel brings its row-shifted exponential, and an
+    Outer kernel is formed one row band at a time."""
+    row_max = _row_max(w)
     col_max = np.max(block, axis=0, keepdims=True)
     r, s = _finite_or_zero(row_max), _finite_or_zero(col_max)
     kb = block - s
     np.exp(kb, out=kb)
     log_sum = np.empty((w.shape[0], block.shape[1]))
-    for band in _row_blocks(w):
+    bands = _row_blocks(w)
+    # one buffer for every band: glibc maps each new 256 KB array afresh, and
+    # with a new array per band its page faults made a 257 x 513 step slower
+    # than forming the whole kernel (1.1-1.4 against 0.85-0.93 ms)
+    buf = None if isinstance(w, Gauss) or not bands else np.empty((bands[0].stop, w.shape[1]))
+    for band in bands:
         if isinstance(w, Gauss):
             kw = w.shifted[band]
         else:
-            kw = w[band] - r[band]
+            kw = buf[:band.stop - band.start]
+            np.subtract(_rows(w, band, kw), r[band], out=kw)
             np.exp(kw, out=kw)
         np.einsum("ij,jc->ic", kw, kb, out=log_sum[band])
     with np.errstate(divide="ignore"):

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from volprod import cli, oracles
+from volprod.core import LogQuad
 from volprod.cli import (
     ConfigError,
     ExperimentConfig,
@@ -56,10 +58,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not a number"):
             cfg.get_float("params", "s")
 
-    def test_bad_bool_reported(self, tmp_path):
-        cfg = parse_config(_write(tmp_path, "[params]\nflag = maybe\n"), "flow")
-        with pytest.raises(ConfigError, match="not a boolean"):
-            cfg.get_bool("params", "flag", True)
+    def test_non_integral_int_reported(self, tmp_path):
+        cfg = parse_config(_write(tmp_path, "[params]\ncount = 2.7\n[grid]\npoints = 129.0\n"), "flow")
+        with pytest.raises(ConfigError, match=r"\[params\] count: not an integer"):
+            cfg.get_int("params", "count")
+        assert cfg.get_int("grid", "points") == 129
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigError, match="unknown scenario"):
@@ -78,12 +81,13 @@ class TestConfig:
 class TestOutputs:
     def test_csv_format(self, tmp_path):
         p = tmp_path / "out.csv"
-        write_csv(p, ["a", "b"], [(1, 0.5), (2, True)], "scenario=flow")
+        write_csv(p, ["a", "b"], [(1, 0.5), (2, True), (np.True_, np.False_)], "scenario=flow")
         lines = p.read_text().splitlines()
         assert lines[0] == "# scenario=flow"
         assert lines[1] == "a,b"
         assert lines[2] == "1,0.5"
         assert lines[3] == "2,1"
+        assert lines[4] == "1,0"
 
     def test_csv_float_roundtrip(self, tmp_path):
         p = tmp_path / "out.csv"
@@ -102,10 +106,6 @@ class TestOutputs:
         assert text.startswith("<svg")
         assert text.count("<polyline") == 2
         assert ">one<" in text and ">two<" in text and ">demo<" in text
-
-    def test_svg_log_scale_guard(self, tmp_path):
-        with pytest.raises(ValueError, match="positive"):
-            emit_plot([("x", [0, 1], [1.0, -1.0])], tmp_path / "p.svg", log_y=True)
 
     def test_svg_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -149,6 +149,9 @@ class TestMain:
         assert main(["validate", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        lines = (tmp_path / "v" / "validate.csv").read_text().splitlines()
+        assert lines[1] == "check,passed"
+        assert len(lines) > 2 and all(line.endswith(",1") for line in lines[2:])
 
     def test_legendre_check_scenario(self, tmp_path):
         cfg = _write(tmp_path, "[params]\ncount = 5\nseed = 3\n")
@@ -180,6 +183,36 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main(["flow", "--config", cfg, "--out", str(tmp_path), "--threads", "2"])
         assert exc.value.code == 2
+
+    def test_tol_scale_option_rejected(self, tmp_path):
+        cfg = _write(tmp_path, FLOW_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main(["flow", "--config", cfg, "--out", str(tmp_path), "--tol-scale", "2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "scenario, text, layer, value",
+        [("flow", FLOW_CFG + "assert_monotone = false\n", "volume_product", None),
+         ("laplace", FLOW_CFG + "assert_sharp = false\n", "laplace_norm_ratio", LogQuad(-10.0)),
+         ("lrvol", "[params]\nbodies = square,disk\nr = 1\nassert_disk_max = false\n", "lr_volume_product", None)],
+        ids=["flow", "laplace", "lrvol"],
+    )
+    def test_gates_ignore_the_removed_switches(self, tmp_path, monkeypatch, scenario, text, layer, value):
+        """A config key that once turned a gate off is an unknown key now: the
+        gate runs, and a failing value exits 1."""
+        falling = iter(range(100, 0, -1))  # each call reads lower than the last
+
+        def fake(*args):
+            return value if value is not None else LogQuad(float(next(falling)))
+
+        monkeypatch.setattr(cli.functionals, layer, fake)
+        monkeypatch.setattr(cli.heatflow, "fp_evolve", lambda f, t: f)
+        assert main([scenario, "--config", _write(tmp_path, text), "--out", str(tmp_path / "g")]) == 1
+
+    def test_bad_threshold_exits_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "[params]\nq = 0.08893\nbetas = 1\nshifts = 0\nassert_threshold_min = high\n")
+        assert main(["nelson", "--config", cfg, "--out", str(tmp_path / "n")]) == 2
+        assert "[params] assert_threshold_min: not a number" in capsys.readouterr().err
 
     def test_unknown_body_exits_2(self, tmp_path, capsys):
         cfg = _write(tmp_path, "[params]\nbodies = pentagon\nr = 1\n")

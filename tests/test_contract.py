@@ -527,6 +527,55 @@ class TestOuterKernel:
         assert got.tobytes() == _brute(log_f, [np.multiply.outer(x, y) for x, y in kernels], "max").tobytes()
 
 
+@pytest.fixture
+def lse_outer_rows(monkeypatch):
+    """(elements, N) of each block of Outer-kernel entries that an "lse" step forms."""
+    formed, inside = [], []
+    rows, lse = contract_mod._rows, contract_mod._lse
+
+    def rows_spy(w, sel, *into):
+        got = rows(w, sel, *into)
+        if inside and isinstance(w, Outer):
+            formed.append((got.size, w.shape[1]))
+        return got
+
+    def lse_spy(w, block):
+        inside.append(w)
+        try:
+            return lse(w, block)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(contract_mod, "_rows", rows_spy)
+    monkeypatch.setattr(contract_mod, "_lse", lse_spy)
+    return formed
+
+
+def _outer_contract(in_shape, out_shape, even):
+    log_f, kernels = _outer_case(np.random.default_rng(43), in_shape, out_shape, even, "finite")
+    return contract(log_f, kernels, "lse")
+
+
+G513 = make_grid(1, 8.0, 513)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [lambda: _outer_contract((257,), (301,), False), lambda: _outer_contract((301,), (257,), True),
+     lambda: _outer_contract((41, 19), (23, 29), False),
+     lambda: log_laplace(exp_power(G513, 1.5), make_grid(1, 9.0, 513), 1.25),
+     lambda: bl_integral(gaussian(G513), exp_power(G513, 3.0), bl_data(0.2)),
+     lambda: lr_volume_product(lp_ball(2.0, 1), 2.0, G513, inner_cells=1024)],
+    ids=["257x301", "301x257_even", "2d", "log_laplace", "bl_integral", "lr_volume_product"],
+)
+def test_outer_lse_steps_form_one_row_band_at_a_time(lse_outer_rows, route):
+    """An "lse" step takes an Outer kernel's row maxima from its axes and forms
+    at most a ROW_ELEMS band of its rows (one row at least) at once."""
+    route()
+    assert lse_outer_rows
+    assert all(size <= max(contract_mod.ROW_ELEMS, n) for size, n in lse_outer_rows)
+
+
 def _gauss_case(rng, in_shape, out_shape, even, case):
     """Gauss kernels on the axes of ``_outer_case``, each with its own variance."""
     log_f, outers = _outer_case(rng, in_shape, out_shape, even, case)
