@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import math
 import sys
 from dataclasses import dataclass, field
@@ -68,9 +69,12 @@ class ExperimentConfig:
         if raw is None:
             raise ConfigError(f"missing required key [{section}] {key}")
         try:
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
+            values = [float(tok) for tok in raw.split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key}: bad number list: {raw!r}") from exc
+        if not values:
+            raise ConfigError(f"[{section}] {key}: no number in {raw!r}")
+        return values
 
     def resolved(self) -> str:
         parts = [f"scenario={self.scenario}"]
@@ -101,24 +105,27 @@ def _grid(cfg: ExperimentConfig) -> GridSpec:
     return make_grid(dim, hw, pts)
 
 
-_DENSITY_PARAM_KEYS = ("alpha", "scale", "beta", "mass", "half", "height", "center", "var", "long", "short")
-
-
 def _density_set(cfg: ExperimentConfig, grid: GridSpec) -> dict[str, LogDensity]:
+    """The family's densities; [density] holds the family's parameters only."""
     family = cfg.get("density", "family")
     if family is None:
         raise ConfigError("missing required key [density] family")
+    if family != "battery" and family not in densities.FAMILIES:
+        raise ConfigError(f"unknown density family {family!r}; known: {sorted(densities.FAMILIES) + ['battery']}")
+    # the parameters after the grid (the battery takes none)
+    takes = list(inspect.signature(densities.FAMILIES.get(family, densities.battery_1d)).parameters.values())[1:]
+    extra = sorted(set(cfg.sections["density"]) - {"family"} - {p.name for p in takes})
+    if extra:
+        raise ConfigError(f"[density] {extra[0]}: family {family!r} takes only {[p.name for p in takes]}")
     if family == "battery":
         if grid.dim != 1:
             raise ConfigError("the battery is one-dimensional")
         out = densities.battery_1d(grid)
         out["gaussian"] = densities.gaussian(grid)
         return out
-    params = {
-        k: cfg.get_float("density", k)
-        for k in _DENSITY_PARAM_KEYS
-        if cfg.get("density", k) is not None
-    }
+    # get_float reports a missing key that has no default
+    params = {p.name: cfg.get_float("density", p.name) for p in takes
+              if p.default is p.empty or cfg.get("density", p.name) is not None}
     return {family: densities.from_family(family, grid, **params)}
 
 

@@ -14,10 +14,10 @@ A kernel is one of three kinds: an ``(M, N)`` array, an ``Outer`` kernel or a
 two axes. Every rank-one kernel goes to the engine so, its scale folded into
 ``x``: the conjugate's ``x_k y_k``, the Laplace, Brascamp-Lieb and L^r
 kernels, and the OU edge flags' ``(e^{-s} / var) x_k z_k``, whose row term
-cannot move an argmax over z. An ``"lse"`` step and a one-column ``"max"``
-step form only the products they read, ``np.multiply.outer(x[rows], y)`` for
-row bands and coarse rows and ``x[i] * y[j]`` inside windows (an ``"lse"``
-step takes its row maxima from the axes); other steps form the kernel whole.
+cannot move an argmax over z. A step forms only the products it reads,
+``np.multiply.outer(x[rows], y)`` for row bands and coarse rows and ``x[i] *
+y[j]`` inside flat windows (an ``"lse"`` step takes its row maxima from the
+axes), except a windowed step on two or more columns, which forms it whole.
 These are the IEEE products of the full kernel's entries, so an Outer kernel
 gives the bytes of its materialized array, and those steps hold at most a row
 band of it (the whole is 2.1 MB on 513 x 513). Its structure comes from its
@@ -48,22 +48,23 @@ Cost of one axis step with an ``(M, N)`` kernel on ``columns`` columns:
   ``e^FLOOR`` it may have lost terms to underflow; those entries are
   recomputed with an exact per-entry max-shifted sum, gathered in chunks of at
   most ``WORK_ELEMS`` elements.
-- ``"max"`` on an Outer kernel on sorted axes with two or more columns and
-  more than ``2 STRIDE`` rows is windowed. Adding ``block[j, c]`` keeps each
+- ``"max"`` on an Outer kernel on sorted axes with two or more columns is
+  windowed, whatever its row count. Adding ``block[j, c]`` keeps each
   column Monge, so its first row argmax never decreases with i (Aggarwal,
   Klawe, Moran, Shor and Wilber, Algorithmica 2, 1987): a dense argmax on every
   ``STRIDE``-th row brackets the rows between, and each row reduces only over
   its bracket. That is ``M N columns / STRIDE`` for the argmaxes plus ``M
   columns`` per bracketed j, with no ``(M, N, columns)`` array. A one-column
-  step of at least ``FLAT_ELEMS`` elements takes the same windows flat: every
-  row's window of ``x[i] y[j] + block[j]`` is gathered into one array and
-  reduced by one ``np.maximum.reduceat``, about ``M N / STRIDE`` products for
-  the argmaxes plus the windows, with no Python loop (0.12 against 0.37 ms on
-  a 257 x 513 step). Array kernels and all other steps form the ``(M, N,
-  columns)`` sums in column chunks of at most ``WORK_ELEMS`` elements whenever
-  a two-column chunk fits, and one-column sums in row blocks of ``ROW_ELEMS``.
-  The windowed and dense steps return the same values; only the sign of a
-  zero maximum can differ at exact ties, where numpy's dense max picks -0.0
+  step of more than ``2 STRIDE`` rows and at least ``FLAT_ELEMS`` elements
+  takes the same windows flat: every row's window of ``x[i] y[j] + block[j]``
+  is gathered into one array and reduced by one ``np.maximum.reduceat``,
+  about ``M N / STRIDE`` products for the argmaxes plus the windows, with no
+  Python loop (0.12 against 0.37 ms on a 257 x 513 step). Every other step
+  (array, Gauss and unsorted Outer kernels, small one-column steps) is dense:
+  it forms the ``(rows, N, columns)`` sums in row blocks of at most
+  ``ROW_ELEMS`` elements (one row at least) and reduces them over j. The
+  windowed and dense steps return the same values; only the sign of a zero
+  maximum can differ at exact ties, where numpy's dense max picks -0.0
   or +0.0 by SIMD lane.
 
 An exactly even input (equal to its reflection under x -> -x) with
@@ -89,15 +90,14 @@ import numpy as np
 
 from .core import reflect
 
-# element budget of one working array (32 MB of float64): a "max" column chunk
-# or one chunk of the "lse" fallback
+# element budget of one chunk of the "lse" fallback (32 MB of float64)
 WORK_ELEMS = 2**22
 # below log S = FLOOR the shifted "lse" sum is recomputed exactly: every term
 # lost to underflow is under 2.3e-308, a share below N e^-108 of S
 FLOOR = -600.0
 # element budget of one row block (256 KB of float64): "lse" exponentiates its
-# kernel and a one-column "max" step sums it this many elements at a time, so
-# a 1D 513-node step allocates no (M, N) temporary; glibc unmapped 2 MB ones
+# kernel and a dense "max" step forms its sums this many elements at a time,
+# so a 1D 513-node step allocates no (M, N) temporary; glibc unmapped 2 MB ones
 # and they faulted in again on every call (blocks of 2^17 and up still do)
 ROW_ELEMS = 2**15
 # rows between dense argmaxes in the windowed "max" step (4 to 16 measured; 8
@@ -169,9 +169,9 @@ def _rows(w, rows, out: np.ndarray | None = None) -> np.ndarray:
     return w[rows]
 
 
-def _row_blocks(w) -> list[slice]:
-    """Slices of w's rows holding at most ROW_ELEMS elements (one row at least)."""
-    m, step = w.shape[0], max(1, ROW_ELEMS // w.shape[1])
+def _row_blocks(w, cols: int = 1) -> list[slice]:
+    """Slices of w's rows whose sums over ``cols`` columns fit ROW_ELEMS (one row at least)."""
+    m, step = w.shape[0], max(1, ROW_ELEMS // (w.shape[1] * cols))
     return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
 
 
@@ -305,28 +305,14 @@ def _sorted_axes(w: Outer) -> bool:
 
 def _max(w, block: np.ndarray) -> np.ndarray:
     """max_j (w[i, j] + block[j, c]): windowed when w is an Outer kernel on
-    sorted axes and the step has more than 2 STRIDE rows and two or more
-    columns, or one column and at least FLAT_ELEMS elements; else dense, in row
-    blocks of ROW_ELEMS on one column and in column chunks of WORK_ELEMS
-    otherwise."""
-    m, n = w.shape
-    cols = block.shape[1]
+    sorted axes and the step has two or more columns, or one column, more
+    than 2 STRIDE rows and at least FLAT_ELEMS elements; else dense, in row
+    blocks of at most ROW_ELEMS sums."""
+    (m, n), cols = w.shape, block.shape[1]
     # a windowed one-column step below FLAT_ELEMS costs more than the dense one
-    if isinstance(w, Outer) and m > 2 * STRIDE and (cols >= 2 or m * n >= FLAT_ELEMS) and _sorted_axes(w):
+    if isinstance(w, Outer) and (cols >= 2 or (m > 2 * STRIDE and m * n >= FLAT_ELEMS)) and _sorted_axes(w):
         return _max_windowed(w, block) if cols >= 2 else _max_flat(w, block[:, 0])
-    if cols == 1:
-        return np.concatenate(
-            [np.max(_rows(w, band) + block[:, 0], axis=1, keepdims=True) for band in _row_blocks(w)]
-        )
-    w = _rows(w, slice(None))
-    # numpy reduces a lone column pairwise but several columns row by row, so
-    # every chunk keeps two or more columns: the result is then bitwise
-    # independent of the chunking
-    chunks = max(1, min(-(-cols // max(1, WORK_ELEMS // (m * n))), cols // 2))
-    return np.concatenate(
-        [np.max(w[:, :, None] + part[None, :, :], axis=1) for part in np.array_split(block, chunks, axis=1)],
-        axis=1,
-    )
+    return np.concatenate([np.max(_rows(w, band)[:, :, None] + block, axis=1) for band in _row_blocks(w, cols)])
 
 
 def _fill_even(a: np.ndarray) -> None:

@@ -10,6 +10,9 @@ block or a window at a time. On sorted axes x_k y_k is Monge, so the engine
 searches each row only between the argmaxes of its neighbouring sampled rows,
 in one flat reduction on large 1D steps. ``oracles.hull_legendre`` checks it
 with a lower-convex-hull sweep.
+
+``default_dual_grid`` runs no conjugate: it reads each half-width off the
+shadow profile of phi in closed form.
 """
 
 from __future__ import annotations
@@ -25,9 +28,6 @@ from .quadrature import boundary_mask
 
 # polars of Gaussian-decay inputs should fall by this many nats inside the box
 DUAL_DECAY_NATS = 40.0
-# the dual-grid ladder is searched on every LADDER_STEP-th rung, then within
-# the first coarse interval that reaches the target
-LADDER_STEP = 16
 
 
 def legendre_1d(y: np.ndarray, phi: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -57,34 +57,35 @@ def default_dual_grid(f: LogDensity) -> GridSpec:
 
     Along each dual axis e_k the conjugate is the 1D conjugate of the shadow
     profile min over the other coordinates of phi, so the half-width is the
-    smallest r with conj(r) >= conj(0) + DUAL_DECAY_NATS, found on a geometric
-    candidate ladder. Where no candidate reaches it the half-width falls back
-    to the 4096 cap with a RuntimeWarning naming the axis (downstream
-    tail_ratio flags the truncation).
+    smallest rung r of a geometric ladder with conj(r) >= T = conj(0) +
+    DUAL_DECAY_NATS. Where no rung reaches T the half-width falls back to the
+    4096 cap with a RuntimeWarning naming the axis (downstream tail_ratio flags
+    the truncation).
 
-    conj is a max of terms x y_j - phi_j. For x >= 0 a term with y_j < 0 stays
-    at or below conj(0), and one with y_j >= 0 never falls as x grows, rounded
-    or not, so the rungs that pass are those from the first hit on. Two
-    conjugates find it: one on x = 0 and every LADDER_STEP-th rung, then one
-    on the LADDER_STEP rungs that end at the first coarse hit.
+    conj is a max of terms x y_j - phi_j, and conj(0) = max_j -phi_j. For x >=
+    0 a term with y_j <= 0 stays at or below conj(0); one with y_j > 0 reaches
+    T from x = (T + phi_j) / y_j on. So the answer is the first rung at or
+    above the least such x, up to rounding, which can move it a rung either
+    way: from there the search steps down while the rung below reaches T and
+    up while the rung does not, with the engine's own terms fl(fl(r y_j) -
+    phi_j), which never fall as r grows. No conjugate runs.
     """
     grid = f.grid
     hws = []
     for k in range(grid.dim):
-        moved = np.moveaxis(f.phi, k, 0).reshape(grid.points[k], -1)
-        shadow = np.min(moved, axis=1)
-        y = grid.axis(k)
-        candidates = _ladder(grid.spacings[k])
-        coarse = legendre_1d(y, shadow, np.concatenate(([0.0], candidates[LADDER_STEP - 1::LADDER_STEP])))
-        target = coarse[0] + DUAL_DECAY_NATS
-        hit = np.flatnonzero(coarse[1:] >= target)
-        if not hit.size:
+        shadow = np.min(np.moveaxis(f.phi, k, 0).reshape(grid.points[k], -1), axis=1)
+        y, rungs = grid.axis(k), _ladder(grid.spacings[k])
+        target = np.max(-shadow) + DUAL_DECAY_NATS
+        pos = y > 0
+        i = int(np.searchsorted(rungs, np.min((target + shadow[pos]) / y[pos], initial=np.inf)))
+        while i > 0 and np.max(rungs[i - 1] * y - shadow) >= target:
+            i -= 1
+        while i < rungs.size and np.max(rungs[i] * y - shadow) < target:
+            i += 1
+        if i == rungs.size:
             warnings.warn(f"dual grid axis {k}: the conjugate rises less than {DUAL_DECAY_NATS:g} nats "
                           f"within the cap; half-width capped at 1.05 * 4096", RuntimeWarning, stacklevel=2)
-            hws.append(1.05 * 4096.0)
-            continue
-        rungs = candidates[hit[0] * LADDER_STEP:(hit[0] + 1) * LADDER_STEP]
-        hws.append(1.05 * rungs[np.argmax(legendre_1d(y, shadow, rungs) >= target)])
+        hws.append(1.05 * (rungs[i] if i < rungs.size else 4096.0))
     return make_grid(grid.dim, tuple(hws), grid.points)
 
 

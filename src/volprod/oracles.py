@@ -408,6 +408,8 @@ def bl_search(data: BLData, n: int = 1, log_bound: float = 12.0) -> BLOptimum:
     (log a, log b), raised to the n-th power.  A minimizer escaping to the
     search-box boundary signals a degenerate (zero) infimum; the coarse scan is
     what detects objectives that are unbounded below along a diagonal valley.
+    A probe on the far edges |log a|, |log b| = 300 below the descent's value
+    catches one that falls only far outside the box (a tiny positive A or B).
     A descent that has not converged after 200 rounds raises a RuntimeWarning
     and returns its last iterate.  At the endpoint exponents the objective is
     flat along ab = 1, so there the descent can stop anywhere near that curve
@@ -447,10 +449,12 @@ def bl_search(data: BLData, n: int = 1, log_bound: float = 12.0) -> BLOptimum:
         warnings.warn(f"Brascamp-Lieb search at s = {data.s:g} did not converge in 200 rounds; "
                       "the result is the last iterate", RuntimeWarning, stacklevel=2)
     val = obj(la, lb)
+    far = np.linspace(-300.0, 300.0, 121)
     degenerate = (
         not math.isfinite(val)
         or abs(la) > log_bound - 0.5
         or abs(lb) > log_bound - 0.5
+        or min(min(obj(u, e), obj(e, u)) for u in far for e in far[[0, -1]]) < val - 1e-6
     )
     a = math.exp(la)
     b = math.exp(lb)

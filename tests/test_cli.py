@@ -214,6 +214,18 @@ class TestMain:
         assert main(["nelson", "--config", cfg, "--out", str(tmp_path / "n")]) == 2
         assert "[params] assert_threshold_min: not a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scenario, text, key",
+        [("flow", "[density]\nfamily = gaussian\nalpha = 2\n", "[density] alpha"),
+         ("flow", "[density]\nfamily = exp_power\n", "[density] alpha"),
+         ("nelson", "[params]\nq = ,\nassert_threshold_min = 0\n", "[params] q")],
+        ids=["key-the-family-does-not-take", "required-key-missing", "list-without-a-number"],
+    )
+    def test_config_error_exits_2(self, tmp_path, capsys, scenario, text, key):
+        assert main([scenario, "--config", _write(tmp_path, text), "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+
     def test_unknown_body_exits_2(self, tmp_path, capsys):
         cfg = _write(tmp_path, "[params]\nbodies = pentagon\nr = 1\n")
         assert main(["lrvol", "--config", cfg, "--out", str(tmp_path / "u")]) == 2

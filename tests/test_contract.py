@@ -111,27 +111,19 @@ class TestEngine:
             assert np.all(out == -np.inf)
 
     @pytest.mark.parametrize("reduce", ["lse", "max"])
-    def test_chunking_is_bitwise_invisible(self, monkeypatch, reduce):
-        rng = np.random.default_rng(7)
-        # axis 0 has 7 x 11 columns; a budget of 3 columns per chunk does not divide them
-        log_f, kernels = _random_case(rng, (6, 7, 11), (5, 4, 9))
-        log_f[:, 0, :] = -np.inf
-        whole = contract(log_f, kernels, reduce)
-        monkeypatch.setattr(contract_mod, "WORK_ELEMS", 5 * 6 * 3)
-        chunked = contract(log_f, kernels, reduce)
-        assert chunked.tobytes() == whole.tobytes()
-        _close(chunked, _brute(log_f, kernels, reduce))
-
-    @pytest.mark.parametrize("reduce", ["lse", "max"])
-    @pytest.mark.parametrize("in_shape, out_shape", [((40,), (31,)), ((13, 6), (29, 5))])
+    @pytest.mark.parametrize("in_shape, out_shape", [((40,), (31,)), ((13, 6), (29, 5)), ((6, 7, 11), (5, 4, 9))])
     def test_row_blocks_are_bitwise_invisible(self, monkeypatch, reduce, in_shape, out_shape):
         rng = np.random.default_rng(9)
         log_f, kernels = _random_case(rng, in_shape, out_shape)
         log_f[rng.random(in_shape) < 0.2] = -np.inf
+        log_f[..., 0] = -np.inf  # on 2D and 3D, axis-0 columns that vanish throughout
         kernels[0][4] = -np.inf
         whole = contract(log_f, kernels, reduce)
-        # three rows per axis-0 block, so 31 rows end in a block of one
-        monkeypatch.setattr(contract_mod, "ROW_ELEMS", 3 * in_shape[0] + 1)
+        # three rows per axis-0 block, so 31 rows end in a block of one and 29
+        # and 5 rows in a block of two: an "lse" block counts kernel elements,
+        # a "max" block its sums over every column
+        columns = math.prod(in_shape[1:]) if reduce == "max" else 1
+        monkeypatch.setattr(contract_mod, "ROW_ELEMS", 3 * in_shape[0] * columns + 1)
         blocked = contract(log_f, kernels, reduce)
         assert blocked.tobytes() == whole.tobytes()
         _close(blocked, _brute(log_f, kernels, reduce))
@@ -352,15 +344,18 @@ def flat_steps(monkeypatch):
     return calls
 
 
-# every axis step has more than 2 STRIDE rows and two or more columns; M != N,
-# with M < N and M > N both present; _brute's all-pairs array stays near 1e6
-WINDOWED_SHAPES = [((41, 19), (23, 29)), ((6, 5, 7), (19, 17, 18))]
+# every axis step has two or more columns, and the last shape's steps have at
+# most 2 STRIDE rows; M != N, with M < N and M > N both present; _brute's
+# all-pairs array stays near 1e6
+WINDOWED_SHAPES = [((41, 19), (23, 29)), ((6, 5, 7), (19, 17, 18)), ((11, 4), (13, 7))]
 
 
 class TestWindowedMax:
     def test_shapes_take_the_windowed_step(self):
-        for _, out_shape in WINDOWED_SHAPES:
-            assert min(out_shape) > 2 * contract_mod.STRIDE
+        for in_shape, out_shape in WINDOWED_SHAPES:
+            for k in range(len(in_shape)):
+                assert math.prod(out_shape[:k]) * math.prod(in_shape[k + 1:]) >= 2
+        assert max(WINDOWED_SHAPES[-1][1]) <= 2 * contract_mod.STRIDE
 
     @pytest.mark.parametrize("in_shape, out_shape", WINDOWED_SHAPES)
     @pytest.mark.parametrize("case", ["minus_inf", "dead_columns", "all_minus_inf", "plus_inf", "integer_ties"])
@@ -660,16 +655,19 @@ def test_even_routes_take_the_half_path(engine_kernels, low_cuts, grid, route):
 
 
 @pytest.mark.parametrize("grid", TRAFFIC_GRIDS, ids=["1d513", "2d65"])
-@pytest.mark.parametrize(
-    "route",
-    [lambda g: default_dual_grid(exp_power(g, 1.5)), lambda g: laplace_grid(gaussian(g), -1.0, 1.0)],
-    ids=["default_dual_grid", "laplace_grid"],
-)
+@pytest.mark.parametrize("route", [lambda g: laplace_grid(gaussian(g), -1.0, 1.0)], ids=["laplace_grid"])
 def test_ladder_routes_take_the_full_path(engine_kernels, low_cuts, grid, route):
     """Their first kernel's x axis is a ladder of nonnegative rungs, not odd."""
     route(grid)
     assert engine_kernels["lse"] or engine_kernels["max"]
     assert low_cuts == []
+
+
+@pytest.mark.parametrize("grid", TRAFFIC_GRIDS, ids=["1d513", "2d65"])
+def test_default_dual_grid_makes_no_engine_step(engine_kernels, grid):
+    """Its half-widths come from the shadow profiles, not from conjugates."""
+    default_dual_grid(exp_power(grid, 1.5))
+    assert engine_kernels == {"lse": [], "max": []}
 
 
 def _lr_all_pairs(body: BodySpec, r: float, outer_grid, inner_cells: int) -> float:

@@ -286,11 +286,13 @@ ENDPOINT_S = [0.1, 0.2, S_HALF_LN2, 1.0, 2.0]
 
 def _bl_sample():
     """(s, p, q) points for the closed form against the search: seeded random
-    exponents, a point with two stationary points, and one exponent off the
-    schedule's while the other is exact."""
+    exponents, a point with two stationary points, a degenerate point whose
+    objective falls below the descent's value only far outside the search box
+    (-211.4 at (log a, log b) = (-0.5, 300) against -20.95 near (1, 1)), and
+    one exponent off the schedule's while the other is exact."""
     rng = np.random.default_rng(5)
     pts = [(s, rng.uniform(0.05, 0.95), -rng.uniform(0.1, 10.0)) for s in rng.uniform(0.1, 2.0, 12)]
-    pts.append((0.5, 0.4, -3.0))
+    pts += [(0.5, 0.4, -3.0), (0.6095, 0.04292, -3.238)]
     for s in (0.3, 0.8):
         sched = ExponentSchedule(s)
         pts += [(s, sched.p, sched.q * 0.8), (s, sched.p, sched.q * 1.2),

@@ -210,6 +210,23 @@ def _ladder_inputs():
         yield f"box-{hw:.4g}", box(make_grid(1, hw, 65), half=hw / 2)
 
 
+def _rounding_inputs():
+    """1D 513 inputs whose first hit sits at a rung r to within rounding:
+    phi = 1000 but 0 at the centre and r y_j - 40, nudged by up to 2 ulp, at
+    one node j, so the term x y_j - phi_j reaches the target near x = r."""
+    g = make_grid(1, 8.0, 513)
+    y = g.axis(0)
+    for r in legendre_mod._ladder(g.spacings[0])[60:200:7]:
+        for j in range(300, 513, 32):
+            for ulps in (-2, -1, 0, 1, 2):
+                phi = np.full(513, 1000.0)
+                phi[256] = 0.0
+                phi[j] = r * y[j] - 40.0
+                for _ in range(abs(ulps)):
+                    phi[j] = np.nextafter(phi[j], math.copysign(np.inf, ulps))
+                yield f"r={r:.6g} j={j} ulps={ulps}", LogDensity(g, phi)
+
+
 class TestDefaultDualGrid:
     def test_cap_warns(self):
         # the conjugate of a box of half-width 0.005 is 0.005 |x|: 20 nats at the cap
@@ -218,9 +235,10 @@ class TestDefaultDualGrid:
             dual = default_dual_grid(f)
         assert dual.axis(0)[-1] == pytest.approx(1.05 * 4096)
 
-    def test_two_level_search_matches_the_full_ladder(self):
+    def test_matches_the_full_ladder(self):
+        rounding = list(_rounding_inputs())
         hits = []
-        for name, f in _ladder_inputs():
+        for name, f in [*_ladder_inputs(), *rounding]:
             want, first = _full_ladder(f)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -229,10 +247,15 @@ class TestDefaultDualGrid:
             capped = [f"dual grid axis {k}" for k, hit in enumerate(first) if hit is None]
             assert [str(w.message).split(":")[0] for w in caught] == capped, name
             hits += first
-        assert len(hits) == 49 + 4 * (2 + 2 + 3) + 100 + 64
-        # first hits on both sides of a coarse rung (every 16th, from index 15) and the cap
-        found = {hit % legendre_mod.LADDER_STEP for hit in hits if hit is not None}
-        assert {0, 14, 15} <= found and None in hits
+        assert len(hits) == 49 + 4 * (2 + 2 + 3) + 100 + 64 + len(rounding)
+        assert None in hits
+        # rounding puts first hits one rung below and one above the rung at (T + phi_j) / y_j
+        y, rungs = rounding[0][1].grid.axis(0), legendre_mod._ladder(rounding[0][1].grid.spacings[0])
+        offsets = set()
+        for (_, f), hit in zip(rounding, hits[-len(rounding):]):
+            target = np.max(-f.phi) + legendre_mod.DUAL_DECAY_NATS
+            offsets.add(hit - int(np.searchsorted(rungs, np.min((target + f.phi[y > 0]) / y[y > 0]))))
+        assert offsets == {-1, 0, 1}
 
 
 class TestConvexEnvelope:
