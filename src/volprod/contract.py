@@ -67,14 +67,34 @@ Cost of one axis step with an ``(M, N)`` kernel on ``columns`` columns:
   maximum can differ at exact ties, where numpy's dense max picks -0.0
   or +0.0 by SIMD lane.
 
-An exactly even input (equal to its reflection under x -> -x) with
-centrally symmetric kernels takes the half path: only the ``M_0 - M_0 // 2``
-rows of axis 0 with x_0 >= 0 are contracted, so that step has half the rows
-and every later step half the columns, and the rest is filled by reflection.
-The kernels are checked first (Outer and Gauss kernels from their axes, an
-array kernel by one read), the input only if they pass. The even slice of
-``Outer(x, y)`` is ``Outer(x[M_0 // 2:], y)``; that of a Gauss kernel cuts
-``u``, the row maxima and ``exp(W - r)`` at ``M_0 // 2``.
+Symmetry halves the work. Each kernel is checked first (Outer and Gauss
+kernels from their axes, an array kernel by one read), then the input, one
+read per axis whose kernel passes:
+
+- The orthant path. Along every axis k whose kernel is centrally symmetric
+  and along which the input equals its own flip, only the ``M_k - M_k // 2``
+  rows with x_k >= 0 are contracted. A step along another axis maps mirror
+  columns to equal outputs, so that evenness survives every step, and each
+  later step sees fewer columns: with every axis halved the 3D steps cost
+  1/2, 1/4 and 1/8 of the full ones. At the end each halved axis is filled
+  by one sliced reflection, exactly, its x_k = 0 slab included. A ``"max"``
+  step there on an Outer kernel on sorted axes also reads only the ``y_k >=
+  0`` half of its input, ``Outer(x[M // 2:], y[N // 2:])`` on ``block[N //
+  2:]``: the block is even along k, x_i >= 0 and y_j >= 0 there, and
+  fl(x_i (-y_j)) = -fl(x_i y_j) <= fl(x_i y_j), so each mirrored term
+  rounds at most to its partner and the maximum keeps its value (only the
+  sign of a zero maximum can differ, at exact ties). This is the per-axis
+  symmetry that real-even FFTs exploit (Frigo and Johnson, Proc. IEEE 93,
+  2005). In 1D it is the only path.
+- The central half path, when no axis qualifies but every kernel is
+  centrally symmetric and the input equals its reflection under x -> -x (a
+  Gaussian with off-diagonal covariance): only the rows of axis 0 with x_0
+  >= 0 are contracted, so that step has half the rows and every later step
+  half the columns, and the rest is filled by reflection, the x_0 = 0 slab,
+  which ``"lse"`` leaves even only to rounding, by recursion.
+
+The even slice of ``Outer(x, y)`` is ``Outer(x[M // 2:], y)``; that of a
+Gauss kernel cuts ``u``, the row maxima and ``exp(W - r)`` at ``M // 2``.
 
 ``np.einsum`` runs numpy's own loop; a BLAS product (``@``) would be faster
 single-threaded but stalls under a default-threaded OpenBLAS on small
@@ -297,10 +317,11 @@ def _max_flat(w: Outer, col: np.ndarray) -> np.ndarray:
 
 
 def _sorted_axes(w: Outer) -> bool:
-    """Finite, nondecreasing axes (a NaN fails the order test): the exact
-    products x[i] y[j] are then finite and Monge, since each 2 x 2 difference
-    is (x[i+1] - x[i]) (y[j+1] - y[j]) >= 0."""
-    return all(bool(np.isfinite(a).all() and (a[1:] >= a[:-1]).all()) for a in w)
+    """Finite, nondecreasing axes (a NaN fails the order test, so a sorted
+    axis is finite when its ends are): the exact products x[i] y[j] are then
+    finite and Monge, since each 2 x 2 difference is (x[i+1] - x[i]) (y[j+1]
+    - y[j]) >= 0."""
+    return all(a.size == 0 or bool((a[1:] >= a[:-1]).all()) and -np.inf < a[0] and a[-1] < np.inf for a in w)
 
 
 def _max(w, block: np.ndarray) -> np.ndarray:
@@ -325,15 +346,37 @@ def _fill_even(a: np.ndarray) -> None:
         _fill_even(a[low])
 
 
+def _fill_orthant(a: np.ndarray, lows: list[int]) -> None:
+    """Make ``a`` exactly even along every axis k with ``lows[k] > 0``, in
+    place, from its orthant ``a[lows[0]:, lows[1]:, ...]``: one sliced
+    reflection per axis, each over what the earlier ones filled."""
+    region = [slice(low, None) for low in lows]
+    for k, low in enumerate(lows):
+        if low:
+            src = region.copy()
+            src[k] = slice(a.shape[k] - 1, a.shape[k] - 1 - low, -1)
+            region[k] = slice(None, low)
+            a[tuple(region)] = a[tuple(src)]
+            region[k] = slice(None)
+
+
 def _symmetric(w) -> bool:
     """Central symmetry of a kernel. An Outer or Gauss kernel has it when its
     axes are odd (``x == -x[::-1]``), since (-a) (-b) rounds exactly as a b
     and (-a) - (-b) as -(a - b); an array kernel is read once: the flattened
     W is then a palindrome."""
     if isinstance(w, (Outer, Gauss)):
-        return all(np.array_equal(a, -a[::-1]) for a in w[:2])
+        return all(bool((a == -a[::-1]).all()) for a in w[:2])
     flat, half = w.ravel(), w.size // 2
     return np.array_equal(flat[:half], flat[:-half - 1:-1])
+
+
+def _even_along(a: np.ndarray, k: int) -> bool:
+    """``a`` equals its flip along axis k (inf = inf allowed), read once:
+    the first half of the axis against the reversed last half."""
+    half = a.shape[k] // 2
+    head = (slice(None),) * k
+    return np.array_equal(a[head + (slice(None, half),)], a[head + (slice(-1, -half - 1, -1),)])
 
 
 def _low_cut(w, low: int):
@@ -353,27 +396,46 @@ def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse") -> np.ndarray
     M_{d-1})``. ``-inf`` entries of ``log_f`` (vanishing density, masked
     bodies) drop out; a column that is ``-inf`` throughout gives ``-inf``.
 
-    When every kernel is centrally symmetric, ``W[i, j] = W[-1 - i, -1 - j]``,
-    and ``log_f`` is exactly even, the result is even, and exactly so: rows
-    ``M_0 // 2:`` of axis 0 are contracted and the rest is their reflection.
+    Symmetry halves the work, and the halved result is exactly even:
+
+    - orthant path: along every axis k whose kernel is centrally symmetric,
+      ``W[i, j] = W[-1 - i, -1 - j]``, and along which ``log_f`` equals its
+      own flip, only rows ``M_k // 2:`` are contracted and the rest is their
+      reflection. A ``"max"`` step there on an Outer kernel on sorted axes
+      also reads only the ``y_k >= 0`` half of its input.
+    - central half path: when no axis qualifies but every kernel is centrally
+      symmetric and ``log_f`` equals its reflection through the origin, rows
+      ``M_0 // 2:`` of axis 0 are contracted and the rest is their reflection.
     """
     if reduce not in ("lse", "max"):
         raise ValueError(f"reduce must be 'lse' or 'max', got {reduce!r}")
     out = np.asarray(log_f, dtype=float)
     if [w.shape[1] for w in axis_kernels] != list(out.shape):
         raise ValueError(f"kernels {[w.shape for w in axis_kernels]} do not fit an array of shape {out.shape}")
-    steps = axis_kernels
-    even = out.ndim > 0 and all(_symmetric(w) for w in axis_kernels) and np.array_equal(out, reflect(out))
-    if even:
-        low = axis_kernels[0].shape[0] // 2
-        steps = [_low_cut(axis_kernels[0], low), *axis_kernels[1:]]
-    for k, w in enumerate(steps):
+    symmetric = [_symmetric(w) for w in axis_kernels]
+    even = [sym and _even_along(out, k) for k, sym in enumerate(symmetric)]
+    central = not any(even) and out.ndim > 1 and all(symmetric) and np.array_equal(out, reflect(out))
+    lows = [w.shape[0] // 2 if half else 0 for w, half in zip(axis_kernels, even)]
+    if central:
+        lows[0] = axis_kernels[0].shape[0] // 2
+    for k, w in enumerate(axis_kernels):
         moved = np.moveaxis(out, k, 0) if k else out
         flat = moved.reshape(moved.shape[0], -1)  # (N, columns)
+        if lows[k]:
+            w = _low_cut(w, lows[k])
+        if even[k] and reduce == "max" and isinstance(w, Outer) and _sorted_axes(w):
+            # x >= 0 on these rows, y_j >= 0 and block[j] = block[-1 - j]: each
+            # mirrored term x (-y_j) + block[j] rounds at most to its partner
+            w, flat = Outer(w.x, w.y[flat.shape[0] // 2:]), flat[flat.shape[0] // 2:]
         res = _max(w, flat) if reduce == "max" else _lse(w, flat)
         res = res.reshape((w.shape[0],) + moved.shape[1:])
         out = np.moveaxis(res, 0, k) if k else res
-    if even:
-        out = np.concatenate([np.empty_like(out[:low]), out])
-        _fill_even(out)
+    if central or any(lows):
+        full = np.empty([w.shape[0] for w in axis_kernels])
+        full[tuple(slice(low, None) for low in lows)] = out
+        if central:
+            _fill_even(full)
+        else:
+            _fill_orthant(full, lows)
+        out = full
     return out

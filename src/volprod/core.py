@@ -247,6 +247,10 @@ def reflect(arr: np.ndarray) -> np.ndarray:
 
 
 def check_even(f: LogDensity) -> bool:
-    """True iff phi(x) = phi(-x) exactly at every node (inf = inf allowed), the
-    test ``contract`` applies to its input."""
+    """True iff phi(x) = phi(-x) exactly at every node (inf = inf allowed).
+
+    This is evenness through the origin, the hypothesis of the theorem.
+    ``contract`` halves every axis along which its input equals its own flip
+    (the orthant path) and falls back to this test (the central half path)
+    only when no axis qualifies."""
     return np.array_equal(f.phi, reflect(f.phi))

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -193,10 +194,22 @@ def _is_even(a):
     return a.tobytes() == reflect(a).tobytes()
 
 
+def _even_along(a, k):
+    return a.tobytes() == np.flip(a, k).tobytes()
+
+
+def _halved_axes(log_f):
+    """How many axes the engine halves on centrally symmetric kernels: each
+    axis along which ``log_f`` equals its flip, else axis 0 alone when
+    ``log_f`` is even through the origin."""
+    per_axis = sum(np.array_equal(log_f, np.flip(log_f, k)) for k in range(log_f.ndim))
+    return per_axis or int(np.array_equal(log_f, reflect(log_f)))
+
+
 @pytest.fixture
 def low_cuts(monkeypatch):
-    """The axis-0 kernels whose even slice a contraction takes: one per call
-    on the half path."""
+    """The kernels whose even slice a contraction takes: one per halved axis
+    per call (axis 0 alone on the central half path)."""
     calls = []
     inner = contract_mod._low_cut
 
@@ -205,6 +218,20 @@ def low_cuts(monkeypatch):
         return inner(w, low)
 
     monkeypatch.setattr(contract_mod, "_low_cut", spy)
+    return calls
+
+
+@pytest.fixture
+def orthant_fills(monkeypatch):
+    """The ``lows`` of every orthant fill: one per call on the orthant path."""
+    calls = []
+    inner = contract_mod._fill_orthant
+
+    def spy(a, lows):
+        calls.append(list(lows))
+        return inner(a, lows)
+
+    monkeypatch.setattr(contract_mod, "_fill_orthant", spy)
     return calls
 
 
@@ -240,18 +267,59 @@ def _matches_brute(got, log_f, kernels, reduce):
 EVEN_SHAPES = [((9,), (5,)), ((9,), (13,)), ((257,), (301,)), ((15, 31), (9, 41)), ((5, 13, 7), (7, 11, 15))]
 
 
+def _orthant_case(rng, kind, in_shape, out_shape, axes):
+    """Centrally symmetric kernels of one kind (as ``_symmetric_case``) and an
+    input with -inf entries that equals its flip along each axis in ``axes``."""
+    _, kernels = _symmetric_case(rng, kind, in_shape, out_shape)
+    log_f = rng.normal(scale=3.0, size=in_shape)
+    log_f[rng.random(in_shape) < 0.2] = -np.inf
+    for k in axes:
+        log_f = np.minimum(log_f, np.flip(log_f, k))
+    return log_f, kernels
+
+
+def _nudge_off_axis(a, k):
+    """``a`` (even along every axis) with one finite entry off the x_k = 0 slab
+    moved up by one ulp, together with its mirrors along every other axis: the
+    result is even along every axis but k, and not even through the origin."""
+    a = a.copy()
+    p = next(i for i in zip(*np.nonzero(np.isfinite(a))) if 2 * i[k] != a.shape[k] - 1)
+    v = np.nextafter(a[p], np.inf)
+    others = [l for l in range(a.ndim) if l != k]
+    for flips in itertools.product([False, True], repeat=len(others)):
+        q = list(p)
+        for l, flip in zip(others, flips):
+            if flip:
+                q[l] = a.shape[l] - 1 - q[l]
+        a[tuple(q)] = v
+    return a
+
+
+def _ids(kernels):
+    return [id(w) for w in kernels]
+
+
 class TestEvenPath:
-    """``contract`` takes the half path exactly when every kernel is centrally
-    symmetric and the input is exactly even."""
+    """``contract`` halves every axis whose kernel is centrally symmetric and
+    along which the input equals its flip (the orthant path), and takes the
+    central half path when no axis qualifies but every kernel is centrally
+    symmetric and the input is even through the origin."""
 
     @pytest.mark.parametrize("reduce", ["lse", "max"])
     @pytest.mark.parametrize("kind", ["array", "outer", "gauss"])
     @pytest.mark.parametrize("in_shape, out_shape", EVEN_SHAPES)
-    def test_even_input_takes_the_half_path(self, low_cuts, reduce, kind, in_shape, out_shape):
+    def test_even_input_takes_the_half_path(self, low_cuts, orthant_fills, reduce, kind, in_shape, out_shape):
         rng = np.random.default_rng(len(in_shape) + out_shape[0] + len(kind))
         log_f, kernels = _symmetric_case(rng, kind, in_shape, out_shape)
         got = contract(log_f, kernels, reduce)
         assert len(low_cuts) == 1 and low_cuts[0] is kernels[0]
+        # even along no single axis in 2D and 3D: the central path; in 1D the
+        # two paths are one
+        if len(in_shape) > 1:
+            assert not any(_even_along(log_f, k) for k in range(len(in_shape)))
+            assert orthant_fills == []
+        else:
+            assert orthant_fills == [[out_shape[0] // 2]]
         assert got.shape == out_shape and _is_even(got) and np.isfinite(got).any()
         _matches_brute(got, log_f, kernels, reduce)
 
@@ -272,6 +340,115 @@ class TestEvenPath:
         got = contract(log_f, kernels, reduce)
         assert low_cuts == []
         _matches_brute(got, log_f, kernels, reduce)
+
+    @pytest.mark.parametrize("reduce", ["lse", "max"])
+    @pytest.mark.parametrize("kind", ["array", "outer", "gauss"])
+    @pytest.mark.parametrize("in_shape, out_shape", EVEN_SHAPES)
+    def test_input_even_in_every_axis_halves_every_axis(self, low_cuts, orthant_fills, reduce, kind, in_shape,
+                                                        out_shape):
+        d = len(in_shape)
+        rng = np.random.default_rng(d + out_shape[0] + len(kind) + 1)
+        log_f, kernels = _orthant_case(rng, kind, in_shape, out_shape, range(d))
+        got = contract(log_f, kernels, reduce)
+        assert _ids(low_cuts) == _ids(kernels)
+        assert orthant_fills == [[m // 2 for m in out_shape]]
+        assert got.shape == out_shape and np.isfinite(got).any()
+        assert all(_even_along(got, k) for k in range(d))
+        _matches_brute(got, log_f, kernels, reduce)
+
+    @pytest.mark.parametrize("reduce", ["lse", "max"])
+    @pytest.mark.parametrize("kind", ["array", "outer", "gauss"])
+    @pytest.mark.parametrize("in_shape, out_shape", EVEN_SHAPES[3:])
+    def test_input_even_in_one_axis_halves_that_axis(self, low_cuts, orthant_fills, reduce, kind, in_shape,
+                                                     out_shape):
+        rng = np.random.default_rng(len(in_shape) + len(kind) + 2)
+        log_f, kernels = _orthant_case(rng, kind, in_shape, out_shape, [1])
+        assert _halved_axes(log_f) == 1 and not np.array_equal(log_f, reflect(log_f))
+        got = contract(log_f, kernels, reduce)
+        assert _ids(low_cuts) == _ids(kernels[1:2])
+        assert orthant_fills == [[out_shape[1] // 2 if k == 1 else 0 for k in range(len(in_shape))]]
+        assert _even_along(got, 1) and np.isfinite(got).any()
+        _matches_brute(got, log_f, kernels, reduce)
+
+    @pytest.mark.parametrize("reduce", ["lse", "max"])
+    @pytest.mark.parametrize("kind", ["array", "outer", "gauss"])
+    @pytest.mark.parametrize("off", ["input", "rows", "columns"])
+    @pytest.mark.parametrize("in_shape, out_shape", EVEN_SHAPES[2:])
+    def test_one_ulp_off_along_one_axis_halves_the_others(self, low_cuts, orthant_fills, reduce, kind, off,
+                                                          in_shape, out_shape):
+        d = len(in_shape)
+        rng = np.random.default_rng(d + len(kind) + len(off) + 3)
+        log_f, kernels = _orthant_case(rng, kind, in_shape, out_shape, range(d))
+        k = d - 1
+        if off == "input":
+            log_f = _nudge_off_axis(log_f, k)
+            assert not _even_along(log_f, k) and all(_even_along(log_f, l) for l in range(k))
+        else:
+            kernels[k] = _one_ulp_off(kernels[k], off)
+        got = contract(log_f, kernels, reduce)
+        assert _ids(low_cuts) == _ids(kernels[:k])
+        assert orthant_fills == ([[m // 2 for m in out_shape[:k]] + [0]] if k else [])
+        _matches_brute(got, log_f, kernels, reduce)
+
+    @pytest.mark.parametrize("reduce", ["lse", "max"])
+    @pytest.mark.parametrize("kind", ["array", "outer"])
+    @pytest.mark.parametrize("case", ["plus_inf", "minus_inf", "all_minus_inf"])
+    def test_infinite_entries_on_the_orthant_path(self, low_cuts, orthant_fills, reduce, kind, case):
+        rng = np.random.default_rng(53 + len(case))
+        log_f, kernels = _orthant_case(rng, kind, (9, 7, 5), (11, 5, 7), range(3))
+        if case == "plus_inf":
+            log_f[np.ix_([1, 7], [2, 4], [0, 4])] = np.inf
+            kernels = [np.where(np.isfinite(w), w, 0.0) for w in kernels] if kind == "array" else kernels
+        elif case == "minus_inf":
+            log_f[:, 3] = -np.inf  # the x_1 = 0 slab
+            log_f[[0, -1]] = -np.inf
+        else:
+            log_f[...] = -np.inf
+        got = contract(log_f, kernels, reduce)
+        assert len(low_cuts) == 3 and orthant_fills == [[5, 2, 3]]
+        if case == "plus_inf":
+            assert np.all(got == np.inf)
+        elif case == "all_minus_inf":
+            assert np.all(got == -np.inf)
+        else:
+            assert np.isfinite(got).any() and (got == -np.inf).any() == (kind == "array")
+        _matches_brute(got, log_f, kernels, reduce)
+
+    @pytest.mark.parametrize("unsorted", ["x", "y"])
+    def test_unsorted_outer_axis_reads_every_column(self, engine_kernels, low_cuts, unsorted):
+        """An odd but unsorted Outer axis still halves the rows, but its "max"
+        step reads every column: off sorted axes a y >= 0 term need not win."""
+        rng = np.random.default_rng(59)
+        log_f, kernels = _orthant_case(rng, "outer", (31, 41), (29, 37), range(2))
+        axes = list(kernels[1])
+        a = axes[unsorted == "y"]
+        n = a.size
+        perm = np.arange(n)
+        perm[[2, n - 5]], perm[[n - 3, 4]] = perm[[n - 5, 2]], perm[[4, n - 3]]  # a negative node past the middle
+        axes[unsorted == "y"] = a[perm]
+        kernels[1] = Outer(*axes)
+        assert contract_mod._symmetric(kernels[1]) and not contract_mod._sorted_axes(kernels[1])
+        got = contract(log_f, kernels, "max")
+        assert _ids(low_cuts) == _ids(kernels)
+        assert [w.shape for w in engine_kernels["max"]] == [(15, 16), (19, 41)]
+        assert got.tobytes() == _brute(log_f, kernels, "max").tobytes()
+
+    @pytest.mark.parametrize("norm", ["l1", "linf"])
+    @pytest.mark.parametrize("in_shape, out_shape", [((21,), (25,)), ((21, 17), (25, 13)), ((9, 11, 7), (13, 9, 11))])
+    def test_exact_ties_differ_only_in_the_sign_of_zero(self, low_cuts, orthant_fills, norm, in_shape, out_shape):
+        """-|y|_1 and -|y|_inf on integer axes through 0: the terms x y - phi(y)
+        are exact integers and tie all over, zero maxima included. The values
+        equal the all-pairs max; only the sign of a zero maximum may differ."""
+        mesh = np.meshgrid(*[np.arange(n) - n // 2.0 for n in in_shape], indexing="ij")
+        phi = sum(np.abs(m) for m in mesh) if norm == "l1" else np.maximum.reduce([np.abs(m) for m in mesh])
+        kernels = [Outer(np.arange(m) - m // 2.0, np.arange(n) - n // 2.0) for m, n in zip(out_shape, in_shape)]
+        got = contract(-phi, kernels, "max")
+        want = _brute(-phi, kernels, "max")
+        assert len(low_cuts) == len(in_shape) and len(orthant_fills) == 1
+        assert np.array_equal(got, want) and (got == 0).any()
+        signed = np.signbit(got) != np.signbit(want)
+        assert np.all(got[signed] == 0)
+        assert all(_even_along(got, k) for k in range(len(in_shape)))
 
     @pytest.mark.parametrize("reduce", ["lse", "max"])
     def test_plus_inf_input(self, low_cuts, reduce):
@@ -466,18 +643,19 @@ def _outer_case(rng, in_shape, out_shape, even, case):
     return log_f, kernels
 
 
-# 1D steps below and above FLAT_ELEMS (also for the even half), then 2D and 3D
-# shapes whose steps have more than 2 STRIDE rows; M < N and M > N both
-# present, and odd sizes, so that even axes exist
-OUTER_SHAPES = [((65,), (97,)), ((97,), (65,)), ((257,), (301,)), ((301,), (257,)),
+# 1D steps below and above FLAT_ELEMS (also for the even quarter: the x >= 0
+# rows on the y >= 0 half), then 2D and 3D shapes whose steps have more than
+# 2 STRIDE rows; M < N and M > N both present, and odd sizes, so that even
+# axes exist
+OUTER_SHAPES = [((65,), (97,)), ((97,), (65,)), ((513,), (301,)), ((301,), (513,)),
                 ((41, 19), (23, 29)), ((7, 5, 3), (19, 17, 21))]
 
 
 class TestOuterKernel:
     def test_shapes_cover_both_sides_of_the_size_rule(self):
         sizes = [in_shape[0] * out_shape[0] for in_shape, out_shape in OUTER_SHAPES[:4]]
-        halves = [in_shape[0] * (out_shape[0] - out_shape[0] // 2) for in_shape, out_shape in OUTER_SHAPES[:4]]
-        assert max(sizes[:2]) < contract_mod.FLAT_ELEMS <= min(sizes[2:] + halves[2:])
+        quarters = [(n - n // 2) * (m - m // 2) for (n,), (m,) in OUTER_SHAPES[:4]]
+        assert max(sizes[:2]) < contract_mod.FLAT_ELEMS <= min(sizes[2:] + quarters[2:])
 
     @pytest.mark.parametrize("reduce", ["lse", "max"])
     @pytest.mark.parametrize("in_shape, out_shape", OUTER_SHAPES)
@@ -490,7 +668,7 @@ class TestOuterKernel:
         arrays = [np.multiply.outer(x, y) for x, y in kernels]
         got = contract(log_f, kernels, reduce)
         assert got.tobytes() == contract(log_f, arrays, reduce).tobytes()
-        assert len(low_cuts) == 2 * even
+        assert len(low_cuts) == 2 * even * _halved_axes(log_f)
         want = _brute(log_f, arrays, reduce)
         if reduce == "max":
             assert got.tobytes() == want.tobytes()
@@ -591,7 +769,7 @@ class TestGaussKernel:
             assert w.shifted.tobytes() == np.exp(a - w.row_max).tobytes()
         got = contract(log_f, kernels, reduce)
         assert got.tobytes() == contract(log_f, arrays, reduce).tobytes()
-        assert len(low_cuts) == 2 * even
+        assert len(low_cuts) == 2 * even * _halved_axes(log_f)
         assert np.all(got == -np.inf) == (case == "all_minus_inf")
 
 
@@ -647,11 +825,16 @@ TRAFFIC_GRIDS = [make_grid(1, 8.0, 513), make_grid(2, 6.0, 65)]
      lambda g: polar_density(exp_power(g, 1.5), make_grid(g.dim, 4.0, g.points))],
     ids=["log_laplace", "bl_integral", "lr_volume_product", "ou_edge_flags", "fp_evolve", "polar_density"],
 )
-def test_even_routes_take_the_half_path(engine_kernels, low_cuts, grid, route):
-    """Each route contracts every axis per call, and every call takes the half path."""
+def test_even_routes_take_the_half_path(engine_kernels, low_cuts, orthant_fills, grid, route):
+    """Each route's input is even in every coordinate, so every call takes the
+    orthant path and halves every axis, and every "max" step (an Outer kernel
+    on sorted axes) reads only the y >= 0 half of its input."""
     route(grid)
     steps = len(engine_kernels["lse"]) + len(engine_kernels["max"])
-    assert low_cuts and len(low_cuts) * grid.dim == steps
+    assert orthant_fills and len(orthant_fills) * grid.dim == steps
+    assert all(min(lows) > 0 for lows in orthant_fills)
+    assert len(low_cuts) == steps
+    assert all(w.y[0] >= 0 and w.y.size == grid.points[0] // 2 + 1 for w in engine_kernels["max"])
 
 
 @pytest.mark.parametrize("grid", TRAFFIC_GRIDS, ids=["1d513", "2d65"])

@@ -198,10 +198,11 @@ def _ladder_inputs():
         yield f"1d-{name}", f
         for t in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0):  # the flow scenario's default times
             yield f"1d-{name}-t{t}", fp_evolve(f, t)
-    for f in (cross2d(make_grid(2, 6.0, 129)), exp_power(make_grid(2, 6.0, 129), 2.7),
-              exp_power(make_grid(3, 6.0, 33), 2.7)):
+    for family, f in (("cross2d", cross2d(make_grid(2, 6.0, 129))),
+                      ("exp_power", exp_power(make_grid(2, 6.0, 129), 2.7)),
+                      ("exp_power", exp_power(make_grid(3, 6.0, 33), 2.7))):
         for t in (0.0, 0.1, 0.5, 2.0):
-            yield f"{f.grid.dim}d-{f.grid.points[0]}-t{t}", f if t == 0 else fp_evolve(f, t)
+            yield f"{f.grid.dim}d-{family}-{f.grid.points[0]}-t{t}", f if t == 0 else fp_evolve(f, t)
     for seed in (0, 11):
         for i, f in enumerate(_legendre_check_inputs(seed)):
             yield f"check-{seed}-{i}", f
@@ -237,8 +238,10 @@ class TestDefaultDualGrid:
 
     def test_matches_the_full_ladder(self):
         rounding = list(_rounding_inputs())
+        inputs = [*_ladder_inputs(), *rounding]
+        assert len({name for name, _ in inputs}) == len(inputs)
         hits = []
-        for name, f in [*_ladder_inputs(), *rounding]:
+        for name, f in inputs:
             want, first = _full_ladder(f)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
