@@ -96,6 +96,20 @@ read per axis whose kernel passes:
 The even slice of ``Outer(x, y)`` is ``Outer(x[M // 2:], y)``; that of a
 Gauss kernel cuts ``u``, the row maxima and ``exp(W - r)`` at ``M // 2``.
 
+``shell_max`` is the ``"max"`` contraction over the boundary shell alone,
+for the polar and the edge flags, which compare it with the maximum over the
+rest of the grid. A max over a union of node sets is the max of the maxes,
+so it goes face by face: the face ``j_k = e`` is an (n - 1)-dimensional
+``contract`` call over the other axes (a scalar in 1D), which takes the
+orthant path as any call does, and the kernel column ``W_k[:, e]`` is added
+along axis k last. Where the two end faces along k are equal, as on every
+even input, one call serves both with the column ``max(W_k[:, 0], W_k[:,
+-1])``, exactly, since fl(c + .) is monotone. The faces are folded into the
+output in row bands of at most ``ROW_ELEMS`` elements, with no full-size
+temporary. Adding the column last rounds otherwise than a contraction in
+axis order can, so against the maximum over the interior the two can
+disagree where one of them ties it exactly.
+
 ``np.einsum`` runs numpy's own loop; a BLAS product (``@``) would be faster
 single-threaded but stalls under a default-threaded OpenBLAS on small
 matrices, and the library sets no thread variables.
@@ -386,6 +400,47 @@ def _low_cut(w, low: int):
     if isinstance(w, Gauss):
         return Gauss(w.u[low:], w.v, w.var, w.row_max[low:], w.shifted[low:])
     return w[low:]
+
+
+def _column(w, j: int) -> np.ndarray:
+    """Column ``w[:, j]`` of a kernel of any kind, with the IEEE bytes of its
+    materialized array."""
+    if isinstance(w, Outer):
+        return w.x * w.y[j]
+    if isinstance(w, Gauss):
+        return _gauss_rows(w.u, w.v[j], w.var)
+    return w[:, j]
+
+
+def shell_max(log_f: np.ndarray, axis_kernels) -> np.ndarray:
+    """``contract(log_f, axis_kernels, "max")`` over the boundary shell of
+    ``log_f`` alone: one (n - 1)-dimensional contraction per face, or per
+    pair of equal end faces, each face's kernel column added last."""
+    log_f = np.asarray(log_f, dtype=float)
+    faces = []  # (k, the face's maximum expanded along k, its column along k)
+    for k, w in enumerate(axis_kernels):
+        head = (slice(None),) * k
+        low, high = log_f[head + (0,)], log_f[head + (-1,)]
+        if np.array_equal(low, high):
+            ends = [(low, np.maximum(_column(w, 0), _column(w, -1)))]
+        else:
+            ends = [(low, _column(w, 0)), (high, _column(w, -1))]
+        others = axis_kernels[:k] + axis_kernels[k + 1:]
+        shape = (-1,) + (1,) * (log_f.ndim - k - 1)
+        faces += [(k, np.expand_dims(contract(face, others, "max"), k), col.reshape(shape)) for face, col in ends]
+    (_, g, col), rest = faces[0], faces[1:]
+    out = np.add(g, col)
+    if rest:
+        rows = max(1, ROW_ELEMS // math.prod(out.shape[1:]))
+        buf = np.empty((min(rows, out.shape[0]),) + out.shape[1:])
+        for lo in range(0, out.shape[0], rows):
+            band = slice(lo, lo + rows)
+            acc = out[band]
+            part = buf[:acc.shape[0]]
+            for k, g, col in rest:
+                np.add(g[band] if k else g, col if k else col[band], out=part)
+                np.maximum(acc, part, out=acc)
+    return out
 
 
 def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse") -> np.ndarray:

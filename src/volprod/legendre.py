@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from .contract import Outer, contract
+from .contract import Outer, contract, shell_max
 from .core import GridSpec, LogDensity, check_even, make_grid
 from .quadrature import boundary_mask
 
@@ -34,7 +34,7 @@ def legendre_1d(y: np.ndarray, phi: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Exact discrete conjugate of the sampled phi, evaluated at dual nodes x.
 
     All-inf input is rejected; +inf samples simply do not participate in the sup.
-    An exactly even phi on odd y and x gets the engine's half path.
+    An exactly even phi on odd y and x gets the engine's orthant path.
     """
     phi = np.asarray(phi, dtype=float)
     if not np.isfinite(phi).any():
@@ -109,22 +109,28 @@ def polar_density(f: LogDensity, dual: GridSpec | None = None) -> LogDensity:
     Dual nodes whose sup is attained on the primal boundary shell are
     truncation artifacts (the sup over all of R^n is +inf there, as for
     f = e^{-|y|} beyond |x| = 1); those nodes are reported as phi* = +inf.
-    They are detected by conjugating once more with the boundary shell
-    removed: any strict decrease means the boundary was the maximizer.
+    One conjugate runs, over the nodes inside the shell, and the shell's own
+    maximum comes from its faces (``contract.shell_max``); the conjugate over
+    all nodes is the larger of the two. Where it exceeds the inner conjugate
+    by more than 1e-12 (1 + |phi*|), the boundary was the maximizer.
     """
     if not check_even(f):
         warnings.warn("polar of a non-even density: Blaschke-Santalo hypotheses unmet")
     dual = dual if dual is not None else default_dual_grid(f)
-    full = legendre_transform(f, dual)
     shell = boundary_mask(f.phi.shape)
-    trimmed = np.where(shell, np.inf, f.phi)
     # a shell that is +inf already (a box) cannot win; an all-shell input has no inner conjugate
-    if not np.isfinite(f.phi[shell]).any() or not np.isfinite(trimmed).any():
-        return full
-    inner = legendre_transform(LogDensity(f.grid, trimmed), dual)
-    scale = 1.0 + np.where(np.isfinite(full.phi), np.abs(full.phi), 0.0)
-    boundary_won = full.phi > inner.phi + 1e-12 * scale
-    phi = np.where(boundary_won, np.inf, full.phi)
+    if not np.isfinite(f.phi[shell]).any() or not np.isfinite(f.phi[(slice(1, -1),) * f.grid.dim]).any():
+        return legendre_transform(f, dual)
+    inner = legendre_transform(LogDensity(f.grid, np.where(shell, np.inf, f.phi)), dual).phi
+    phi = shell_max(-f.phi, [Outer(dual.axis(k), f.grid.axis(k)) for k in range(f.grid.dim)])
+    np.maximum(inner, phi, out=phi)  # the conjugate over all nodes
+    # inner + 1e-12 (1 + |phi|), |phi| taken as 0 where phi is infinite
+    margin = np.abs(phi)
+    margin[np.isinf(margin)] = 0.0
+    margin += 1.0
+    margin *= 1e-12
+    margin += inner
+    phi[phi > margin] = np.inf
     return LogDensity(grid=dual, phi=phi)
 
 

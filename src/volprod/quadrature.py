@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contract import contract
+from .contract import contract, shell_max
 from .core import GridSpec, LogDensity, LogQuad, NEG_INF
 
 LOG_2PI = math.log(2 * math.pi)
@@ -41,12 +41,19 @@ GAUSSIAN = Measure("standard_gaussian")
 
 def logsumexp_all(terms: np.ndarray) -> float:
     """log sum exp over the full array; -inf entries drop out."""
-    m = float(np.max(terms))
+    return _logsumexp_in_place(np.array(terms, dtype=float))
+
+
+def _logsumexp_in_place(buf: np.ndarray) -> float:
+    """``logsumexp_all(buf)``, shifting and exponentiating ``buf`` in place."""
+    m = float(buf.max())
     if m == NEG_INF:
         return NEG_INF
     if math.isinf(m):
         return math.inf
-    return m + math.log(float(np.sum(np.exp(terms - m))))
+    buf -= m
+    np.exp(buf, out=buf)
+    return m + math.log(float(buf.sum()))
 
 
 def trapezoid_log_weights(grid: GridSpec) -> np.ndarray:
@@ -78,19 +85,21 @@ def edge_dominated(log_f: np.ndarray, axis_kernels) -> np.ndarray:
 
     True where the largest kernel-weighted term over boundary nodes of
     ``log_f`` is at least the largest over interior nodes: the integral behind
-    that output node is cut by the grid edge, not decayed inside it.
+    that output node is cut by the grid edge, not decayed inside it. The
+    boundary's maximum comes from the faces (``contract.shell_max``), the
+    interior's from one contraction with the shell masked out.
     """
-    bmask = boundary_mask(log_f.shape)
-    boundary_max = contract(np.where(bmask, log_f, NEG_INF), axis_kernels, "max")
-    interior_max = contract(np.where(bmask, NEG_INF, log_f), axis_kernels, "max")
+    boundary_max = shell_max(log_f, axis_kernels)
+    interior_max = contract(np.where(boundary_mask(log_f.shape), NEG_INF, log_f), axis_kernels, "max")
     return boundary_max >= interior_max
 
 
 def _tail_ratio(log_integrand: np.ndarray) -> float:
-    """max boundary integrand / max interior integrand, in linear scale."""
-    mask = boundary_mask(log_integrand.shape)
-    mb = float(np.max(log_integrand[mask]))
-    mi = float(np.max(log_integrand[~mask]))
+    """max boundary integrand / max interior integrand, in linear scale, read
+    off the 2n faces and the interior view."""
+    a = log_integrand
+    mb = max(float(a[(slice(None),) * k + (e,)].max()) for k in range(a.ndim) for e in (0, -1))
+    mi = float(a[(slice(1, -1),) * a.ndim].max())
     if mb == NEG_INF:
         return 0.0
     if mi == NEG_INF:
@@ -108,15 +117,16 @@ def log_lq_norm(f: LogDensity, q: float, measure: Measure = LEBESGUE) -> LogQuad
     if q == 0:
         raise ValueError("q must be nonzero")
     phi = f.phi
+    log_integrand = -q * phi
     if q < 0:
         # f = 0 nodes give f^q = +inf; exclude them, they carry zero measure
         # on a full-measure finite subgrid and are reported via tail_ratio.
-        log_fq = np.where(np.isinf(phi), NEG_INF, -q * np.where(np.isinf(phi), 0.0, phi))
-    else:
-        log_fq = -q * phi
-    log_integrand = log_fq + measure.log_weight(f.grid)
-    terms = log_integrand + trapezoid_log_weights(f.grid)
-    la = logsumexp_all(terms)
+        log_integrand[np.isinf(phi)] = NEG_INF
+    log_integrand += measure.log_weight(f.grid)
+    tail_ratio = _tail_ratio(log_integrand)
+    # the whole weights array, in place: adding one axis at a time would round otherwise
+    log_integrand += trapezoid_log_weights(f.grid)
+    la = _logsumexp_in_place(log_integrand)
     if la == NEG_INF:
         return LogQuad(log_abs=NEG_INF, sign=0)
-    return LogQuad(log_abs=la / q, sign=1, tail_ratio=_tail_ratio(log_integrand))
+    return LogQuad(log_abs=la / q, sign=1, tail_ratio=tail_ratio)

@@ -2,6 +2,7 @@ import ast
 import inspect
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.special import logsumexp
 
 from volprod import contract as contract_mod
 from volprod import oracles
-from volprod.contract import Gauss, Outer, contract
+from volprod.contract import Gauss, Outer, contract, shell_max
 from volprod.core import (
     BodySpec,
     ExponentSchedule,
@@ -32,7 +33,7 @@ from volprod.functionals import (
 )
 from volprod.heatflow import fp_evolve, ou_apply, ou_edge_flags
 from volprod.legendre import default_dual_grid, legendre_transform, polar_density
-from volprod.quadrature import boundary_mask, trapezoid_log_weights
+from volprod.quadrature import boundary_mask, edge_dominated, trapezoid_log_weights
 
 REL = 1e-12
 
@@ -295,6 +296,18 @@ def _nudge_off_axis(a, k):
     return a
 
 
+def _unsorted(w: Outer, axis: str) -> Outer:
+    """``w`` with its ``x`` or ``y`` axis permuted, still odd but unsorted:
+    a negative node past the middle."""
+    axes = list(w)
+    a = axes[axis == "y"]
+    n = a.size
+    perm = np.arange(n)
+    perm[[2, n - 5]], perm[[n - 3, 4]] = perm[[n - 5, 2]], perm[[4, n - 3]]
+    axes[axis == "y"] = a[perm]
+    return Outer(*axes)
+
+
 def _ids(kernels):
     return [id(w) for w in kernels]
 
@@ -420,13 +433,7 @@ class TestEvenPath:
         step reads every column: off sorted axes a y >= 0 term need not win."""
         rng = np.random.default_rng(59)
         log_f, kernels = _orthant_case(rng, "outer", (31, 41), (29, 37), range(2))
-        axes = list(kernels[1])
-        a = axes[unsorted == "y"]
-        n = a.size
-        perm = np.arange(n)
-        perm[[2, n - 5]], perm[[n - 3, 4]] = perm[[n - 5, 2]], perm[[4, n - 3]]  # a negative node past the middle
-        axes[unsorted == "y"] = a[perm]
-        kernels[1] = Outer(*axes)
+        kernels[1] = _unsorted(kernels[1], unsorted)
         assert contract_mod._symmetric(kernels[1]) and not contract_mod._sorted_axes(kernels[1])
         got = contract(log_f, kernels, "max")
         assert _ids(low_cuts) == _ids(kernels)
@@ -773,6 +780,158 @@ class TestGaussKernel:
         assert np.all(got == -np.inf) == (case == "all_minus_inf")
 
 
+def _brute_shell(log_f, kernels):
+    """The all-pairs max over the boundary shell, face by face: each face's
+    kernel column is added last, as ``shell_max`` adds it."""
+    d = log_f.ndim
+    best = np.full([w.shape[0] for w in kernels], -np.inf)
+    for k, w in enumerate(kernels):
+        for e in (0, -1):
+            face = _brute(log_f[(slice(None),) * k + (e,)], kernels[:k] + kernels[k + 1:], "max")
+            col = _log_array(w)[:, e].reshape((-1,) + (1,) * (d - k - 1))
+            best = np.maximum(best, np.expand_dims(face, k) + col)
+    return best
+
+
+@pytest.fixture
+def face_contractions(monkeypatch):
+    """The shape of every face ``shell_max`` contracts."""
+    calls = []
+    inner = contract_mod.contract
+
+    def spy(log_f, kernels, reduce="lse"):
+        calls.append(np.shape(log_f))
+        return inner(log_f, kernels, reduce)
+
+    monkeypatch.setattr(contract_mod, "contract", spy)
+    return calls
+
+
+SHELL_SHAPES = [((9,), (13,)), ((15, 31), (9, 41)), ((5, 13, 7), (7, 11, 15))]
+# inputs even in every axis, in axis 1 only (2D and 3D) and in none
+SHELL_CASES = [(i, o, even) for i, o in SHELL_SHAPES for even in ("every", "one", "none") if len(i) > 1 or even != "one"]
+
+
+class TestShellMax:
+    @pytest.mark.parametrize("kind", ["array", "outer", "gauss"])
+    @pytest.mark.parametrize("in_shape, out_shape, even", SHELL_CASES)
+    @pytest.mark.parametrize("case", ["minus_inf", "plus_inf", "dead_face"])
+    def test_matches_all_pairs_over_the_shell(self, face_contractions, kind, in_shape, out_shape, even, case):
+        """Bitwise against the all-pairs max over the shell (random inputs
+        have no zero maximum whose sign could differ), one face contraction
+        per axis where the two end faces are equal; within 1e-12 of the
+        shell's max summed in axis order, which differs only in the rounding
+        order of the face column."""
+        d = len(in_shape)
+        rng = np.random.default_rng(sum(in_shape) + len(kind) + len(even) + len(case))
+        axes = {"every": range(d), "one": [1], "none": []}[even]
+        log_f, kernels = _orthant_case(rng, kind, in_shape, out_shape, axes)
+        if case == "plus_inf":
+            log_f[(1,) * d] = log_f[(0,) * d] = np.inf
+            for k in axes:
+                log_f = np.maximum(log_f, np.flip(log_f, k))
+            kernels = [np.where(np.isfinite(w), w, 0.0) for w in kernels] if kind == "array" else kernels
+        elif case == "dead_face":
+            log_f[..., 0] = log_f[..., -1] = -np.inf
+        got = shell_max(log_f, kernels)
+        assert got.shape == out_shape
+        assert got.tobytes() == _brute_shell(log_f, kernels).tobytes()
+        _close(got, _brute(np.where(boundary_mask(in_shape), log_f, -np.inf), kernels, "max"))
+        shared = [np.array_equal(np.take(log_f, 0, k), np.take(log_f, -1, k)) for k in range(d)]
+        assert all(shared) == (even == "every" or case == "dead_face" and d == 1)
+        assert len(face_contractions) == sum(1 if same else 2 for same in shared)
+        if case == "plus_inf":
+            assert np.isposinf(got).all()
+        else:
+            assert np.isfinite(got).any() == (case != "dead_face" or d > 1)
+
+    @pytest.mark.parametrize("unsorted", ["x", "y"])
+    def test_unsorted_outer_axes(self, unsorted):
+        rng = np.random.default_rng(61)
+        log_f, kernels = _orthant_case(rng, "outer", (31, 41, 9), (29, 37, 7), range(3))
+        kernels[1] = _unsorted(kernels[1], unsorted)
+        assert contract_mod._symmetric(kernels[1]) and not contract_mod._sorted_axes(kernels[1])
+        assert shell_max(log_f, kernels).tobytes() == _brute_shell(log_f, kernels).tobytes()
+
+    @pytest.mark.parametrize("in_shape, out_shape", SHELL_SHAPES)
+    def test_row_bands_are_bitwise_invisible(self, monkeypatch, in_shape, out_shape):
+        rng = np.random.default_rng(67)
+        log_f, kernels = _orthant_case(rng, "outer", in_shape, out_shape, [])
+        want = shell_max(log_f, kernels)
+        monkeypatch.setattr(contract_mod, "ROW_ELEMS", 7)
+        assert shell_max(log_f, kernels).tobytes() == want.tobytes()
+
+    def test_forms_no_full_size_temporary(self):
+        grid = make_grid(3, 6.0, 65)
+        f = gaussian(grid)
+        kernels = [Outer(a, a) for a in grid.axes()]
+        log_f = -f.phi
+        log_f[0] = -1.0  # one face that differs from its partner
+        shell_max(log_f, kernels)  # first calls allocate numpy's caches
+        tracemalloc.start()
+        try:
+            got = shell_max(log_f, kernels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < got.nbytes + 4 * 8 * contract_mod.ROW_ELEMS
+
+
+def _edge_dominated_two_contractions(log_f, kernels):
+    """The boundary flags as two full ``max`` contractions, shell against
+    interior, and the two maxima."""
+    shell = boundary_mask(log_f.shape)
+    boundary = contract(np.where(shell, log_f, -np.inf), kernels, "max")
+    interior = contract(np.where(shell, -np.inf, log_f), kernels, "max")
+    return boundary >= interior, boundary, interior
+
+
+EDGE_GRIDS = [make_grid(1, 8.0, 513), make_grid(2, 6.0, 65), make_grid(3, 4.0, 17)]
+
+
+@pytest.mark.parametrize("grid", EDGE_GRIDS, ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize(
+    "make",
+    [gaussian, lambda g: exp_power(g, 1.0), lambda g: exp_power(g, 2.5), lambda g: fp_evolve(box(g), 0.3)],
+    ids=["gaussian", "exp_power1", "exp_power2.5", "box_flow"],
+)
+@pytest.mark.parametrize("s", [0.1, 0.4])
+def test_edge_flags_equal_the_two_contraction_form(grid, make, s):
+    """The OU and Laplace edge flags of the library, byte for byte the
+    two-contraction form on the kernels each route builds."""
+    f = make(grid)
+    var = -math.expm1(-2 * s)
+    log_g = f.log_values() - sum(m * m for m in grid.meshgrid()) / (2 * var)
+    want = _edge_dominated_two_contractions(log_g, [Outer(math.exp(-s) / var * a, a) for a in grid.axes()])[0]
+    assert ou_edge_flags(f, s).tobytes() == want.tobytes()
+    sched = ExponentSchedule(s)
+    scale = 1.0 / sched.p
+    x_grid = laplace_grid(f, sched.q, scale)
+    kernels = [Outer(scale * x_grid.axis(k), grid.axis(k)) for k in range(grid.dim)]
+    want = _edge_dominated_two_contractions(-scale * f.phi, kernels)[0]
+    assert laplace_f_t(f, s)[1].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("s", [0.1, 0.2, 0.4])
+def test_edge_flags_differ_only_at_exact_ties(s):
+    """``shell_max`` adds each face's kernel column last, so its shell maximum
+    can round otherwise than the contraction in axis order. On a 3D 17^3
+    Gaussian with Laplace kernels (1.5 x / p) z the flags can then differ
+    (8, 12 and 32 of 4913 nodes), and at each such node the two orders
+    disagree on an exact tie: one of them puts the shell maximum exactly on
+    the interior one."""
+    grid = make_grid(3, 4.0, 17)
+    scale = 1.0 / ExponentSchedule(s).p
+    kernels = [Outer(1.5 * scale * a, a) for a in grid.axes()]
+    log_f = -scale * gaussian(grid).phi
+    got = edge_dominated(log_f, kernels)
+    want, boundary, interior = _edge_dominated_two_contractions(log_f, kernels)
+    edge = shell_max(log_f, kernels)
+    _close(edge, boundary)
+    flips = got != want
+    assert np.all((boundary == interior) | (edge == interior) | ~flips)
+
+
 @pytest.fixture
 def engine_kernels(monkeypatch):
     """Every kernel that an axis step receives, by reducer."""
@@ -828,10 +987,12 @@ TRAFFIC_GRIDS = [make_grid(1, 8.0, 513), make_grid(2, 6.0, 65)]
 def test_even_routes_take_the_half_path(engine_kernels, low_cuts, orthant_fills, grid, route):
     """Each route's input is even in every coordinate, so every call takes the
     orthant path and halves every axis, and every "max" step (an Outer kernel
-    on sorted axes) reads only the y >= 0 half of its input."""
+    on sorted axes) reads only the y >= 0 half of its input. That holds for
+    the face contractions of ``shell_max`` too, each of its own dimension:
+    one step per axis of the call."""
     route(grid)
     steps = len(engine_kernels["lse"]) + len(engine_kernels["max"])
-    assert orthant_fills and len(orthant_fills) * grid.dim == steps
+    assert orthant_fills and sum(len(lows) for lows in orthant_fills) == steps
     assert all(min(lows) > 0 for lows in orthant_fills)
     assert len(low_cuts) == steps
     assert all(w.y[0] >= 0 and w.y.size == grid.points[0] // 2 + 1 for w in engine_kernels["max"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from volprod import legendre as legendre_mod
+from volprod.contract import shell_max
 from volprod.core import LogDensity, body_to_logdensity, check_even, lp_ball, make_grid, reflect
 from volprod.densities import battery_1d, box, cross2d, exp_power, gaussian
 from volprod.heatflow import fp_evolve
@@ -279,6 +280,16 @@ class TestConvexEnvelope:
         assert np.all(env.phi <= (y**2 - 1.0) ** 2 + 1e-12)
 
 
+def _polar_two_conjugates(f, dual):
+    """The polar rebuilt from two independent conjugates, over all nodes and
+    with the boundary shell removed: +inf where the first exceeds the second."""
+    full = legendre_transform(f, dual).phi
+    trimmed = np.where(boundary_mask(f.phi.shape), np.inf, f.phi)
+    inner = legendre_transform(LogDensity(f.grid, trimmed), dual).phi
+    scale = 1.0 + np.where(np.isfinite(full), np.abs(full), 0.0)
+    return np.where(full > inner + 1e-12 * scale, np.inf, full)
+
+
 class TestPolarDensity:
     def test_gaussian_polar_mass(self):
         g = make_grid(1, 8.0, 513)
@@ -301,24 +312,32 @@ class TestPolarDensity:
             assert math.exp(v) == pytest.approx(2 * math.pi, rel=5e-3)
 
     @pytest.mark.parametrize(
-        "f, conjugates",
-        [(box(make_grid(1, 3.0, 129)), 1), (cross2d(make_grid(2, 6.0, 65)), 1), (gaussian(make_grid(2, 6.0, 33)), 2)],
+        "f, shell_maxima",
+        [(box(make_grid(1, 3.0, 129)), 0), (cross2d(make_grid(2, 6.0, 65)), 0), (gaussian(make_grid(2, 6.0, 33)), 1)],
         ids=["box-1d", "cross2d", "gaussian-2d"],
     )
-    def test_plus_inf_shell_conjugates_once(self, monkeypatch, f, conjugates):
-        # with the boundary shell already +inf, trimming it changes nothing
+    def test_plus_inf_shell_conjugates_once(self, monkeypatch, f, shell_maxima):
+        # with the boundary shell already +inf, trimming it changes nothing;
+        # a finite shell adds its faces' maximum, not a second conjugate
         dual = default_dual_grid(f)
         want = legendre_transform(f, dual).phi
-        calls = []
+        calls, shells = [], []
 
         def spy(*args):
             calls.append(args)
             return legendre_transform(*args)
 
+        def shell_spy(*args):
+            shells.append(args)
+            return shell_max(*args)
+
         monkeypatch.setattr(legendre_mod, "legendre_transform", spy)
+        monkeypatch.setattr(legendre_mod, "shell_max", shell_spy)
         got = polar_density(f, dual)
-        assert len(calls) == conjugates
-        if conjugates == 1:
+        assert len(calls) == 1 and len(shells) == shell_maxima
+        if shell_maxima:
+            assert np.isposinf(calls[0][0].phi[boundary_mask(f.phi.shape)]).all()
+        else:
             assert got.phi.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
@@ -338,14 +357,23 @@ class TestPolarDensity:
         # a 1D 513 kernel x (x) y takes 2.1 MB, its even half 1.05 MB
         assert peak < 1e6
 
-        # the polar rebuilt from two independent conjugates
-        full = legendre_transform(f, dual).phi
-        trimmed = np.where(boundary_mask(f.phi.shape), np.inf, f.phi)
-        inner = legendre_transform(LogDensity(f.grid, trimmed), dual).phi
-        scale = 1.0 + np.where(np.isfinite(full), np.abs(full), 0.0)
-        want = np.where(full > inner + 1e-12 * scale, np.inf, full)
+        want = _polar_two_conjugates(f, dual)
         assert np.isinf(want).any() and np.isfinite(want).any()
         assert got.phi.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "f",
+        [exp_power(make_grid(1, 8.0, 513), 1.0), exp_power(make_grid(2, 6.0, 65), 1.0),
+         fp_evolve(exp_power(make_grid(2, 6.0, 65), 1.5), 0.1), gaussian(make_grid(3, 4.0, 17)),
+         exp_power(make_grid(3, 4.0, 17), 1.0), fp_evolve(box(make_grid(3, 4.0, 17)), 0.3)],
+        ids=["exp_power1-1d", "exp_power1-2d", "exp_power1.5-2d-t0.1", "gaussian-3d", "exp_power1-3d",
+             "box-3d-t0.3"],
+    )
+    def test_equals_the_two_conjugate_form(self, f):
+        dual = default_dual_grid(f)
+        want = _polar_two_conjugates(f, dual)
+        assert np.isfinite(want).any()
+        assert polar_density(f, dual).phi.tobytes() == want.tobytes()
 
     def test_non_even_warns(self):
         g = make_grid(1, 4.0, 65)
