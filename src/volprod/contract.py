@@ -73,13 +73,18 @@ read per axis whose kernel passes:
 
 - The orthant path. Along every axis k whose kernel is centrally symmetric
   and along which the input equals its own flip, only the ``M_k - M_k // 2``
-  rows with x_k >= 0 are contracted. A step along another axis maps mirror
-  columns to equal outputs, so that evenness survives every step, and each
-  later step sees fewer columns: with every axis halved the 3D steps cost
-  1/2, 1/4 and 1/8 of the full ones. At the end each halved axis is filled
-  by one sliced reflection, exactly, its x_k = 0 slab included. A ``"max"``
-  step there on an Outer kernel on sorted axes also reads only the ``y_k >=
-  0`` half of its input, ``Outer(x[M // 2:], y[N // 2:])`` on ``block[N //
+  rows with x_k >= 0 are contracted, and the input is cut to its ``y_k >=
+  0`` half, ``N_k // 2:``, before the first step. A step works one column at
+  a time and maps mirror columns to equal outputs, so evenness survives
+  every step and no step computes a mirror column: step k reads 2^(n - 1 -
+  k) times fewer columns than one that halves only its own rows, and with
+  every axis even a 3D step costs at most 1/8 of the full one. A step that
+  sums over all of its axis (``"lse"``, or ``"max"`` on an array, Gauss or
+  unsorted Outer kernel) first restores it by one reflection, and axis 0
+  stays whole for it, since no earlier step gains from that cut. At the end
+  each halved axis is filled by one sliced reflection, exactly, its x_k = 0
+  slab included. A ``"max"`` step on an Outer kernel on sorted axes keeps
+  the ``y_k >= 0`` half, ``Outer(x[M // 2:], y[N // 2:])`` on ``block[N //
   2:]``: the block is even along k, x_i >= 0 and y_j >= 0 there, and
   fl(x_i (-y_j)) = -fl(x_i y_j) <= fl(x_i y_j), so each mirrored term
   rounds at most to its partner and the maximum keeps its value (only the
@@ -338,14 +343,14 @@ def _sorted_axes(w: Outer) -> bool:
     return all(a.size == 0 or bool((a[1:] >= a[:-1]).all()) and -np.inf < a[0] and a[-1] < np.inf for a in w)
 
 
-def _max(w, block: np.ndarray) -> np.ndarray:
-    """max_j (w[i, j] + block[j, c]): windowed when w is an Outer kernel on
-    sorted axes and the step has two or more columns, or one column, more
-    than 2 STRIDE rows and at least FLAT_ELEMS elements; else dense, in row
-    blocks of at most ROW_ELEMS sums."""
+def _max(w, block: np.ndarray, monge: bool) -> np.ndarray:
+    """max_j (w[i, j] + block[j, c]): windowed when ``monge`` (w is an Outer
+    kernel on sorted axes) and the step has two or more columns, or one
+    column, more than 2 STRIDE rows and at least FLAT_ELEMS elements; else
+    dense, in row blocks of at most ROW_ELEMS sums."""
     (m, n), cols = w.shape, block.shape[1]
     # a windowed one-column step below FLAT_ELEMS costs more than the dense one
-    if isinstance(w, Outer) and (cols >= 2 or (m > 2 * STRIDE and m * n >= FLAT_ELEMS)) and _sorted_axes(w):
+    if monge and (cols >= 2 or (m > 2 * STRIDE and m * n >= FLAT_ELEMS)):
         return _max_windowed(w, block) if cols >= 2 else _max_flat(w, block[:, 0])
     return np.concatenate([np.max(_rows(w, band)[:, :, None] + block, axis=1) for band in _row_blocks(w, cols)])
 
@@ -456,8 +461,9 @@ def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse") -> np.ndarray
     - orthant path: along every axis k whose kernel is centrally symmetric,
       ``W[i, j] = W[-1 - i, -1 - j]``, and along which ``log_f`` equals its
       own flip, only rows ``M_k // 2:`` are contracted and the rest is their
-      reflection. A ``"max"`` step there on an Outer kernel on sorted axes
-      also reads only the ``y_k >= 0`` half of its input.
+      reflection. The input keeps only its ``y_k >= 0`` half there (axis 0
+      only for a ``"max"`` step on sorted Outer kernels, which reads just
+      that half); every other step restores its own axis by one reflection.
     - central half path: when no axis qualifies but every kernel is centrally
       symmetric and ``log_f`` equals its reflection through the origin, rows
       ``M_0 // 2:`` of axis 0 are contracted and the rest is their reflection.
@@ -473,16 +479,24 @@ def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse") -> np.ndarray
     lows = [w.shape[0] // 2 if half else 0 for w, half in zip(axis_kernels, even)]
     if central:
         lows[0] = axis_kernels[0].shape[0] // 2
-    for k, w in enumerate(axis_kernels):
+    kernels = [_low_cut(w, low) if low else w for w, low in zip(axis_kernels, lows)]
+    monge = [reduce == "max" and isinstance(w, Outer) and _sorted_axes(w) for w in kernels]
+    # steps work column by column and mirror columns are equal, so each even
+    # axis drops its y_k < 0 half, but axis 0 when its step sums over all of it
+    cut = [half and (k > 0 or monge[0]) for k, half in enumerate(even)]
+    if any(cut):
+        out = out[tuple(slice(n // 2 if c else 0, None) for n, c in zip(out.shape, cut))]
+    for k, w in enumerate(kernels):
         moved = np.moveaxis(out, k, 0) if k else out
-        flat = moved.reshape(moved.shape[0], -1)  # (N, columns)
-        if lows[k]:
-            w = _low_cut(w, lows[k])
-        if even[k] and reduce == "max" and isinstance(w, Outer) and _sorted_axes(w):
+        n = w.shape[1]
+        if cut[k] and monge[k]:
             # x >= 0 on these rows, y_j >= 0 and block[j] = block[-1 - j]: each
             # mirrored term x (-y_j) + block[j] rounds at most to its partner
-            w, flat = Outer(w.x, w.y[flat.shape[0] // 2:]), flat[flat.shape[0] // 2:]
-        res = _max(w, flat) if reduce == "max" else _lse(w, flat)
+            w = Outer(w.x, w.y[n // 2:])
+        elif cut[k]:
+            moved = np.concatenate([moved[::-1][:n // 2], moved])
+        flat = moved.reshape(moved.shape[0], -1)  # (N, columns)
+        res = _max(w, flat, monge[k]) if reduce == "max" else _lse(w, flat)
         res = res.reshape((w.shape[0],) + moved.shape[1:])
         out = np.moveaxis(res, 0, k) if k else res
     if central or any(lows):

@@ -9,7 +9,11 @@ import pytest
 from scipy.special import logsumexp
 
 from volprod import contract as contract_mod
+from volprod import functionals as functionals_mod
+from volprod import heatflow as heatflow_mod
+from volprod import legendre as legendre_mod
 from volprod import oracles
+from volprod import quadrature as quadrature_mod
 from volprod.contract import Gauss, Outer, contract, shell_max
 from volprod.core import (
     BodySpec,
@@ -312,6 +316,50 @@ def _ids(kernels):
     return [id(w) for w in kernels]
 
 
+@pytest.fixture
+def engine_steps(monkeypatch):
+    """Every ``contract`` call the library makes (the tests call
+    ``contract_mod.contract``): its reducer, input and output shapes and
+    the ``(reducer, kernel rows, block shape)`` of each of its axis steps."""
+    calls = []
+    inner = contract_mod.contract
+
+    def spy(log_f, kernels, reduce="lse"):
+        calls.append((reduce, np.shape(log_f), tuple(w.shape[0] for w in kernels), []))
+        return inner(log_f, kernels, reduce)
+
+    for mod in (contract_mod, functionals_mod, heatflow_mod, legendre_mod, quadrature_mod):
+        monkeypatch.setattr(mod, "contract", spy)
+    for name in ("lse", "max"):
+        step = getattr(contract_mod, "_" + name)
+
+        def step_spy(w, block, *route, step=step, name=name):
+            calls[-1][-1].append((name, w.shape[0], block.shape))
+            return step(w, block, *route)
+
+        monkeypatch.setattr(contract_mod, "_" + name, step_spy)
+    return calls
+
+
+def _orthant_steps(in_shape, out_shape, reduce, axes, windows):
+    """The ``engine_steps`` record of each axis step of a call whose input is
+    even along ``axes``: a step along k holds only the orthant of every other
+    even axis l, ``M_l - M_l // 2`` once contracted and ``N_l - N_l // 2``
+    before, as columns, and the whole of the rest. Its block has ``N_k - N_k
+    // 2`` rows when it is a "max" step on sorted Outer kernels
+    (``windows``) along an even axis, and ``N_k`` otherwise."""
+    def orthant(n, l):
+        return n - n // 2 if l in axes else n
+
+    steps = []
+    for k, n in enumerate(in_shape):
+        cols = math.prod(orthant(m, l) for l, m in enumerate(out_shape[:k]))
+        cols *= math.prod(orthant(n_l, l) for l, n_l in enumerate(in_shape) if l > k)
+        rows = orthant(n, k) if reduce == "max" and windows else n
+        steps.append((reduce, orthant(out_shape[k], k), (rows, cols)))
+    return steps
+
+
 class TestEvenPath:
     """``contract`` halves every axis whose kernel is centrally symmetric and
     along which the input equals its flip (the orthant path), and takes the
@@ -402,6 +450,31 @@ class TestEvenPath:
         assert _ids(low_cuts) == _ids(kernels[:k])
         assert orthant_fills == ([[m // 2 for m in out_shape[:k]] + [0]] if k else [])
         _matches_brute(got, log_f, kernels, reduce)
+
+    @pytest.mark.parametrize("reduce", ["lse", "max"])
+    @pytest.mark.parametrize("kind", ["array", "outer", "gauss"])
+    @pytest.mark.parametrize("axes", [(1, 2), (0, 2), (2,)], ids=["12", "02", "2"])
+    @pytest.mark.parametrize("in_shape, out_shape", [EVEN_SHAPES[4], ((9, 11, 7), (13, 9, 11))])
+    def test_input_even_in_some_axes(self, engine_steps, low_cuts, orthant_fills, reduce, kind, axes, in_shape,
+                                     out_shape):
+        """3D inputs even along some axes only, where the input's cut and the
+        halved rows differ: axis 0 keeps its whole input unless its step is
+        a "max" step on sorted Outer kernels, and only even axes are halved."""
+        rng = np.random.default_rng(sum(axes) + len(axes) + len(kind) + in_shape[0])
+        log_f, kernels = _orthant_case(rng, kind, in_shape, out_shape, axes)
+        assert [k for k in range(3) if _even_along(log_f, k)] == list(axes)
+        got = contract_mod.contract(log_f, kernels, reduce)
+        assert _ids(low_cuts) == [id(kernels[k]) for k in axes]
+        assert orthant_fills == [[m // 2 if k in axes else 0 for k, m in enumerate(out_shape)]]
+        steps = _orthant_steps(in_shape, out_shape, reduce, axes, kind == "outer")
+        assert engine_steps == [(reduce, in_shape, out_shape, steps)]
+        want = _brute(log_f, kernels, reduce)
+        if reduce == "max":
+            assert got.tobytes() == want.tobytes()
+        else:
+            _close(got, want)
+            assert np.array_equal(np.isposinf(got), np.isposinf(want))
+            assert np.array_equal(np.isneginf(got), np.isneginf(want))
 
     @pytest.mark.parametrize("reduce", ["lse", "max"])
     @pytest.mark.parametrize("kind", ["array", "outer"])
@@ -939,9 +1012,9 @@ def engine_kernels(monkeypatch):
     for name in seen:
         inner = getattr(contract_mod, "_" + name)
 
-        def spy(w, block, inner=inner, name=name):
+        def spy(w, block, *route, inner=inner, name=name):
             seen[name].append(w)
-            return inner(w, block)
+            return inner(w, block, *route)
 
         monkeypatch.setattr(contract_mod, "_" + name, spy)
     return seen
@@ -973,17 +1046,18 @@ def test_library_max_steps_get_outer_kernels(engine_kernels, grid, route):
 TRAFFIC_GRIDS = [make_grid(1, 8.0, 513), make_grid(2, 6.0, 65)]
 
 
+EVEN_ROUTES = {
+    "log_laplace": lambda g: log_laplace(exp_power(g, 1.5), make_grid(g.dim, 9.0, g.points), 1.25),
+    "bl_integral": lambda g: bl_integral(gaussian(g), exp_power(g, 3.0), bl_data(0.2)),
+    "lr_volume_product": lambda g: lr_volume_product(lp_ball(2.0, g.dim), 2.0, g),
+    "ou_edge_flags": lambda g: ou_edge_flags(exp_power(g, 1.5), 0.2),
+    "fp_evolve": lambda g: fp_evolve(box(g), 0.3),
+    "polar_density": lambda g: polar_density(exp_power(g, 1.5), make_grid(g.dim, 4.0, g.points)),
+}
+
+
 @pytest.mark.parametrize("grid", TRAFFIC_GRIDS, ids=["1d513", "2d65"])
-@pytest.mark.parametrize(
-    "route",
-    [lambda g: log_laplace(exp_power(g, 1.5), make_grid(g.dim, 9.0, g.points), 1.25),
-     lambda g: bl_integral(gaussian(g), exp_power(g, 3.0), bl_data(0.2)),
-     lambda g: lr_volume_product(lp_ball(2.0, g.dim), 2.0, g),
-     lambda g: ou_edge_flags(exp_power(g, 1.5), 0.2),
-     lambda g: fp_evolve(box(g), 0.3),
-     lambda g: polar_density(exp_power(g, 1.5), make_grid(g.dim, 4.0, g.points))],
-    ids=["log_laplace", "bl_integral", "lr_volume_product", "ou_edge_flags", "fp_evolve", "polar_density"],
-)
+@pytest.mark.parametrize("route", list(EVEN_ROUTES.values()), ids=list(EVEN_ROUTES))
 def test_even_routes_take_the_half_path(engine_kernels, low_cuts, orthant_fills, grid, route):
     """Each route's input is even in every coordinate, so every call takes the
     orthant path and halves every axis, and every "max" step (an Outer kernel
@@ -996,6 +1070,23 @@ def test_even_routes_take_the_half_path(engine_kernels, low_cuts, orthant_fills,
     assert all(min(lows) > 0 for lows in orthant_fills)
     assert len(low_cuts) == steps
     assert all(w.y[0] >= 0 and w.y.size == grid.points[0] // 2 + 1 for w in engine_kernels["max"])
+
+
+@pytest.mark.parametrize(
+    "grid, route",
+    [pytest.param(g, route, id=f"{name}-{gid}")
+     for g, gid in zip(TRAFFIC_GRIDS + [make_grid(3, 4.0, 17)], ["1d513", "2d65", "3d17"])
+     for name, route in EVEN_ROUTES.items() if g.dim <= 2 or name != "lr_volume_product"],  # L^r: n <= 2
+)
+def test_even_routes_read_only_the_orthant(engine_steps, grid, route):
+    """Every call of these routes is even along every axis, so each axis step
+    reads only the orthant columns, 2^(n - 1) times fewer than the full
+    block: an "lse" step restores its own axis to N_k rows, and a "max" step
+    (on sorted Outer kernels) keeps its N_k - N_k // 2."""
+    route(grid)
+    assert engine_steps
+    for reduce, in_shape, out_shape, steps in engine_steps:
+        assert steps == _orthant_steps(in_shape, out_shape, reduce, range(len(in_shape)), True)
 
 
 @pytest.mark.parametrize("grid", TRAFFIC_GRIDS, ids=["1d513", "2d65"])
