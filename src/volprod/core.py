@@ -2,12 +2,18 @@
 
 Densities are stored as phi = -log f with an explicit +inf sentinel for f = 0,
 so indicator densities are exact and Gaussian tails never underflow.
+
+Grid quantities are built from the per-axis node arrays (``GridSpec.open_axes``),
+broadcast into one full-size output buffer in the order a sum over the
+meshgrid takes, so their bytes are the meshgrid form's. ``GridSpec.meshgrid``
+remains for point-set callers (``body_to_logdensity``, the oracles).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,15 +48,36 @@ class GridSpec:
     def spacings(self) -> tuple[float, ...]:
         return tuple(2 * r / (n - 1) for r, n in zip(self.half_widths, self.points))
 
+    @cached_property
+    def _axes(self) -> tuple[np.ndarray, ...]:
+        """Nodes along each axis, exactly symmetric: x_i = (i - m) * h with m
+        the center index; built once per grid and read-only."""
+        out = []
+        for r, n in zip(self.half_widths, self.points):
+            m = (n - 1) // 2
+            a = (np.arange(n) - m) * (r / m)
+            a.flags.writeable = False
+            out.append(a)
+        return tuple(out)
+
     def axis(self, k: int) -> np.ndarray:
-        """Nodes along axis k, exactly symmetric: x_i = (i - m) * h with m the center index."""
-        n = self.points[k]
-        m = (n - 1) // 2
-        h = self.half_widths[k] / m
-        return (np.arange(n) - m) * h
+        """Nodes along axis k: the grid's own read-only array, not a copy."""
+        return self._axes[k]
 
     def axes(self) -> list[np.ndarray]:
-        return [self.axis(k) for k in range(self.dim)]
+        return list(self._axes)
+
+    def open_axes(self) -> list[np.ndarray]:
+        """Axis k as a view of shape (1, ..., n_k, ..., 1): an open mesh that
+        broadcasts to grid.points."""
+        return [a.reshape([-1 if j == k else 1 for j in range(self.dim)]) for k, a in enumerate(self._axes)]
+
+    def sq_norm(self) -> np.ndarray:
+        """|x|^2 at every node, adding x_k^2 axis by axis into one buffer."""
+        out = np.zeros(self.points)
+        for a in self.open_axes():
+            out += a * a
+        return out
 
     def meshgrid(self) -> list[np.ndarray]:
         return list(np.meshgrid(*self.axes(), indexing="ij"))
@@ -79,11 +106,13 @@ class LogDensity:
         phi = np.asarray(self.phi, dtype=float)
         if phi.shape != self.grid.points:
             raise ValueError(f"phi shape {phi.shape} does not match grid {self.grid.points}")
-        if np.isnan(phi).any():
+        # one reduction: min is NaN if any entry is, else -inf if any entry is
+        low = phi.min()
+        if np.isnan(low):
             raise ValueError("phi contains NaN")
-        if (phi == NEG_INF).any():
+        if low == NEG_INF:
             raise ValueError("phi contains -inf (density unbounded)")
-        if not np.isfinite(phi).any():
+        if low == np.inf:
             raise ValueError("density vanishes everywhere (all-inf phi)")
         object.__setattr__(self, "phi", phi)
 
@@ -218,17 +247,24 @@ class LogQuad:
 
 
 def gaussian_to_logdensity(g: GaussianSpec, grid: GridSpec) -> LogDensity:
-    """phi(x) = 0.5 <x, A^{-1} x> + 0.5 log det(2 pi A) - log c at every node."""
+    """phi(x) = 0.5 <x, A^{-1} x> + 0.5 log det(2 pi A) - log c at every node.
+
+    The quadratic form adds (x_i A^{-1}[i, j]) x_j over the nonzero entries of
+    A^{-1} in (i, j) order into one buffer; each term spans only axes i and j.
+    """
     if g.dim != grid.dim:
         raise ValueError("dimension mismatch between Gaussian and grid")
     inv = np.linalg.inv(g.covariance)
     sign, logdet = np.linalg.slogdet(2 * math.pi * g.covariance)
     if sign <= 0:
         raise ValueError("covariance not positive definite")
-    mesh = grid.meshgrid()
-    x = np.stack(mesh, axis=-1)
-    quad = np.einsum("...i,ij,...j->...", x, inv, x)
-    phi = 0.5 * quad + 0.5 * logdet - math.log(g.mass)
+    x = grid.open_axes()
+    phi = np.zeros(grid.points)
+    for i, j in zip(*np.nonzero(inv)):
+        phi += (x[i] * inv[i, j]) * x[j]
+    phi *= 0.5
+    phi += 0.5 * logdet
+    phi -= math.log(g.mass)
     return LogDensity(grid=grid, phi=phi)
 
 

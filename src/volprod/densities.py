@@ -15,19 +15,19 @@ def gaussian(grid: GridSpec, beta: float = 1.0, mass: float = 1.0) -> LogDensity
 
 def box(grid: GridSpec, half: float = 1.0, height: float = 1.0) -> LogDensity:
     """Indicator density height * 1_{[-half, half]^n}, exact via the inf sentinel."""
-    mesh = grid.meshgrid()
     inside = np.ones(grid.points, dtype=bool)
-    for m in mesh:
-        inside &= np.abs(m) <= half + 1e-12
+    for a in grid.open_axes():
+        inside &= np.abs(a) <= half + 1e-12
     phi = np.where(inside, -math.log(height), np.inf)
     return LogDensity(grid=grid, phi=phi)
 
 
 def exp_power(grid: GridSpec, alpha: float, scale: float = 1.0) -> LogDensity:
     """f = scale * e^{-|x|^alpha} with the Euclidean norm (1D: e^{-|x|^alpha})."""
-    mesh = grid.meshgrid()
-    r = np.sqrt(sum(m * m for m in mesh))
-    phi = r**alpha - math.log(scale)
+    phi = grid.sq_norm()
+    np.sqrt(phi, out=phi)
+    phi **= alpha
+    phi -= math.log(scale)
     return LogDensity(grid=grid, phi=phi)
 
 
@@ -46,7 +46,7 @@ def cross2d(grid: GridSpec, long: float = 2.0, short: float = 0.5) -> LogDensity
     """Indicator of a plus-shaped cross, the non-convex 2D battery member."""
     if grid.dim != 2:
         raise ValueError("cross2d is a 2D family")
-    x, y = grid.meshgrid()
+    x, y = grid.open_axes()
     arm1 = (np.abs(x) <= long) & (np.abs(y) <= short)
     arm2 = (np.abs(x) <= short) & (np.abs(y) <= long)
     phi = np.where(arm1 | arm2, 0.0, np.inf)

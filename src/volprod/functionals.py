@@ -31,11 +31,11 @@ from .quadrature import (
     GAUSSIAN,
     LEBESGUE,
     LOG_2PI,
+    add_trapezoid_log_weights,
     edge_dominated,
     log_integral,
     log_lq_norm,
     logsumexp_all,
-    trapezoid_log_weights,
 )
 
 # Laplace-transform grids are widened until q log F has dropped this many nats
@@ -188,7 +188,7 @@ def laplace_grid(f: LogDensity, q: float, scale: float) -> GridSpec:
     while ladder[-1] < 512.0:
         ladder.append(ladder[-1] * 1.5)
     xs = np.array([0.0] + ladder[:-1])
-    log_f = -scale * f.phi + trapezoid_log_weights(f.grid)
+    log_f = add_trapezoid_log_weights(-scale * f.phi, f.grid)
     hws = []
     for k in range(n):
         # log F at x = r e_k for every rung r at once (and at x = 0)
@@ -212,7 +212,7 @@ def log_laplace(f: LogDensity, x_grid: GridSpec, scale: float = 1.0):
     grid = f.grid
     base = -scale * f.phi
     kernels = [Outer(scale * x_grid.axis(k), grid.axis(k)) for k in range(grid.dim)]
-    out = contract(base + trapezoid_log_weights(grid), kernels)
+    out = contract(add_trapezoid_log_weights(base.copy(), grid), kernels)
     return out, edge_dominated(base, kernels)
 
 
@@ -301,10 +301,16 @@ def bl_integral(f1: LogDensity, f2: LogDensity, data: BLData) -> LogQuad:
         raise ValueError("dimension mismatch")
     n = f1.grid.dim
     q2 = data.qform
-    sq1 = sum(m * m for m in f1.grid.meshgrid())
-    sq2 = sum(m * m for m in f2.grid.meshgrid())
-    base1 = (-math.pi * q2[0, 0]) * sq1 - data.c1 * f1.phi + trapezoid_log_weights(f1.grid)
-    base2 = (-math.pi * q2[1, 1]) * sq2 - data.c2 * f2.phi + trapezoid_log_weights(f2.grid)
+
+    def base(f, qkk, c):
+        # (-pi Q_kk) |x|^2 - c phi plus the trapezoid weights, in one buffer
+        b = f.grid.sq_norm()
+        b *= -math.pi * qkk
+        b -= c * f.phi
+        return add_trapezoid_log_weights(b, f.grid)
+
+    base1 = base(f1, q2[0, 0], data.c1)
+    base2 = base(f2, q2[1, 1], data.c2)
     # the cross term couples each coordinate of x1 with the same coordinate of
     # x2, so x2 is integrated out axis by axis
     cross = -2 * math.pi * q2[0, 1]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .contract import Gauss, Outer, contract
 from .core import GridSpec, LogDensity
-from .quadrature import edge_dominated, trapezoid_log_weights
+from .quadrature import add_trapezoid_log_weights, edge_dominated
 
 # cache of per-axis Gauss kernels keyed by (kind, t, n, half_width); each holds
 # one (n, n) array, its read-only exp(W - r), which every later call shares
@@ -57,7 +57,7 @@ def _apply_kernel(f: LogDensity, t: float, kind: str) -> LogDensity:
     """Contract f with the per-axis kernels of ``kind`` at time t; even f stay exactly even."""
     _check_resolution(f.grid, t)
     kernels = [_axis_kernel(f.grid.axis(k), t, kind) for k in range(f.grid.dim)]
-    phi = -contract(f.log_values() + trapezoid_log_weights(f.grid), kernels)
+    phi = -contract(add_trapezoid_log_weights(f.log_values(), f.grid), kernels)
     return LogDensity(grid=f.grid, phi=phi)
 
 
@@ -87,7 +87,9 @@ def ou_edge_flags(g: LogDensity, s: float) -> np.ndarray:
     on the rank-one kernel (e^{-s} / var) x_k z_k.
     """
     var = -math.expm1(-2 * s)
-    log_g = g.log_values() - sum(m * m for m in g.grid.meshgrid()) / (2 * var)
+    log_g = g.grid.sq_norm()
+    log_g /= 2 * var
+    np.subtract(g.log_values(), log_g, out=log_g)
     return edge_dominated(log_g, [Outer(math.exp(-s) / var * a, a) for a in g.grid.axes()])
 
 

@@ -73,7 +73,7 @@ def default_dual_grid(f: LogDensity) -> GridSpec:
     grid = f.grid
     hws = []
     for k in range(grid.dim):
-        shadow = np.min(np.moveaxis(f.phi, k, 0).reshape(grid.points[k], -1), axis=1)
+        shadow = np.min(f.phi, axis=tuple(j for j in range(grid.dim) if j != k))
         y, rungs = grid.axis(k), _ladder(grid.spacings[k])
         target = np.max(-shadow) + DUAL_DECAY_NATS
         pos = y > 0

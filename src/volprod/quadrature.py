@@ -2,6 +2,10 @@
 
 Everything is computed as log-sum-exp of (-phi + log weight); a single global
 max shift keeps the reduction stable even when -q*phi spans hundreds of nats.
+The trapezoid weights are added in place from two slabs
+(``add_trapezoid_log_weights``), so a Lebesgue integral holds one full-size
+array, its integrand; the Gaussian measure adds one more, its weights, built
+per axis from ``GridSpec.sq_norm``.
 """
 
 from __future__ import annotations
@@ -30,9 +34,10 @@ class Measure:
     def log_weight(self, grid: GridSpec) -> np.ndarray | float:
         if self.kind == "lebesgue":
             return 0.0
-        mesh = grid.meshgrid()
-        sq = sum(m * m for m in mesh)
-        return -0.5 * sq - 0.5 * grid.dim * LOG_2PI
+        w = grid.sq_norm()
+        w *= -0.5
+        w -= 0.5 * grid.dim * LOG_2PI
+        return w
 
 
 LEBESGUE = Measure("lebesgue")
@@ -56,17 +61,28 @@ def _logsumexp_in_place(buf: np.ndarray) -> float:
     return m + math.log(float(buf.sum()))
 
 
-def trapezoid_log_weights(grid: GridSpec) -> np.ndarray:
-    """Tensor trapezoid coefficients in log domain, shape = grid.points."""
-    total = 0.0
-    for k in range(grid.dim):
+def add_trapezoid_log_weights(a: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Add the tensor trapezoid coefficients, in log domain, to ``a`` in place; return ``a``.
+
+    The weight at node (i_0, ..., i_{n-1}) is (w_0 + w_1) + w_2 with w_k =
+    log h_k, or log(h_k / 2) at either end of axis k. Axis 0 takes only two
+    values, so the weights are two (n-1)-dimensional slabs, one for its end
+    rows and one for its interior rows, each folded in that order; no
+    full-size weights array is formed.
+    """
+    h0 = grid.spacings[0]
+    ends, inner = math.log(h0 / 2), math.log(h0)
+    for k in range(1, grid.dim):
         h = grid.spacings[k]
         w = np.full(grid.points[k], math.log(h))
         w[0] = w[-1] = math.log(h / 2)
-        shape = [1] * grid.dim
-        shape[k] = grid.points[k]
-        total = total + w.reshape(shape)
-    return np.broadcast_to(total, grid.points)
+        w = w.reshape([-1 if j == k else 1 for j in range(1, grid.dim)])
+        ends = ends + w
+        inner = inner + w
+    a[0] += ends
+    a[-1] += ends
+    a[1:-1] += inner
+    return a
 
 
 def boundary_mask(shape: tuple[int, ...]) -> np.ndarray:
@@ -124,8 +140,7 @@ def log_lq_norm(f: LogDensity, q: float, measure: Measure = LEBESGUE) -> LogQuad
         log_integrand[np.isinf(phi)] = NEG_INF
     log_integrand += measure.log_weight(f.grid)
     tail_ratio = _tail_ratio(log_integrand)
-    # the whole weights array, in place: adding one axis at a time would round otherwise
-    log_integrand += trapezoid_log_weights(f.grid)
+    add_trapezoid_log_weights(log_integrand, f.grid)
     la = _logsumexp_in_place(log_integrand)
     if la == NEG_INF:
         return LogQuad(log_abs=NEG_INF, sign=0)

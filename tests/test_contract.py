@@ -2,7 +2,6 @@ import ast
 import inspect
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +36,9 @@ from volprod.functionals import (
 )
 from volprod.heatflow import fp_evolve, ou_apply, ou_edge_flags
 from volprod.legendre import default_dual_grid, legendre_transform, polar_density
-from volprod.quadrature import boundary_mask, edge_dominated, trapezoid_log_weights
+from volprod.quadrature import boundary_mask, edge_dominated
+
+from conftest import peak_in_outputs, trapezoid_log_weights
 
 REL = 1e-12
 
@@ -940,14 +941,7 @@ class TestShellMax:
         kernels = [Outer(a, a) for a in grid.axes()]
         log_f = -f.phi
         log_f[0] = -1.0  # one face that differs from its partner
-        shell_max(log_f, kernels)  # first calls allocate numpy's caches
-        tracemalloc.start()
-        try:
-            got = shell_max(log_f, kernels)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < got.nbytes + 4 * 8 * contract_mod.ROW_ELEMS
+        assert peak_in_outputs(shell_max, log_f, kernels) < 1 + 4 * 8 * contract_mod.ROW_ELEMS / log_f.nbytes
 
 
 def _edge_dominated_two_contractions(log_f, kernels):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volprod.core import (
+    NEG_INF,
     BodySpec,
     ExponentSchedule,
     GaussianSpec,
@@ -21,6 +23,30 @@ from volprod.core import (
     make_grid,
     reflect,
 )
+from volprod.densities import box, cross2d, exp_power
+from volprod.quadrature import GAUSSIAN, LOG_2PI
+
+# the acceptance grids: 1D 513, 2D 129^2, 3D 33^3 and 65^3
+ACCEPTANCE = {
+    "1d-513": make_grid(1, 8.0, 513),
+    "2d-129": make_grid(2, 6.0, 129),
+    "3d-33": make_grid(3, 6.0, 33),
+    "3d-65": make_grid(3, 6.0, 65),
+}
+# the acceptance grids have dyadic spacings, where sums of squares round alike
+# in any order; these two do not
+GRIDS = {
+    **ACCEPTANCE,
+    "2d-33x21": make_grid(2, (5.0, 3.0), (33, 21)),
+    "3d-17x19x21": make_grid(3, (4.0, 5.0, 3.5), (17, 19, 21)),
+}
+COVARIANCES = {
+    "iso-0.5": lambda n: 0.5 * np.eye(n),
+    "iso-1": lambda n: np.eye(n),
+    "iso-2": lambda n: 2.0 * np.eye(n),
+    "diag": lambda n: np.diag([0.5, 1.5, 2.5][:n]),
+    "off": lambda n: np.array([[1.0, 0.3, -0.2], [0.3, 0.8, 0.1], [-0.2, 0.1, 1.5]])[:n, :n],
+}
 
 
 class TestGridSpec:
@@ -35,6 +61,17 @@ class TestGridSpec:
     def test_spacings(self):
         g = make_grid(2, (6.0, 3.0), (129, 65))
         assert g.spacings == (12.0 / 128, 6.0 / 64)
+
+    @pytest.mark.parametrize("g", [make_grid(1, 8.0, 513), make_grid(3, (4.0, 5.0, 3.5), (17, 19, 21))],
+                             ids=["1d", "3d"])
+    def test_axes_built_once_and_read_only(self, g):
+        for k, (r, n) in enumerate(zip(g.half_widths, g.points)):
+            m = (n - 1) // 2
+            assert g.axis(k).tobytes() == ((np.arange(n) - m) * (r / m)).tobytes()
+            assert g.axis(k) is g.axis(k) is g.axes()[k]
+            with pytest.raises(ValueError):
+                g.axis(k)[0] = 1.0
+        assert g == make_grid(g.dim, g.half_widths, g.points)
 
     def test_nodes_shape(self):
         g = make_grid(2, 1.0, 5)
@@ -64,20 +101,37 @@ class TestLogDensity:
         g = make_grid(1, 1.0, 5)
         phi = np.zeros(5)
         phi[2] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="NaN"):
             LogDensity(g, phi)
 
     def test_neg_inf_rejected(self):
         g = make_grid(1, 1.0, 5)
         phi = np.zeros(5)
         phi[0] = -np.inf
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="-inf"):
             LogDensity(g, phi)
 
     def test_all_inf_rejected(self):
         g = make_grid(1, 1.0, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="all-inf"):
             LogDensity(g, np.full(5, np.inf))
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({0: NEG_INF, 2: np.nan}, "NaN"),
+            ({0: np.nan, 1: np.inf, 2: NEG_INF}, "NaN"),
+            ({0: np.inf, 1: NEG_INF}, "-inf"),
+        ],
+        ids=["nan-and-neg-inf", "nan-inf-and-neg-inf", "inf-and-neg-inf"],
+    )
+    def test_mixed_invalid_entries(self, entries, message):
+        # NaN is named first, then -inf, then an all +inf phi
+        phi = np.zeros(5)
+        for k, v in entries.items():
+            phi[k] = v
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LogDensity(make_grid(1, 1.0, 5), phi)
 
     def test_inf_sentinel_allowed(self):
         g = make_grid(1, 1.0, 5)
@@ -185,3 +239,58 @@ class TestEvenness:
         assert check_even(LogDensity(g, phi))
         phi2 = np.array([np.inf, 1.0, 0.0, 1.0, 0.0])
         assert not check_even(LogDensity(g, phi2))
+
+
+def _mesh_gaussian(cov, mass, grid):
+    """The Gaussian's phi as a sum over the meshgrid of every (i, j) term."""
+    inv = np.linalg.inv(cov)
+    logdet = np.linalg.slogdet(2 * math.pi * cov)[1]
+    mesh = grid.meshgrid()
+    quad = sum((mesh[i] * inv[i, j]) * mesh[j] for i in range(grid.dim) for j in range(grid.dim))
+    return 0.5 * quad + 0.5 * logdet - math.log(mass)
+
+
+class TestPerAxisBuilders:
+    """Every per-axis builder gives the bytes of its meshgrid form."""
+
+    @pytest.mark.parametrize(
+        "grid, cov",
+        [pytest.param(g, c, id=f"{gid}-{c}") for gid, g in GRIDS.items() for c in COVARIANCES
+         if g.dim > 1 or c != "off"],
+    )
+    def test_gaussian(self, grid, cov):
+        a = COVARIANCES[cov](grid.dim)
+        for mass in (1.0, 0.5):
+            got = gaussian_to_logdensity(GaussianSpec(mass, a), grid).phi
+            assert got.tobytes() == _mesh_gaussian(a, mass, grid).tobytes()
+
+    @pytest.mark.parametrize("grid", list(GRIDS.values()), ids=list(GRIDS))
+    def test_exp_power(self, grid):
+        r = np.sqrt(sum(m * m for m in grid.meshgrid()))
+        for alpha in (1.0, 1.5, 2.0, 3, 4.0):
+            for scale in (1.0, 2.5):
+                want = r**alpha - math.log(scale)
+                assert exp_power(grid, alpha, scale).phi.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("grid", list(GRIDS.values()), ids=list(GRIDS))
+    def test_box(self, grid):
+        mesh = grid.meshgrid()
+        for half, height in ((1.0, 1.0), (2.0, 0.3)):
+            inside = np.logical_and.reduce([np.abs(m) <= half + 1e-12 for m in mesh])
+            want = np.where(inside, -math.log(height), np.inf)
+            assert box(grid, half, height).phi.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("grid", [GRIDS["2d-129"], GRIDS["2d-33x21"]], ids=["2d-129", "2d-33x21"])
+    def test_cross2d(self, grid):
+        x, y = grid.meshgrid()
+        for long, short in ((2.0, 0.5), (3.0, 1.0)):
+            arms = ((np.abs(x) <= long) & (np.abs(y) <= short)) | ((np.abs(x) <= short) & (np.abs(y) <= long))
+            want = np.where(arms, 0.0, np.inf)
+            assert cross2d(grid, long, short).phi.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("grid", list(GRIDS.values()), ids=list(GRIDS))
+    def test_squared_norm_and_gaussian_weight(self, grid):
+        sq = sum(m * m for m in grid.meshgrid())
+        assert grid.sq_norm().tobytes() == sq.tobytes()
+        want = -0.5 * sq - 0.5 * grid.dim * LOG_2PI
+        assert GAUSSIAN.log_weight(grid).tobytes() == want.tobytes()

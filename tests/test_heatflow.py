@@ -17,7 +17,9 @@ from volprod.heatflow import (
     ou_edge_flags,
 )
 from volprod.oracles import gaussian_closed_forms, ou_second_moment
-from volprod.quadrature import GAUSSIAN, boundary_mask, log_integral, trapezoid_log_weights
+from volprod.quadrature import GAUSSIAN, boundary_mask, log_integral
+
+from conftest import trapezoid_log_weights
 
 
 def _variance(f):

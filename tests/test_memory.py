@@ -1,0 +1,40 @@
+"""Full-size-array budgets per route on 3D 65^3.
+
+Each peak is tracemalloc's, in units of one 65^3 float array (2.2 MB), the
+output included. A builder or an integral holds its output and slab-sized
+temporaries only; the contractions hold no more than they did before the
+per-axis builds.
+"""
+
+import pytest
+
+from volprod.core import make_grid
+from volprod.densities import box, exp_power, gaussian
+from volprod.functionals import volume_product
+from volprod.heatflow import fp_evolve, ou_edge_flags
+from volprod.legendre import default_dual_grid, polar_density
+from volprod.quadrature import GAUSSIAN, log_integral, log_lq_norm
+
+from conftest import peak_in_outputs
+
+GRID = make_grid(3, 6.0, 65)
+F = gaussian(GRID)
+
+BUDGETS = {
+    "gaussian": (lambda: gaussian(GRID), 1.3),
+    "exp_power": (lambda: exp_power(GRID, 2.7), 1.3),
+    "box": (lambda: box(GRID), 1.3),
+    "log_integral": (lambda: log_integral(F), 1.1),
+    "log_lq_norm-gaussian": (lambda: log_lq_norm(F, -1.0, GAUSSIAN), 2.1),
+    "default_dual_grid": (lambda: default_dual_grid(F), 0.1),
+    "fp_evolve": (lambda: fp_evolve(F, 0.5), 3.15),
+    "ou_edge_flags": (lambda: ou_edge_flags(F, 0.4), 5.0),
+    "polar_density": (lambda: polar_density(F), 4.02),
+    "volume_product": (lambda: volume_product(F), 4.02),
+}
+
+
+@pytest.mark.parametrize("route", list(BUDGETS))
+def test_route_within_budget(route):
+    call, budget = BUDGETS[route]
+    assert peak_in_outputs(call, nbytes=F.phi.nbytes) <= budget

@@ -10,12 +10,14 @@ from volprod.quadrature import (
     GAUSSIAN,
     LEBESGUE,
     Measure,
+    add_trapezoid_log_weights,
     boundary_mask,
     log_integral,
     log_lq_norm,
     logsumexp_all,
-    trapezoid_log_weights,
 )
+
+from conftest import trapezoid_log_weights
 
 
 def test_gaussian_mass():
@@ -67,8 +69,21 @@ def test_logsumexp_all_inf_safe():
 
 def test_trapezoid_weights_sum():
     g = make_grid(2, 3.0, 33)
-    w = np.exp(trapezoid_log_weights(g))
+    w = np.exp(add_trapezoid_log_weights(np.zeros(g.points), g))
     assert w.sum() == pytest.approx(36.0, rel=1e-12)  # (2R)^2
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [make_grid(1, 2.5, 9), make_grid(1, 8.0, 513), make_grid(2, (5.0, 3.0), (33, 21)),
+     make_grid(3, (3.0, 6.0, 4.5), (15, 17, 13)), make_grid(3, (4.0, 5.0, 3.5), (17, 19, 21))],
+    ids=["1d-9", "1d-513", "2d-33x21", "3d-15x17x13", "3d-17x19x21"],
+)
+def test_trapezoid_weights_added_in_place(grid):
+    a = np.random.default_rng(3).normal(size=grid.points)
+    got = a.copy()
+    assert add_trapezoid_log_weights(got, grid) is got
+    assert got.tobytes() == (a + trapezoid_log_weights(grid)).tobytes()
 
 
 def test_boundary_mask_counts():
