@@ -30,14 +30,19 @@ property the windows rest on.
 ``Gauss`` is the Gaussian log-kernel ``W[i, j] = -(u[i] - v[j])^2 / (2 var) -
 log(2 pi var) / 2`` of the FP/OU flow, held as its axes, ``var``, its row
 maxima and the read-only ``exp(W - r)`` (r the row maxima, infinities as 0),
-which ``Gauss.of`` forms once in W's own memory. It keeps no log array, so it
-costs one ``(M, N)`` array, no more than that log array. An ``"lse"`` step
-reads bands of its exponential and exponentiates nothing (a halved 1D 513
-step, 257 x 513 on one column: 0.17 against 0.96 ms on its log array); the
-underflow fallback re-forms the log rows it needs from the axes with the IEEE
-operations of the build, so a Gauss kernel gives the bytes of its log array.
-Its central symmetry comes from its axes as for Outer, since (-a) - (-b)
-rounds exactly as -(a - b).
+which ``Gauss.of`` forms once in W's own memory. It keeps no log array. Its
+central symmetry comes from its axes as for Outer, since (-a) - (-b) rounds
+exactly as -(a - b): on odd axes row M - 1 - i of ``exp(W - r)`` is row i
+reversed, byte for byte, so ``Gauss.of`` forms and keeps only the ``M - M //
+2`` rows from ``M // 2`` on (the x >= 0 rows), half the bytes and half the
+exponentials of the whole (a 1D 513 kernel: 257 x 513, 1.05 MB). An
+``"lse"`` step reads bands of its exponential and exponentiates nothing (a
+halved 1D 513 step, 257 x 513 on one column: 0.17 against 0.96 ms on its
+log array): stored rows in place, and each band of the rows below ``M //
+2``, which only an input not even along the axis needs, copied from its
+mirror into one reused buffer. The underflow fallback re-forms the log rows
+it needs from the axes with the IEEE operations of the build, so a Gauss
+kernel gives the bytes of its log array.
 
 Cost of one axis step with an ``(M, N)`` kernel on ``columns`` columns:
 
@@ -99,7 +104,8 @@ read per axis whose kernel passes:
   which ``"lse"`` leaves even only to rounding, by recursion.
 
 The even slice of ``Outer(x, y)`` is ``Outer(x[M // 2:], y)``; that of a
-Gauss kernel cuts ``u``, the row maxima and ``exp(W - r)`` at ``M // 2``.
+Gauss kernel cuts ``u`` and the row maxima at ``M // 2`` and takes the
+stored rows of ``exp(W - r)`` as they are, a view with no copy.
 
 ``shell_max`` is the ``"max"`` contraction over the boundary shell alone,
 for the polar and the edge flags, which compare it with the maximum over the
@@ -163,7 +169,9 @@ class Outer(NamedTuple):
 class Gauss(NamedTuple):
     """The Gaussian log-kernel ``W[i, j] = -(u[i] - v[j])^2 / (2 var) - log(2
     pi var) / 2``, held as its axes, its ``(M, 1)`` row maxima and the
-    read-only ``shifted = exp(W - r)``; build it with ``Gauss.of``."""
+    read-only ``shifted = exp(W - r)``; build it with ``Gauss.of``. On odd
+    axes ``shifted`` holds only rows ``M // 2:``, the rest being their
+    mirror ``shifted[M - 1 - i, N - 1 - j]``."""
 
     u: np.ndarray
     v: np.ndarray
@@ -173,17 +181,25 @@ class Gauss(NamedTuple):
 
     @classmethod
     def of(cls, u: np.ndarray, v: np.ndarray, var: float) -> Gauss:
-        """Form W once, shift each row by its maximum and exponentiate, in place."""
-        w = _gauss_rows(u, v, var)
-        row_max = np.max(w, axis=1, keepdims=True)
-        w -= _finite_or_zero(row_max)
+        """Form W once, shift each row by its maximum and exponentiate, in
+        place; on odd axes only rows ``M // 2:``, whose mirrors give the rest
+        of the row maxima."""
+        low = u.size // 2 if _odd(u) and _odd(v) else 0
+        w = _gauss_rows(u[low:], v, var)
+        kept = np.max(w, axis=1, keepdims=True)
+        w -= _finite_or_zero(kept)
         np.exp(w, out=w)
         w.flags.writeable = False
-        return cls(u, v, var, row_max, w)
+        return cls(u, v, var, np.concatenate([kept[::-1][:low], kept]), w)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.u.size, self.v.size)
+
+    @property
+    def first_stored(self) -> int:
+        """The first row ``shifted`` holds: ``M // 2`` on odd axes, else 0."""
+        return self.u.size - self.shifted.shape[0]
 
 
 def _gauss_rows(u: np.ndarray, v: np.ndarray, var: float) -> np.ndarray:
@@ -239,6 +255,17 @@ def _row_max(w) -> np.ndarray:
     return np.max(w, axis=1, keepdims=True)
 
 
+def _mirror_rows(w: Gauss, band: slice, out: np.ndarray) -> None:
+    """Rows ``band`` of a Gauss kernel's ``exp(W - r)`` into ``out``. A row i
+    below the stored ones is stored row M - 1 - i reversed: (-a) - (-b)
+    rounds as -(a - b), so these are the bytes of the full array's rows."""
+    m, low = w.shape[0], w.first_stored
+    below = min(band.stop, low) - band.start
+    np.copyto(out[:below], w.shifted[m - low - band.start - below:m - low - band.start][::-1, ::-1])
+    if band.stop > low:
+        np.copyto(out[below:], w.shifted[:band.stop - low])
+
+
 def _lse(w, block: np.ndarray) -> np.ndarray:
     """log sum_j exp(w[i, j] + block[j, c]) as a sum of products of shifted
     exponentials; a Gauss kernel brings its row-shifted exponential, and an
@@ -250,17 +277,22 @@ def _lse(w, block: np.ndarray) -> np.ndarray:
     np.exp(kb, out=kb)
     log_sum = np.empty((w.shape[0], block.shape[1]))
     bands = _row_blocks(w)
-    # one buffer for every band: glibc maps each new 256 KB array afresh, and
-    # with a new array per band its page faults made a 257 x 513 step slower
-    # than forming the whole kernel (1.1-1.4 against 0.85-0.93 ms)
-    buf = None if isinstance(w, Gauss) or not bands else np.empty((bands[0].stop, w.shape[1]))
+    # a Gauss kernel's stored rows, from ``low`` on, are read in place; every
+    # other band is formed in one buffer: glibc maps each new 256 KB array
+    # afresh, and with a new array per band its page faults made a 257 x 513
+    # step slower than forming the whole kernel (1.1-1.4 against 0.85-0.93 ms)
+    low = w.first_stored if isinstance(w, Gauss) else w.shape[0]
+    buf = np.empty((bands[0].stop, w.shape[1])) if bands and low else None
     for band in bands:
-        if isinstance(w, Gauss):
-            kw = w.shifted[band]
+        if band.start >= low:
+            kw = w.shifted[band.start - low:band.stop - low]
         else:
             kw = buf[:band.stop - band.start]
-            np.subtract(_rows(w, band, kw), r[band], out=kw)
-            np.exp(kw, out=kw)
+            if isinstance(w, Gauss):
+                _mirror_rows(w, band, kw)
+            else:
+                np.subtract(_rows(w, band, kw), r[band], out=kw)
+                np.exp(kw, out=kw)
         np.einsum("ij,jc->ic", kw, kb, out=log_sum[band])
     with np.errstate(divide="ignore"):
         np.log(log_sum, out=log_sum)
@@ -379,13 +411,17 @@ def _fill_orthant(a: np.ndarray, lows: list[int]) -> None:
             region[k] = slice(None)
 
 
+def _odd(a: np.ndarray) -> bool:
+    return bool((a == -a[::-1]).all())
+
+
 def _symmetric(w) -> bool:
     """Central symmetry of a kernel. An Outer or Gauss kernel has it when its
     axes are odd (``x == -x[::-1]``), since (-a) (-b) rounds exactly as a b
     and (-a) - (-b) as -(a - b); an array kernel is read once: the flattened
     W is then a palindrome."""
     if isinstance(w, (Outer, Gauss)):
-        return all(bool((a == -a[::-1]).all()) for a in w[:2])
+        return _odd(w[0]) and _odd(w[1])
     flat, half = w.ravel(), w.size // 2
     return np.array_equal(flat[:half], flat[:-half - 1:-1])
 
@@ -403,7 +439,8 @@ def _low_cut(w, low: int):
     if isinstance(w, Outer):
         return Outer(w.x[low:], w.y)
     if isinstance(w, Gauss):
-        return Gauss(w.u[low:], w.v, w.var, w.row_max[low:], w.shifted[low:])
+        # the rows stored from M // 2 on are kept as they are
+        return Gauss(w.u[low:], w.v, w.var, w.row_max[low:], w.shifted[low - w.first_stored:])
     return w[low:]
 
 

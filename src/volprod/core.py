@@ -6,7 +6,7 @@ so indicator densities are exact and Gaussian tails never underflow.
 Grid quantities are built from the per-axis node arrays (``GridSpec.open_axes``),
 broadcast into one full-size output buffer in the order a sum over the
 meshgrid takes, so their bytes are the meshgrid form's. ``GridSpec.meshgrid``
-remains for point-set callers (``body_to_logdensity``, the oracles).
+remains for point-set callers (the oracles).
 """
 
 from __future__ import annotations
@@ -246,22 +246,25 @@ class LogQuad:
         return self.tail_ratio > TAIL_WARN
 
 
-def gaussian_to_logdensity(g: GaussianSpec, grid: GridSpec) -> LogDensity:
-    """phi(x) = 0.5 <x, A^{-1} x> + 0.5 log det(2 pi A) - log c at every node.
+def _quadratic_form(inv: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """<x, inv x> at every node: (x_i inv[i, j]) x_j added over the nonzero
+    entries of inv in (i, j) order into one buffer, each term spanning only
+    axes i and j; the bytes of ``np.einsum("...i,ij,...j->...", x, inv, x)``."""
+    x = grid.open_axes()
+    out = np.zeros(grid.points)
+    for i, j in zip(*np.nonzero(inv)):
+        out += (x[i] * inv[i, j]) * x[j]
+    return out
 
-    The quadratic form adds (x_i A^{-1}[i, j]) x_j over the nonzero entries of
-    A^{-1} in (i, j) order into one buffer; each term spans only axes i and j.
-    """
+
+def gaussian_to_logdensity(g: GaussianSpec, grid: GridSpec) -> LogDensity:
+    """phi(x) = 0.5 <x, A^{-1} x> + 0.5 log det(2 pi A) - log c at every node."""
     if g.dim != grid.dim:
         raise ValueError("dimension mismatch between Gaussian and grid")
-    inv = np.linalg.inv(g.covariance)
     sign, logdet = np.linalg.slogdet(2 * math.pi * g.covariance)
     if sign <= 0:
         raise ValueError("covariance not positive definite")
-    x = grid.open_axes()
-    phi = np.zeros(grid.points)
-    for i, j in zip(*np.nonzero(inv)):
-        phi += (x[i] * inv[i, j]) * x[j]
+    phi = _quadratic_form(np.linalg.inv(g.covariance), grid)
     phi *= 0.5
     phi += 0.5 * logdet
     phi -= math.log(g.mass)
@@ -269,11 +272,29 @@ def gaussian_to_logdensity(g: GaussianSpec, grid: GridSpec) -> LogDensity:
 
 
 def body_to_logdensity(body: BodySpec, grid: GridSpec) -> LogDensity:
-    """phi(x) = 0.5 ||x||_K^2, the log-concave avatar of the body K."""
+    """phi(x) = 0.5 ||x||_K^2, the log-concave avatar of the body K.
+
+    The gauge is built per axis into one buffer with the IEEE operations of
+    ``BodySpec.gauge`` on the meshgrid points: sum_k |x_k|^r added in axis
+    order, max_k |x_k| for r = inf, the ellipsoid's quadratic form as the
+    Gaussian's."""
     if body.dim != grid.dim:
         raise ValueError("dimension mismatch between body and grid")
-    x = np.stack(grid.meshgrid(), axis=-1)
-    phi = 0.5 * body.gauge(x) ** 2
+    if body.kind == "ellipsoid":
+        phi = _quadratic_form(np.linalg.inv(body.matrix), grid)
+        np.sqrt(phi, out=phi)
+    else:
+        phi = np.zeros(grid.points)
+        for a in grid.open_axes():
+            if math.isinf(body.exponent):
+                np.maximum(phi, np.abs(a), out=phi)
+            else:
+                phi += np.abs(a) ** body.exponent
+        if not math.isinf(body.exponent):
+            phi **= 1.0 / body.exponent
+        phi /= body.radius
+    phi **= 2
+    phi *= 0.5
     return LogDensity(grid=grid, phi=phi)
 
 

@@ -3,9 +3,9 @@
 Each requested time gets its own Gaussian kernel (no time stepping), so
 trajectories carry no accumulation error. Kernels factorize over axes; each
 per-axis Mehler kernel is built here once, as a ``contract.Gauss`` kernel (its
-axes and its row-shifted exponential ``exp(W - r)``, no log array), cached,
-and contracted in log domain by ``volprod.contract``, whose ``"lse"`` steps
-then exponentiate no kernel.
+axes and the x >= 0 rows of its row-shifted exponential ``exp(W - r)``, no log
+array), cached, and contracted in log domain by ``volprod.contract``, whose
+``"lse"`` steps then exponentiate no kernel.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from .contract import Gauss, Outer, contract
 from .core import GridSpec, LogDensity
 from .quadrature import add_trapezoid_log_weights, edge_dominated
 
-# cache of per-axis Gauss kernels keyed by (kind, t, n, half_width); each holds
-# one (n, n) array, its read-only exp(W - r), which every later call shares
+# cache of per-axis Gauss kernels keyed by (kind, t, n, half_width), never
+# cleared; each holds one (n - n // 2, n) array, the x >= 0 rows of its
+# read-only exp(W - r) (the grid's axes are odd), which every later call shares
 _KERNEL_CACHE: dict[tuple, Gauss] = {}
 
 

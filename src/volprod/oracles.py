@@ -19,6 +19,12 @@ import numpy as np
 from .core import GridSpec, LogDensity, LogQuad, NEG_INF
 from .functionals import BLData, BLOptimum
 
+# RK4 steps of ``ou_second_moment``: its global error on m' = 2 (1 - m) is
+# about |beta - 1| e^{-2t} (2t)^5 / (120 n^4) <= 0.175 |beta - 1| / n^4;
+# measured over beta in [0.25, 100], t in [0.05, 20]: 4.3e-11 at 800 steps
+# (6.9e-10 at 400), in 0.32 ms per call on a 2-vCPU x86 VM
+RK4_STEPS = 800
+
 
 @dataclass(frozen=True)
 class QuadraticForm:
@@ -349,22 +355,23 @@ def ou_second_moment(beta: float, t: float) -> float:
     """Second moment of the flowed Gaussian by integrating m2' = 2 (1 - m2).
 
     An independent ODE route for the variance law (closed form: the
-    fp_variance_law entry above). scipy is imported here, its only use in the
-    library, so ``import volprod`` does not load it.
+    fp_variance_law entry above): classical fourth-order Runge-Kutta from
+    m2(0) = beta, RK4_STEPS fixed steps of t / RK4_STEPS. Raises ValueError
+    for t < 0 or a non-finite beta or t.
     """
-    from scipy.integrate import solve_ivp
-
-    if t == 0:
-        return beta
-    sol = solve_ivp(
-        lambda _, m: 2.0 * (1.0 - m),
-        (0.0, t),
-        [beta],
-        rtol=1e-10,
-        atol=1e-12,
-        dense_output=False,
-    )
-    return float(sol.y[0, -1])
+    if not (math.isfinite(beta) and math.isfinite(t)):
+        raise ValueError(f"beta and t must be finite, got beta={beta}, t={t}")
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    h = t / RK4_STEPS
+    m = float(beta)
+    for _ in range(RK4_STEPS):
+        k1 = 2.0 * (1.0 - m)
+        k2 = 2.0 * (1.0 - (m + 0.5 * h * k1))
+        k3 = 2.0 * (1.0 - (m + 0.5 * h * k2))
+        k4 = 2.0 * (1.0 - (m + h * k3))
+        m += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return m
 
 
 def _gaussian_bl_objective(data: BLData, a: float, b: float) -> float:

@@ -846,12 +846,80 @@ class TestGaussKernel:
         log_f, kernels = _gauss_case(rng, in_shape, out_shape, even, case)
         arrays = [contract_mod._rows(w, slice(None)) for w in kernels]
         for w, a in zip(kernels, arrays):
+            # odd axes when even: only the x >= 0 rows are stored
+            low = w.shape[0] // 2 if even else 0
             assert not w.shifted.flags.writeable
-            assert w.shifted.tobytes() == np.exp(a - w.row_max).tobytes()
+            assert w.shifted.tobytes() == np.exp(a - w.row_max)[low:].tobytes()
         got = contract(log_f, kernels, reduce)
         assert got.tobytes() == contract(log_f, arrays, reduce).tobytes()
         assert len(low_cuts) == 2 * even * _halved_axes(log_f)
         assert np.all(got == -np.inf) == (case == "all_minus_inf")
+
+
+def _odd_gauss(rng, m, n):
+    """A Gauss kernel on odd axes of m and n nodes, odd or even counts."""
+    u = (np.arange(m) - (m - 1) / 2) * rng.uniform(0.01, 0.05)
+    v = (np.arange(n) - (n - 1) / 2) * rng.uniform(0.01, 0.05)
+    return Gauss.of(u, v, rng.uniform(0.05, 2.0))
+
+
+def _shifted_array(w):
+    """A Gauss kernel's whole exp(W - r), formed from its log array."""
+    a = contract_mod._gauss_rows(w.u, w.v, w.var)
+    return np.exp(a - np.max(a, axis=1, keepdims=True))
+
+
+# odd and even row counts, bands of 63 rows straddling M // 2 on 513 columns
+HALF_SHAPES = [(513, 513), (512, 513), (301, 513), (300, 257), (9, 7), (8, 6)]
+
+
+class TestGaussHalfRows:
+    @pytest.mark.parametrize("m, n", HALF_SHAPES)
+    def test_odd_axes_store_the_upper_rows(self, m, n):
+        w = _odd_gauss(np.random.default_rng(m + n), m, n)
+        full = _shifted_array(w)
+        assert w.shifted.shape == (m - m // 2, n) and not w.shifted.flags.writeable
+        assert w.shifted.tobytes() == full[m // 2:].tobytes()
+        a = contract_mod._gauss_rows(w.u, w.v, w.var)
+        assert w.row_max.tobytes() == np.max(a, axis=1, keepdims=True).tobytes()
+        # the even slice is the stored array as it is, not a copy
+        cut = contract_mod._low_cut(w, m // 2).shifted
+        assert cut.shape == w.shifted.shape and np.shares_memory(cut, w.shifted)
+
+    @pytest.mark.parametrize("m, n", HALF_SHAPES)
+    def test_asymmetric_axes_keep_every_row(self, m, n):
+        rng = np.random.default_rng(m * n)
+        w = _odd_gauss(rng, m, n)
+        for u, v in [(w.u + 1e-3, w.v), (w.u, w.v * np.linspace(1, 1.01, n))]:
+            g = Gauss.of(u, v, w.var)
+            a = contract_mod._gauss_rows(u, v, w.var)
+            assert g.shifted.shape == (m, n) and not g.shifted.flags.writeable
+            assert g.shifted.tobytes() == np.exp(a - np.max(a, axis=1, keepdims=True)).tobytes()
+
+    @pytest.mark.parametrize("m, n", HALF_SHAPES)
+    def test_every_mirrored_band_is_the_materialized_one(self, m, n):
+        w = _odd_gauss(np.random.default_rng(3 * m + n), m, n)
+        full = _shifted_array(w)
+        bands = [b for b in contract_mod._row_blocks(w) if b.start < m // 2]
+        assert bands and (m < 100 or any(b.stop > m // 2 for b in bands))
+        for band in bands:
+            out = np.full((band.stop - band.start, n), np.nan)
+            contract_mod._mirror_rows(w, band, out)
+            assert out.tobytes() == full[band].tobytes()
+
+    @pytest.mark.parametrize("in_shape, out_shape", [((513,), (513,)), ((257,), (512,)), ((23, 30), (41, 18)),
+                                                     ((7, 5, 3), (9, 6, 5))])
+    @pytest.mark.parametrize("case", ["finite", "minus_inf"])
+    def test_non_even_input_matches_the_full_array(self, in_shape, out_shape, case):
+        rng = np.random.default_rng(sum(in_shape) + len(case))
+        kernels = [_odd_gauss(rng, m, n) for m, n in zip(out_shape, in_shape)]
+        log_f = rng.normal(scale=3.0, size=in_shape)
+        if case == "minus_inf":
+            log_f[rng.random(in_shape) < 0.3] = -np.inf
+        assert all(w.shifted.shape[0] < w.shape[0] for w in kernels)
+        assert _halved_axes(log_f) == 0
+        arrays = [contract_mod._rows(w, slice(None)) for w in kernels]
+        assert contract(log_f, kernels).tobytes() == contract(log_f, arrays).tobytes()
 
 
 def _brute_shell(log_f, kernels):

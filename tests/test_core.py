@@ -289,6 +289,17 @@ class TestPerAxisBuilders:
             assert cross2d(grid, long, short).phi.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("grid", list(GRIDS.values()), ids=list(GRIDS))
+    def test_body(self, grid):
+        points = np.stack(grid.meshgrid(), axis=-1)
+        bodies = [lp_ball(r, grid.dim, radius) for r in (1.0, 2.0, 3.5, math.inf) for radius in (1.0, 0.7)]
+        bodies.append(ellipsoid(COVARIANCES["diag"](grid.dim)))
+        if grid.dim > 1:
+            bodies.append(ellipsoid(COVARIANCES["off"](grid.dim)))
+        for body in bodies:
+            want = 0.5 * body.gauge(points) ** 2
+            assert body_to_logdensity(body, grid).phi.tobytes() == want.tobytes(), (body.kind, body.exponent)
+
+    @pytest.mark.parametrize("grid", list(GRIDS.values()), ids=list(GRIDS))
     def test_squared_norm_and_gaussian_weight(self, grid):
         sq = sum(m * m for m in grid.meshgrid())
         assert grid.sq_norm().tobytes() == sq.tobytes()

@@ -195,7 +195,9 @@ class TestKernelCache:
             row_max = np.max(w, axis=1, keepdims=True)
             assert contract_mod._rows(kernel, slice(None)).tobytes() == w.tobytes()
             assert kernel.row_max.tobytes() == row_max.tobytes()
-            assert kernel.shifted.tobytes() == np.exp(w - row_max).tobytes()
+            # odd axes: only the x >= 0 rows, 65 // 2 on, are stored
+            assert kernel.shifted.shape == (65 - 65 // 2, 65)
+            assert kernel.shifted.tobytes() == np.exp(w - row_max)[65 // 2:].tobytes()
 
     @pytest.mark.parametrize("t", [0.05, 0.5, 2.0])
     @pytest.mark.parametrize("kind, apply", [("fp", fp_evolve), ("ou", ou_apply)])
@@ -235,16 +237,38 @@ class TestKernelCache:
         assert check_even(f) and not check_even(LogDensity(f.grid, off))
 
     def test_cache_holds_one_square_array_per_time(self, monkeypatch):
-        # a log array kept beside the exponential would double the cache
+        # a log array kept beside the exponential would double the cache, and
+        # the x < 0 rows, the mirrors of the stored ones, would add half of it
         monkeypatch.setattr(heatflow, "_KERNEL_CACHE", {})
         grid = make_grid(1, 8.0, 513)
         flow_trajectory(gaussian(grid), [0.1, 0.5, 2.0])
         assert len(heatflow._KERNEL_CACHE) == 3
-        for kernel in heatflow._KERNEL_CACHE.values():
-            square = [a for a in kernel if isinstance(a, np.ndarray) and a.size == 513 * 513]
-            assert len(square) == 1 and square[0] is kernel.shifted and square[0].dtype == np.float64
-            assert sum(a.size for a in kernel if isinstance(a, np.ndarray)) == 513 * 513 + 3 * 513
-            assert np.all(kernel.shifted <= 1.0) and np.all(kernel.shifted.max(axis=1) == 1.0)
+        for (kind, t, _, _), kernel in heatflow._KERNEL_CACHE.items():
+            big = [a for a in kernel if isinstance(a, np.ndarray) and a.size > 513]
+            assert len(big) == 1 and big[0] is kernel.shifted and big[0].dtype == np.float64
+            assert kernel.shifted.shape == (513 - 513 // 2, 513)
+            assert sum(a.size for a in kernel if isinstance(a, np.ndarray)) == 257 * 513 + 3 * 513
+            w = _log_kernel(grid.axis(0), t, kind)
+            assert kernel.shifted.tobytes() == np.exp(w - np.max(w, axis=1, keepdims=True))[513 // 2:].tobytes()
+
+    @pytest.mark.parametrize("t", [0.05, 0.5, 2.0])
+    @pytest.mark.parametrize("kind, apply", [("fp", fp_evolve), ("ou", ou_apply)])
+    def test_non_even_flow_matches_a_writable_kernel_bitwise(self, kind, apply, t):
+        # a shifted Gaussian and the battery with one node moved: the flow
+        # forms the kernel's x < 0 rows from their mirrors
+        grid = make_grid(1, 8.0, 513)
+        x = grid.axis(0)
+        inputs = [LogDensity(grid, (x - 0.7) ** 2 / 2)]
+        for f in battery_1d(grid).values():
+            phi = f.phi.copy()
+            phi[513 // 2 + 1] += 0.5
+            inputs.append(LogDensity(grid, phi))
+        w = _log_kernel(x, t, kind)
+        for f in inputs:
+            assert not check_even(f)
+            want = -contract(f.log_values() + trapezoid_log_weights(grid), [w])
+            for _ in range(2):  # the second call reuses the cached kernel
+                assert apply(f, t).phi.tobytes() == want.tobytes()
 
 
 class TestTrajectory:

@@ -8,7 +8,7 @@ per-axis builds.
 
 import pytest
 
-from volprod.core import make_grid
+from volprod.core import body_to_logdensity, ellipsoid, lp_ball, make_grid
 from volprod.densities import box, exp_power, gaussian
 from volprod.functionals import volume_product
 from volprod.heatflow import fp_evolve, ou_edge_flags
@@ -19,11 +19,16 @@ from conftest import peak_in_outputs
 
 GRID = make_grid(3, 6.0, 65)
 F = gaussian(GRID)
+ELLIPSOID = [[1.0, 0.3, 0.0], [0.3, 0.8, 0.1], [0.0, 0.1, 1.5]]
 
 BUDGETS = {
     "gaussian": (lambda: gaussian(GRID), 1.3),
     "exp_power": (lambda: exp_power(GRID, 2.7), 1.3),
     "box": (lambda: box(GRID), 1.3),
+    "body-lp2": (lambda: body_to_logdensity(lp_ball(2.0, 3), GRID), 1.3),
+    "body-lp3.5": (lambda: body_to_logdensity(lp_ball(3.5, 3), GRID), 1.3),
+    "body-lpinf": (lambda: body_to_logdensity(lp_ball(float("inf"), 3), GRID), 1.3),
+    "body-ellipsoid": (lambda: body_to_logdensity(ellipsoid(ELLIPSOID), GRID), 1.3),
     "log_integral": (lambda: log_integral(F), 1.1),
     "log_lq_norm-gaussian": (lambda: log_lq_norm(F, -1.0, GAUSSIAN), 2.1),
     "default_dual_grid": (lambda: default_dual_grid(F), 0.1),

@@ -297,6 +297,18 @@ class TestOuSecondMoment:
         law = gaussian_closed_forms("fp_variance_law", beta=beta, t=t).value()
         assert ou_second_moment(beta, t) == pytest.approx(law, abs=1e-9)
 
+    @pytest.mark.parametrize("beta", [0.25, 1.0, 3.0, 10.0])
+    @pytest.mark.parametrize("t", [0.0, 0.05, 1.0, 5.0])
+    def test_matches_variance_law(self, beta, t):
+        law = gaussian_closed_forms("fp_variance_law", beta=beta, t=t).value()
+        assert abs(ou_second_moment(beta, t) - law) <= 1e-10
+
+    @pytest.mark.parametrize("beta, t", [(3.0, -1e-9), (3.0, -1.0), (math.nan, 1.0), (math.inf, 1.0),
+                                         (-math.inf, 1.0), (3.0, math.nan), (3.0, math.inf)])
+    def test_rejects_negative_or_non_finite_input(self, beta, t):
+        with pytest.raises(ValueError):
+            ou_second_moment(beta, t)
+
     def test_matches_grid_flow(self):
         g = make_grid(1, 8.0, 513)
         ft = fp_evolve(gaussian(g, beta=0.7), 0.5)
@@ -321,14 +333,29 @@ class TestBLSearch:
         assert not opt.degenerate
 
 
-def test_import_does_not_load_scipy():
-    # scipy is imported inside the one oracle that needs it, not at start-up;
-    # numpy.ma comes with np.unique's first call, so no import may make one.
-    # Both cost every process start, the CLI's included.
+def _loaded_scipy_or_numpy_ma(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on the package sources; it prints
+    the sorted scipy and numpy.ma modules loaded after it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(volprod.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
+    code += ("; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_import_does_not_load_scipy():
+    # the library runs on numpy alone; numpy.ma comes with np.unique's first
+    # call, so no import may make one. Both cost every process start, the
+    # CLI's included.
     for module in ("volprod", "volprod.cli"):
-        code = (f"import sys, {module}; print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))")
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-        assert done.stdout.strip() == "[]", module
+        assert _loaded_scipy_or_numpy_ma(f"import sys, {module}") == "[]", module
+
+
+def test_validate_scenario_loads_no_scipy(tmp_path):
+    # the oracle battery's ODE route integrates with its own RK4
+    cfg = tmp_path / "validate.ini"
+    cfg.write_text("[params]\n")
+    argv = ["validate", "--config", str(cfg), "--out", str(tmp_path)]
+    code = f"import sys; from volprod.cli import main; assert main({argv!r}) == 0"
+    assert _loaded_scipy_or_numpy_ma(code) == "[]"
