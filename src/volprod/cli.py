@@ -212,6 +212,9 @@ def emit_plot(series, path: Path | str, title: str = ""):
 def _scenario_flow(cfg: ExperimentConfig):
     grid = _grid(cfg)
     times = cfg.get_floats("params", "times", "0.05,0.1,0.2,0.5,1,2")
+    # t = 0 is always the first row, and the monotone gate reads the rows in order
+    if not all(t > 0 for t in times) or not all(b > a for a, b in zip(times, times[1:])):
+        raise ConfigError(f"[params] times: must be positive and strictly increasing, got {cfg.get('params', 'times')!r}")
     dens = _density_set(cfg, grid)
     columns = ["family", "t", "log_v", "flag"]
     rows = []

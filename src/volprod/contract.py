@@ -121,6 +121,20 @@ temporary. Adding the column last rounds otherwise than a contraction in
 axis order can, so against the maximum over the interior the two can
 disagree where one of them ties it exactly.
 
+``contract(log_f, kernels, reduce, out=buf)`` writes the whole result, the
+reflected fill included, into ``buf`` and returns it. ``buf`` may be
+``log_f`` itself: every step writes a fresh array, and ``buf`` is written
+only after the last one. A step drops the previous result once its block
+exists, a windowed step reads its block in column order in place, and the
+fill copies each orthant from the last result. On 3D 65^3 with every axis
+even, a contraction into its own input holds 0.44 of a full-size array
+beyond it for ``"max"`` and 0.69 for ``"lse"``. The routes contract into
+buffers they own (tracemalloc peaks on 3D 65^3 in full-size arrays, output
+included): ``fp_evolve`` and ``ou_apply`` into their weighted log-values,
+then negated in place (1.69), ``legendre_transform`` into its negated input
+(1.44), ``polar_density`` likewise, with its masked copy (2.44), and
+``ou_edge_flags`` into its masked copy (3.44).
+
 ``np.einsum`` runs numpy's own loop; a BLAS product (``@``) would be faster
 single-threaded but stalls under a default-threaded OpenBLAS on small
 matrices, and the library sets no thread variables.
@@ -224,10 +238,11 @@ def _rows(w, rows, out: np.ndarray | None = None) -> np.ndarray:
     return w[rows]
 
 
-def _row_blocks(w, cols: int = 1) -> list[slice]:
-    """Slices of w's rows whose sums over ``cols`` columns fit ROW_ELEMS (one row at least)."""
-    m, step = w.shape[0], max(1, ROW_ELEMS // (w.shape[1] * cols))
-    return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
+def row_bands(shape) -> list[slice]:
+    """Slices of axis 0 of an array of ``shape`` whose bands hold at most
+    ROW_ELEMS elements (one row at least)."""
+    step = max(1, ROW_ELEMS // math.prod(shape[1:]))
+    return [slice(lo, min(lo + step, shape[0])) for lo in range(0, shape[0], step)]
 
 
 def _finite_or_zero(a: np.ndarray) -> np.ndarray:
@@ -276,7 +291,7 @@ def _lse(w, block: np.ndarray) -> np.ndarray:
     kb = block - s
     np.exp(kb, out=kb)
     log_sum = np.empty((w.shape[0], block.shape[1]))
-    bands = _row_blocks(w)
+    bands = row_bands(w.shape)
     # a Gauss kernel's stored rows, from ``low`` on, are read in place; every
     # other band is formed in one buffer: glibc maps each new 256 KB array
     # afresh, and with a new array per band its page faults made a 257 x 513
@@ -296,15 +311,16 @@ def _lse(w, block: np.ndarray) -> np.ndarray:
         np.einsum("ij,jc->ic", kw, kb, out=log_sum[band])
     with np.errstate(divide="ignore"):
         np.log(log_sum, out=log_sum)
-    out = log_sum + r + s
     # an all -inf kernel row or column gives exactly -inf; elsewhere a sum
     # below e^FLOOR may have lost terms to underflow
     rows, cols = np.nonzero((log_sum < FLOOR) & np.isfinite(row_max) & np.isfinite(col_max))
+    log_sum += r
+    log_sum += s
     step = max(1, WORK_ELEMS // w.shape[1])
     for lo in range(0, rows.size, step):
         i, c = rows[lo:lo + step], cols[lo:lo + step]
-        out[i, c] = _lse_exact(_rows(w, i), block[:, c].T)
-    return out
+        log_sum[i, c] = _lse_exact(_rows(w, i), block[:, c].T)
+    return log_sum
 
 
 def _brackets(coarse: np.ndarray, first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -329,22 +345,36 @@ def _max_windowed(w, block: np.ndarray) -> np.ndarray:
     """``_max`` for an Outer ``w`` on sorted axes: each row reduces over a
     window of j that holds its argmax, bracketed by dense argmaxes on every
     STRIDE-th row. The kernel is formed whole first: its j loop would form a
-    product per row and j, 5-7% slower on 2D 129^2 and 3D 33^3 conjugates."""
+    product per row and j, 5-7% slower on 2D 129^2 and 3D 33^3 conjugates.
+    ``contract`` passes the block in column order (``block.T`` contiguous),
+    so the argmaxes read it in place; every value is one IEEE sum or max, so
+    the block's memory order moves no byte of the result."""
     w = _rows(w, slice(None))
     m = w.shape[0]
     live = np.max(block, axis=0) > -np.inf  # a dead column is -inf whatever the window
     acc = np.full((m, block.shape[1]), -np.inf)
     if not live.any():
         return acc
-    live_rows = np.ascontiguousarray(block.T[live])  # (live columns, N): argmax runs along rows
-    sums = np.empty_like(live_rows)
+    # (columns, N): argmax runs along rows, and a block in column order is
+    # that array already; its sums with each coarse row are formed a band of
+    # at most ROW_ELEMS at a time, and the dead columns' argmaxes dropped
+    by_column = np.ascontiguousarray(block.T)
     coarse = _coarse_rows(m)
-    arg = np.array([np.argmax(np.add(live_rows, w[r], out=sums), axis=1) for r in coarse])
+    arg = np.empty((coarse.size, by_column.shape[0]), dtype=np.intp)
+    bands = row_bands(by_column.shape)
+    sums = np.empty((bands[0].stop, by_column.shape[1]))
+    for band in bands:
+        for i, r in enumerate(coarse):
+            np.argmax(np.add(by_column[band], w[r], out=sums[:band.stop - band.start]), axis=1, out=arg[i, band])
+    del by_column, sums
+    arg = arg[:, live]
     lo, hi = _brackets(coarse, arg.min(axis=1), arg.max(axis=1))
     js = np.arange(lo[0], hi[-1] + 1)
-    tmp = np.empty_like(acc)
-    for j, r0, r1 in zip(js.tolist(), np.searchsorted(hi, js).tolist(), np.searchsorted(lo, js, "right").tolist()):
-        part = tmp[r0:r1]
+    r0s, r1s = np.searchsorted(hi, js), np.searchsorted(lo, js, "right")
+    # rows r0:r1 hold j in their windows; tmp holds the most rows any j has
+    tmp = np.empty((int(np.max(r1s - r0s)), acc.shape[1]))
+    for j, r0, r1 in zip(js.tolist(), r0s.tolist(), r1s.tolist()):
+        part = tmp[:r1 - r0]
         np.add(w[r0:r1, j, None], block[j], out=part)
         np.maximum(acc[r0:r1], part, out=acc[r0:r1])
     return acc
@@ -384,7 +414,7 @@ def _max(w, block: np.ndarray, monge: bool) -> np.ndarray:
     # a windowed one-column step below FLAT_ELEMS costs more than the dense one
     if monge and (cols >= 2 or (m > 2 * STRIDE and m * n >= FLAT_ELEMS)):
         return _max_windowed(w, block) if cols >= 2 else _max_flat(w, block[:, 0])
-    return np.concatenate([np.max(_rows(w, band)[:, :, None] + block, axis=1) for band in _row_blocks(w, cols)])
+    return np.concatenate([np.max(_rows(w, band)[:, :, None] + block, axis=1) for band in row_bands(w.shape + (cols,))])
 
 
 def _fill_even(a: np.ndarray) -> None:
@@ -397,18 +427,21 @@ def _fill_even(a: np.ndarray) -> None:
         _fill_even(a[low])
 
 
-def _fill_orthant(a: np.ndarray, lows: list[int]) -> None:
-    """Make ``a`` exactly even along every axis k with ``lows[k] > 0``, in
-    place, from its orthant ``a[lows[0]:, lows[1]:, ...]``: one sliced
-    reflection per axis, each over what the earlier ones filled."""
-    region = [slice(low, None) for low in lows]
-    for k, low in enumerate(lows):
+def _fill_orthant(out: np.ndarray, orthant: np.ndarray, lows: list[int]) -> None:
+    """Write ``orthant`` into ``out[lows[0]:, lows[1]:, ...]`` and its
+    reflection into each other orthant of ``out``, making ``out`` exactly even
+    along every axis k with ``lows[k] > 0``: one copy per orthant, each from
+    ``orthant``, a separate array. A reflection of ``out`` into itself would be
+    buffered by numpy (source and target overlap in memory), half of ``out``."""
+    pairs = [((), ())]  # (target in out, source in orthant) per orthant
+    for low, n in zip(lows, orthant.shape):
+        ways = [(slice(low, None), slice(None))]
         if low:
-            src = region.copy()
-            src[k] = slice(a.shape[k] - 1, a.shape[k] - 1 - low, -1)
-            region[k] = slice(None, low)
-            a[tuple(region)] = a[tuple(src)]
-            region[k] = slice(None)
+            # out index i < low mirrors orthant index n - 1 - i
+            ways.append((slice(None, low), slice(n - 1, None if n == low else n - 1 - low, -1)))
+        pairs = [(t + (a,), s + (b,)) for t, s in pairs for a, b in ways]
+    for target, source in pairs:
+        out[target] = orthant[source]
 
 
 def _odd(a: np.ndarray) -> bool:
@@ -454,15 +487,18 @@ def _column(w, j: int) -> np.ndarray:
     return w[:, j]
 
 
-def shell_max(log_f: np.ndarray, axis_kernels) -> np.ndarray:
+def shell_max(log_f: np.ndarray, axis_kernels, negate: bool = False) -> np.ndarray:
     """``contract(log_f, axis_kernels, "max")`` over the boundary shell of
     ``log_f`` alone: one (n - 1)-dimensional contraction per face, or per
-    pair of equal end faces, each face's kernel column added last."""
+    pair of equal end faces, each face's kernel column added last. With
+    ``negate`` the shell of ``-log_f`` is read, one face at a time."""
     log_f = np.asarray(log_f, dtype=float)
     faces = []  # (k, the face's maximum expanded along k, its column along k)
     for k, w in enumerate(axis_kernels):
         head = (slice(None),) * k
         low, high = log_f[head + (0,)], log_f[head + (-1,)]
+        if negate:
+            low, high = -low, -high
         if np.array_equal(low, high):
             ends = [(low, np.maximum(_column(w, 0), _column(w, -1)))]
         else:
@@ -473,10 +509,9 @@ def shell_max(log_f: np.ndarray, axis_kernels) -> np.ndarray:
     (_, g, col), rest = faces[0], faces[1:]
     out = np.add(g, col)
     if rest:
-        rows = max(1, ROW_ELEMS // math.prod(out.shape[1:]))
-        buf = np.empty((min(rows, out.shape[0]),) + out.shape[1:])
-        for lo in range(0, out.shape[0], rows):
-            band = slice(lo, lo + rows)
+        bands = row_bands(out.shape)
+        buf = np.empty((bands[0].stop,) + out.shape[1:])
+        for band in bands:
             acc = out[band]
             part = buf[:acc.shape[0]]
             for k, g, col in rest:
@@ -485,13 +520,18 @@ def shell_max(log_f: np.ndarray, axis_kernels) -> np.ndarray:
     return out
 
 
-def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse") -> np.ndarray:
+def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse", out: np.ndarray | None = None) -> np.ndarray:
     """Apply one log-kernel matrix per axis of ``log_f``, reducing by ``reduce``.
 
     ``axis_kernels[k]`` is an array, an ``Outer`` or a ``Gauss`` kernel of
     shape ``(M_k, log_f.shape[k])``; the result has shape ``(M_0, ...,
     M_{d-1})``. ``-inf`` entries of ``log_f`` (vanishing density, masked
     bodies) drop out; a column that is ``-inf`` throughout gives ``-inf``.
+
+    The result is written into ``out`` when given (a float array of the
+    result's shape) and ``out`` is returned. ``out`` may be ``log_f``
+    itself: every step writes a fresh array, and ``out`` is written only
+    after the last one.
 
     Symmetry halves the work, and the halved result is exactly even:
 
@@ -507,12 +547,15 @@ def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse") -> np.ndarray
     """
     if reduce not in ("lse", "max"):
         raise ValueError(f"reduce must be 'lse' or 'max', got {reduce!r}")
-    out = np.asarray(log_f, dtype=float)
-    if [w.shape[1] for w in axis_kernels] != list(out.shape):
-        raise ValueError(f"kernels {[w.shape for w in axis_kernels]} do not fit an array of shape {out.shape}")
+    log_f = np.asarray(log_f, dtype=float)
+    if [w.shape[1] for w in axis_kernels] != list(log_f.shape):
+        raise ValueError(f"kernels {[w.shape for w in axis_kernels]} do not fit an array of shape {log_f.shape}")
+    shape = tuple(w.shape[0] for w in axis_kernels)
+    if out is not None and (out.shape != shape or out.dtype != float):
+        raise ValueError(f"out must be a float array of shape {shape}, got {out.dtype} {out.shape}")
     symmetric = [_symmetric(w) for w in axis_kernels]
-    even = [sym and _even_along(out, k) for k, sym in enumerate(symmetric)]
-    central = not any(even) and out.ndim > 1 and all(symmetric) and np.array_equal(out, reflect(out))
+    even = [sym and _even_along(log_f, k) for k, sym in enumerate(symmetric)]
+    central = not any(even) and log_f.ndim > 1 and all(symmetric) and np.array_equal(log_f, reflect(log_f))
     lows = [w.shape[0] // 2 if half else 0 for w, half in zip(axis_kernels, even)]
     if central:
         lows[0] = axis_kernels[0].shape[0] // 2
@@ -521,10 +564,9 @@ def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse") -> np.ndarray
     # steps work column by column and mirror columns are equal, so each even
     # axis drops its y_k < 0 half, but axis 0 when its step sums over all of it
     cut = [half and (k > 0 or monge[0]) for k, half in enumerate(even)]
-    if any(cut):
-        out = out[tuple(slice(n // 2 if c else 0, None) for n, c in zip(out.shape, cut))]
+    res = log_f[tuple(slice(n // 2 if c else 0, None) for n, c in zip(log_f.shape, cut))] if any(cut) else log_f
     for k, w in enumerate(kernels):
-        moved = np.moveaxis(out, k, 0) if k else out
+        moved = np.moveaxis(res, k, 0) if k else res
         n = w.shape[1]
         if cut[k] and monge[k]:
             # x >= 0 on these rows, y_j >= 0 and block[j] = block[-1 - j]: each
@@ -532,16 +574,29 @@ def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse") -> np.ndarray
             w = Outer(w.x, w.y[n // 2:])
         elif cut[k]:
             moved = np.concatenate([moved[::-1][:n // 2], moved])
-        flat = moved.reshape(moved.shape[0], -1)  # (N, columns)
-        res = _max(w, flat, monge[k]) if reduce == "max" else _lse(w, flat)
-        res = res.reshape((w.shape[0],) + moved.shape[1:])
-        out = np.moveaxis(res, 0, k) if k else res
-    if central or any(lows):
-        full = np.empty([w.shape[0] for w in axis_kernels])
-        full[tuple(slice(low, None) for low in lows)] = out
-        if central:
-            _fill_even(full)
+        rest = moved.shape[1:]
+        if monge[k] and math.prod(rest) > 1:
+            # a windowed step: (N, columns) in column order, as its argmaxes read it
+            block = np.moveaxis(moved, 0, -1).reshape(-1, moved.shape[0]).T
         else:
-            _fill_orthant(full, lows)
-        out = full
+            # (N, columns); the block's memory order sets the order of the
+            # "lse" sums, so it stays what this reshape gives
+            block = moved.reshape(moved.shape[0], -1)
+        # the previous result lives on only through block, when it is a view
+        del moved, res
+        res = (_max(w, block, monge[k]) if reduce == "max" else _lse(w, block)).reshape((w.shape[0],) + rest)
+        del block
+        res = np.moveaxis(res, 0, k) if k else res
+    if not (central or any(lows)):
+        if out is None:
+            return res
+        out[...] = res
+        return out
+    if out is None:
+        out = np.empty(shape)
+    if central:
+        out[lows[0]:] = res
+        _fill_even(out)
+    else:
+        _fill_orthant(out, res, lows)
     return out

@@ -55,11 +55,14 @@ def _axis_kernel(axis: np.ndarray, t: float, kind: str) -> Gauss:
 
 
 def _apply_kernel(f: LogDensity, t: float, kind: str) -> LogDensity:
-    """Contract f with the per-axis kernels of ``kind`` at time t; even f stay exactly even."""
+    """Contract f with the per-axis kernels of ``kind`` at time t; even f stay
+    exactly even. The weighted log-values are contracted into their own
+    buffer, which is then negated in place: one full-size array."""
     _check_resolution(f.grid, t)
     kernels = [_axis_kernel(f.grid.axis(k), t, kind) for k in range(f.grid.dim)]
-    phi = -contract(add_trapezoid_log_weights(f.log_values(), f.grid), kernels)
-    return LogDensity(grid=f.grid, phi=phi)
+    buf = add_trapezoid_log_weights(f.log_values(), f.grid)
+    np.negative(contract(buf, kernels, out=buf), out=buf)
+    return LogDensity(grid=f.grid, phi=buf)
 
 
 def fp_evolve(f0: LogDensity, t: float) -> LogDensity:

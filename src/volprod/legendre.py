@@ -22,9 +22,8 @@ import warnings
 
 import numpy as np
 
-from .contract import Outer, contract, shell_max
+from .contract import Outer, contract, row_bands, shell_max
 from .core import GridSpec, LogDensity, check_even, make_grid
-from .quadrature import boundary_mask
 
 # polars of Gaussian-decay inputs should fall by this many nats inside the box
 DUAL_DECAY_NATS = 40.0
@@ -91,15 +90,19 @@ def default_dual_grid(f: LogDensity) -> GridSpec:
 
 def legendre_transform(f: LogDensity, dual: GridSpec | None = None) -> LogDensity:
     """Exact discrete conjugate over all grid nodes: one max-plus contraction
-    with the per-axis kernel x_k y_k (on a 1D grid, exactly ``legendre_1d``)."""
+    with the per-axis kernel x_k y_k (on a 1D grid, exactly ``legendre_1d``).
+    On a dual grid of the primal's shape the conjugate is written into the
+    buffer that holds -phi, so it holds one full-size array."""
     dual = dual if dual is not None else default_dual_grid(f)
     if dual.dim != f.grid.dim:
         raise ValueError("dual grid dimension mismatch")
     if f.grid.dim == 1:
         acc = legendre_1d(f.grid.axis(0), f.phi, dual.axis(0))
     else:
+        # -phi in one buffer, and the conjugate into the same buffer when it fits
+        neg = np.negative(f.phi)
         kernels = [Outer(dual.axis(k), f.grid.axis(k)) for k in range(f.grid.dim)]
-        acc = contract(-f.phi, kernels, "max")
+        acc = contract(neg, kernels, "max", out=neg if dual.points == f.grid.points else None)
     return LogDensity(grid=dual, phi=acc)
 
 
@@ -113,24 +116,38 @@ def polar_density(f: LogDensity, dual: GridSpec | None = None) -> LogDensity:
     maximum comes from its faces (``contract.shell_max``); the conjugate over
     all nodes is the larger of the two. Where it exceeds the inner conjugate
     by more than 1e-12 (1 + |phi*|), the boundary was the maximizer.
+
+    The masked copy lives only through the inner conjugate, the faces of
+    -phi are negated one at a time, and the margin is formed in row bands
+    into the inner conjugate: a 3D 65^3 polar holds 2.44 full-size arrays,
+    its output included.
     """
     if not check_even(f):
         warnings.warn("polar of a non-even density: Blaschke-Santalo hypotheses unmet")
     dual = dual if dual is not None else default_dual_grid(f)
-    shell = boundary_mask(f.phi.shape)
-    # a shell that is +inf already (a box) cannot win; an all-shell input has no inner conjugate
-    if not np.isfinite(f.phi[shell]).any() or not np.isfinite(f.phi[(slice(1, -1),) * f.grid.dim]).any():
+    faces = [(slice(None),) * k + (e,) for k in range(f.grid.dim) for e in (0, -1)]
+    # a shell that is +inf already (a box) cannot win; an all-shell input has
+    # no inner conjugate (a min is finite where any entry is)
+    if min(f.phi[face].min() for face in faces) == np.inf or f.phi[(slice(1, -1),) * f.grid.dim].min() == np.inf:
         return legendre_transform(f, dual)
-    inner = legendre_transform(LogDensity(f.grid, np.where(shell, np.inf, f.phi)), dual).phi
-    phi = shell_max(-f.phi, [Outer(dual.axis(k), f.grid.axis(k)) for k in range(f.grid.dim)])
+    masked = f.phi.copy()
+    for face in faces:
+        masked[face] = np.inf
+    inner = legendre_transform(LogDensity(f.grid, masked), dual).phi
+    del masked  # before the shell's maximum is formed
+    phi = shell_max(f.phi, [Outer(dual.axis(k), f.grid.axis(k)) for k in range(f.grid.dim)], negate=True)
     np.maximum(inner, phi, out=phi)  # the conjugate over all nodes
-    # inner + 1e-12 (1 + |phi|), |phi| taken as 0 where phi is infinite
-    margin = np.abs(phi)
-    margin[np.isinf(margin)] = 0.0
-    margin += 1.0
-    margin *= 1e-12
-    margin += inner
-    phi[phi > margin] = np.inf
+    # inner + 1e-12 (1 + |phi|), |phi| taken as 0 where phi is infinite, in
+    # row bands of one buffer, added into inner
+    bands = row_bands(phi.shape)
+    buf = np.empty((bands[0].stop,) + phi.shape[1:])
+    for band in bands:
+        margin = np.abs(phi[band], out=buf[:band.stop - band.start])
+        margin[np.isinf(margin)] = 0.0
+        margin += 1.0
+        margin *= 1e-12
+        inner[band] += margin
+        phi[band][phi[band] > inner[band]] = np.inf
     return LogDensity(grid=dual, phi=phi)
 
 

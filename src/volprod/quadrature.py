@@ -3,9 +3,9 @@
 Everything is computed as log-sum-exp of (-phi + log weight); a single global
 max shift keeps the reduction stable even when -q*phi spans hundreds of nats.
 The trapezoid weights are added in place from two slabs
-(``add_trapezoid_log_weights``), so a Lebesgue integral holds one full-size
-array, its integrand; the Gaussian measure adds one more, its weights, built
-per axis from ``GridSpec.sq_norm``.
+(``add_trapezoid_log_weights``) and the Gaussian log-weight in row bands of
+one buffer (``Measure.add_log_weight``), so an integral under either
+measure holds one full-size array, its integrand.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contract import contract, shell_max
+from .contract import contract, row_bands, shell_max
 from .core import GridSpec, LogDensity, LogQuad, NEG_INF
 
 LOG_2PI = math.log(2 * math.pi)
@@ -34,10 +34,28 @@ class Measure:
     def log_weight(self, grid: GridSpec) -> np.ndarray | float:
         if self.kind == "lebesgue":
             return 0.0
-        w = grid.sq_norm()
-        w *= -0.5
-        w -= 0.5 * grid.dim * LOG_2PI
-        return w
+        return self.add_log_weight(np.zeros(grid.points), grid)
+
+    def add_log_weight(self, a: np.ndarray, grid: GridSpec) -> np.ndarray:
+        """Add the log-weight to ``a`` in place and return ``a``. The Gaussian
+        one, -|x|^2 / 2 - n log(2 pi) / 2, is formed in row bands of axis 0
+        of at most ROW_ELEMS nodes in one buffer, |x|^2 summed axis by axis
+        as ``GridSpec.sq_norm`` sums it."""
+        if self.kind == "lebesgue":
+            return a
+        axes = grid.open_axes()
+        bands = row_bands(grid.points)
+        buf = np.empty((bands[0].stop,) + grid.points[1:])
+        for band in bands:
+            # x_0^2 is 0 + x_0^2 exactly, as GridSpec.sq_norm's first sum
+            w = buf[:band.stop - band.start]
+            w[...] = axes[0][band] * axes[0][band]
+            for x in axes[1:]:
+                w += x * x
+            w *= -0.5
+            w -= 0.5 * grid.dim * LOG_2PI
+            a[band] += w
+        return a
 
 
 LEBESGUE = Measure("lebesgue")
@@ -106,8 +124,10 @@ def edge_dominated(log_f: np.ndarray, axis_kernels) -> np.ndarray:
     interior's from one contraction with the shell masked out.
     """
     boundary_max = shell_max(log_f, axis_kernels)
-    interior_max = contract(np.where(boundary_mask(log_f.shape), NEG_INF, log_f), axis_kernels, "max")
-    return boundary_max >= interior_max
+    # the masked copy takes the interior's maximum when the shapes allow
+    masked = np.where(boundary_mask(log_f.shape), NEG_INF, log_f)
+    fits = masked.shape == boundary_max.shape
+    return boundary_max >= contract(masked, axis_kernels, "max", out=masked if fits else None)
 
 
 def _tail_ratio(log_integrand: np.ndarray) -> float:
@@ -138,7 +158,7 @@ def log_lq_norm(f: LogDensity, q: float, measure: Measure = LEBESGUE) -> LogQuad
         # f = 0 nodes give f^q = +inf; exclude them, they carry zero measure
         # on a full-measure finite subgrid and are reported via tail_ratio.
         log_integrand[np.isinf(phi)] = NEG_INF
-    log_integrand += measure.log_weight(f.grid)
+    measure.add_log_weight(log_integrand, f.grid)
     tail_ratio = _tail_ratio(log_integrand)
     add_trapezoid_log_weights(log_integrand, f.grid)
     la = _logsumexp_in_place(log_integrand)

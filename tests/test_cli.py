@@ -226,6 +226,17 @@ class TestMain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
 
+    @pytest.mark.parametrize("times", ["0, 0.5, 0.2", "0.5, 0.2", "0.2, 0.2", "-0.1, 0.5", "0.1, nan"])
+    def test_flow_times_not_positive_and_increasing_exit_2(self, tmp_path, capsys, times):
+        """t = 0 is the flow's own first row, and its monotone gate compares
+        the rows in order: a listed t <= 0 or an out-of-order time is a
+        config error, reported before any flow runs."""
+        cfg = _write(tmp_path, f"[grid]\npoints = 129\n[density]\nfamily = gaussian\n[params]\ntimes = {times}\n")
+        assert main(["flow", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: [params] times: must be positive and strictly increasing")
+        assert not (tmp_path / "t").exists()
+
     def test_unknown_body_exits_2(self, tmp_path, capsys):
         cfg = _write(tmp_path, "[params]\nbodies = pentagon\nr = 1\n")
         assert main(["lrvol", "--config", cfg, "--out", str(tmp_path / "u")]) == 2

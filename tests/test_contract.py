@@ -182,6 +182,64 @@ class TestEngine:
             contract(np.zeros(3), [np.zeros((2, 3))], reduce="sum")
 
 
+# square kernels, so that the input itself can take the result
+OUT_CASES = [((9,), "orthant"), ((9,), "full"), ((15, 31), "orthant"), ((15, 31), "central"), ((15, 31), "full"),
+             ((5, 13, 7), "orthant"), ((5, 13, 7), "central"), ((5, 13, 7), "full")]
+
+
+def _out_case(rng, kind, shape, path):
+    """Square, centrally symmetric kernels of one kind and an input that takes
+    ``path``: even along every axis (the orthant path), even through the
+    origin alone (the central half path) or even nowhere (the full path)."""
+    if path == "orthant":
+        log_f, kernels = _orthant_case(rng, kind, shape, shape, range(len(shape)))
+    else:
+        log_f, kernels = _symmetric_case(rng, kind, shape, shape)
+    if path == "full":
+        flat = log_f.ravel()
+        i = next(i for i in np.flatnonzero(np.isfinite(flat)) if 2 * i != flat.size - 1)
+        flat[i] = np.nextafter(flat[i], np.inf)
+    assert _halved_axes(log_f) == {"orthant": len(shape), "central": 1, "full": 0}[path]
+    assert (path == "orthant") == all(_even_along(log_f, k) for k in range(len(shape)))
+    return log_f, kernels
+
+
+class TestOutBuffer:
+    @pytest.mark.parametrize("reduce", ["lse", "max"])
+    @pytest.mark.parametrize("kind", ["array", "outer", "gauss"])
+    @pytest.mark.parametrize("shape, path", OUT_CASES)
+    def test_out_holds_the_bytes_of_a_call_without_it(self, reduce, kind, shape, path):
+        rng = np.random.default_rng(len(shape) + len(kind) + len(path))
+        log_f, kernels = _out_case(rng, kind, shape, path)
+        want = contract(log_f, kernels, reduce)
+        before = log_f.tobytes()
+        buf = np.full(shape, np.nan)
+        assert contract(log_f, kernels, reduce, out=buf) is buf
+        assert buf.tobytes() == want.tobytes()
+        assert log_f.tobytes() == before  # a separate out leaves the input as it was
+        # the input itself as out
+        assert contract(log_f, kernels, reduce, out=log_f) is log_f
+        assert log_f.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("reduce", ["lse", "max"])
+    def test_out_of_another_shape_than_the_input(self, reduce):
+        rng = np.random.default_rng(73)
+        log_f, kernels = _orthant_case(rng, "outer", (5, 13, 7), (7, 11, 15), range(3))
+        buf = np.empty((7, 11, 15))
+        assert contract(log_f, kernels, reduce, out=buf).tobytes() == contract(log_f, kernels, reduce).tobytes()
+
+    @pytest.mark.parametrize("bad", [(15, 30), (31, 15), (15, 31, 1)])
+    def test_out_of_the_wrong_shape_is_rejected(self, bad):
+        log_f, kernels = _out_case(np.random.default_rng(79), "outer", (15, 31), "full")
+        with pytest.raises(ValueError, match="out must be"):
+            contract(log_f, kernels, out=np.empty(bad))
+
+    def test_out_of_another_dtype_is_rejected(self):
+        log_f, kernels = _out_case(np.random.default_rng(83), "outer", (15, 31), "full")
+        with pytest.raises(ValueError, match="out must be"):
+            contract(log_f, kernels, "max", out=np.empty((15, 31), dtype=np.float32))
+
+
 def _even_case(rng, in_shape, out_shape):
     """An exactly even input with -inf entries and centrally symmetric kernels;
     the first and last rows of the axis-0 kernel are -inf."""
@@ -233,9 +291,9 @@ def orthant_fills(monkeypatch):
     calls = []
     inner = contract_mod._fill_orthant
 
-    def spy(a, lows):
+    def spy(out, orthant, lows):
         calls.append(list(lows))
-        return inner(a, lows)
+        return inner(out, orthant, lows)
 
     monkeypatch.setattr(contract_mod, "_fill_orthant", spy)
     return calls
@@ -325,9 +383,9 @@ def engine_steps(monkeypatch):
     calls = []
     inner = contract_mod.contract
 
-    def spy(log_f, kernels, reduce="lse"):
+    def spy(log_f, kernels, reduce="lse", out=None):
         calls.append((reduce, np.shape(log_f), tuple(w.shape[0] for w in kernels), []))
-        return inner(log_f, kernels, reduce)
+        return inner(log_f, kernels, reduce, out)
 
     for mod in (contract_mod, functionals_mod, heatflow_mod, legendre_mod, quadrature_mod):
         monkeypatch.setattr(mod, "contract", spy)
@@ -900,7 +958,7 @@ class TestGaussHalfRows:
     def test_every_mirrored_band_is_the_materialized_one(self, m, n):
         w = _odd_gauss(np.random.default_rng(3 * m + n), m, n)
         full = _shifted_array(w)
-        bands = [b for b in contract_mod._row_blocks(w) if b.start < m // 2]
+        bands = [b for b in contract_mod.row_bands(w.shape) if b.start < m // 2]
         assert bands and (m < 100 or any(b.stop > m // 2 for b in bands))
         for band in bands:
             out = np.full((band.stop - band.start, n), np.nan)
@@ -1010,6 +1068,23 @@ class TestShellMax:
         log_f = -f.phi
         log_f[0] = -1.0  # one face that differs from its partner
         assert peak_in_outputs(shell_max, log_f, kernels) < 1 + 4 * 8 * contract_mod.ROW_ELEMS / log_f.nbytes
+
+    @pytest.mark.parametrize("in_shape, out_shape", SHELL_SHAPES)
+    def test_negate_reads_the_shell_of_the_negation(self, in_shape, out_shape):
+        """``negate`` gives the bytes of the call on ``-phi``, and reads only
+        faces: the polar's conjugate of phi forms no full-size negation."""
+        rng = np.random.default_rng(71)
+        log_f, kernels = _orthant_case(rng, "outer", in_shape, out_shape, [])
+        phi = -log_f
+        assert shell_max(phi, kernels, negate=True).tobytes() == shell_max(log_f, kernels).tobytes()
+
+    def test_negate_forms_no_full_size_temporary(self):
+        grid = make_grid(3, 6.0, 65)
+        phi = gaussian(grid).phi.copy()
+        phi[0] = 1.0  # one face that differs from its partner
+        kernels = [Outer(a, a) for a in grid.axes()]
+        peak = peak_in_outputs(shell_max, phi, kernels, negate=True)
+        assert peak < 1 + 4 * 8 * contract_mod.ROW_ELEMS / phi.nbytes
 
 
 def _edge_dominated_two_contractions(log_f, kernels):

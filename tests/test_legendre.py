@@ -328,9 +328,9 @@ class TestPolarDensity:
             calls.append(args)
             return legendre_transform(*args)
 
-        def shell_spy(*args):
+        def shell_spy(*args, **kwargs):
             shells.append(args)
-            return shell_max(*args)
+            return shell_max(*args, **kwargs)
 
         monkeypatch.setattr(legendre_mod, "legendre_transform", spy)
         monkeypatch.setattr(legendre_mod, "shell_max", shell_spy)

@@ -1,9 +1,12 @@
 """Full-size-array budgets per route on 3D 65^3.
 
 Each peak is tracemalloc's, in units of one 65^3 float array (2.2 MB), the
-output included. A builder or an integral holds its output and slab-sized
-temporaries only; the contractions hold no more than they did before the
-per-axis builds.
+output included. A builder or an integral holds its output and slab- or
+band-sized temporaries only. A contraction route holds the buffers it
+contracts into (``contract(..., out=)``) plus orthant-sized engine
+temporaries: the flow one full-size array, the conjugate its negated input,
+the polar that and the masked copy, the edge flags their input, the shell's
+maximum and the masked copy.
 """
 
 import pytest
@@ -11,8 +14,8 @@ import pytest
 from volprod.core import body_to_logdensity, ellipsoid, lp_ball, make_grid
 from volprod.densities import box, exp_power, gaussian
 from volprod.functionals import volume_product
-from volprod.heatflow import fp_evolve, ou_edge_flags
-from volprod.legendre import default_dual_grid, polar_density
+from volprod.heatflow import fp_evolve, ou_apply, ou_edge_flags
+from volprod.legendre import default_dual_grid, legendre_transform, polar_density
 from volprod.quadrature import GAUSSIAN, log_integral, log_lq_norm
 
 from conftest import peak_in_outputs
@@ -30,12 +33,14 @@ BUDGETS = {
     "body-lpinf": (lambda: body_to_logdensity(lp_ball(float("inf"), 3), GRID), 1.3),
     "body-ellipsoid": (lambda: body_to_logdensity(ellipsoid(ELLIPSOID), GRID), 1.3),
     "log_integral": (lambda: log_integral(F), 1.1),
-    "log_lq_norm-gaussian": (lambda: log_lq_norm(F, -1.0, GAUSSIAN), 2.1),
+    "log_lq_norm-gaussian": (lambda: log_lq_norm(F, -1.0, GAUSSIAN), 1.15),
     "default_dual_grid": (lambda: default_dual_grid(F), 0.1),
-    "fp_evolve": (lambda: fp_evolve(F, 0.5), 3.15),
-    "ou_edge_flags": (lambda: ou_edge_flags(F, 0.4), 5.0),
-    "polar_density": (lambda: polar_density(F), 4.02),
-    "volume_product": (lambda: volume_product(F), 4.02),
+    "fp_evolve": (lambda: fp_evolve(F, 0.5), 1.7),
+    "ou_apply": (lambda: ou_apply(F, 0.5), 1.7),
+    "ou_edge_flags": (lambda: ou_edge_flags(F, 0.4), 3.45),
+    "legendre_transform": (lambda: legendre_transform(F), 1.45),
+    "polar_density": (lambda: polar_density(F), 2.45),
+    "volume_product": (lambda: volume_product(F), 2.45),
 }
 
 

@@ -86,6 +86,29 @@ def test_trapezoid_weights_added_in_place(grid):
     assert got.tobytes() == (a + trapezoid_log_weights(grid)).tobytes()
 
 
+@pytest.mark.parametrize("row_elems", [2**15, 7])
+@pytest.mark.parametrize(
+    "grid",
+    [make_grid(1, 8.0, 513), make_grid(2, (5.0, 3.0), (33, 21)), make_grid(3, (4.0, 5.0, 3.5), (17, 19, 21)),
+     make_grid(3, 6.0, 65)],
+    ids=["1d-513", "2d-33x21", "3d-17x19x21", "3d-65"],
+)
+def test_gaussian_log_weight_added_in_row_bands(monkeypatch, grid, row_elems):
+    """Band by band (one row per band at 7 elements), the Gaussian log-weight
+    adds the bytes of -|x|^2 / 2 - n log(2 pi) / 2 formed whole, |x|^2 summed
+    axis by axis from 0; ``log_weight`` is those bytes alone."""
+    monkeypatch.setattr("volprod.contract.ROW_ELEMS", row_elems)
+    want = grid.sq_norm()
+    want *= -0.5
+    want -= 0.5 * grid.dim * math.log(2 * math.pi)
+    a = np.random.default_rng(5).normal(size=grid.points)
+    got = a.copy()
+    assert GAUSSIAN.add_log_weight(got, grid) is got
+    assert got.tobytes() == (a + want).tobytes()
+    assert GAUSSIAN.log_weight(grid).tobytes() == want.tobytes()
+    assert LEBESGUE.add_log_weight(got, grid) is got and LEBESGUE.log_weight(grid) == 0.0
+
+
 def test_boundary_mask_counts():
     m = boundary_mask((5, 7))
     assert m.sum() == 2 * 7 + 2 * 5 - 4
