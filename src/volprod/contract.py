@@ -107,19 +107,21 @@ The even slice of ``Outer(x, y)`` is ``Outer(x[M // 2:], y)``; that of a
 Gauss kernel cuts ``u`` and the row maxima at ``M // 2`` and takes the
 stored rows of ``exp(W - r)`` as they are, a view with no copy.
 
-``shell_max`` is the ``"max"`` contraction over the boundary shell alone,
-for the polar and the edge flags, which compare it with the maximum over the
-rest of the grid. A max over a union of node sets is the max of the maxes,
-so it goes face by face: the face ``j_k = e`` is an (n - 1)-dimensional
-``contract`` call over the other axes (a scalar in 1D), which takes the
-orthant path as any call does, and the kernel column ``W_k[:, e]`` is added
-along axis k last. Where the two end faces along k are equal, as on every
-even input, one call serves both with the column ``max(W_k[:, 0], W_k[:,
--1])``, exactly, since fl(c + .) is monotone. The faces are folded into the
-output in row bands of at most ``ROW_ELEMS`` elements, with no full-size
-temporary. Adding the column last rounds otherwise than a contraction in
-axis order can, so against the maximum over the interior the two can
-disagree where one of them ties it exactly.
+The boundary shell is decided here alone. ``faces(n)`` lists its 2n faces,
+axis k at its first node and at its last, for the polar, the edge flags and
+the quadrature's tail ratio. ``shell_max`` is the ``"max"`` contraction over
+the shell alone, for the polar and ``edge_dominated``, which compare it with
+the maximum over the rest of the grid. A max over a union of node sets is
+the max of the maxes, so it goes face by face: the face ``j_k = e`` is an
+(n - 1)-dimensional ``contract`` call over the other axes (a scalar in 1D),
+which takes the orthant path as any call does, and the kernel column
+``W_k[:, e]`` is added along axis k last. Where the two end faces along k
+are equal, as on every even input, one call serves both with the column
+``max(W_k[:, 0], W_k[:, -1])``, exactly, since fl(c + .) is monotone. The
+faces are folded into the output in row bands of at most ``ROW_ELEMS``
+elements, with no full-size temporary. Adding the column last rounds
+otherwise than a contraction in axis order can, so against the maximum over
+the interior the two can disagree where one of them ties it exactly.
 
 ``contract(log_f, kernels, reduce, out=buf)`` writes the whole result, the
 reflected fill included, into ``buf`` and returns it. ``buf`` may be
@@ -133,7 +135,8 @@ buffers they own (tracemalloc peaks on 3D 65^3 in full-size arrays, output
 included): ``fp_evolve`` and ``ou_apply`` into their weighted log-values,
 then negated in place (1.69), ``legendre_transform`` into its negated input
 (1.44), ``polar_density`` likewise, with its masked copy (2.44), and
-``ou_edge_flags`` into its masked copy (3.44).
+``edge_dominated`` into its own input, the shell masked in place once
+``shell_max`` has read it (``ou_edge_flags`` 2.44).
 
 ``np.einsum`` runs numpy's own loop; a BLAS product (``@``) would be faster
 single-threaded but stalls under a default-threaded OpenBLAS on small
@@ -487,16 +490,23 @@ def _column(w, j: int) -> np.ndarray:
     return w[:, j]
 
 
+def faces(ndim: int) -> list[tuple]:
+    """The 2n faces of the boundary shell of an ``ndim``-dimensional array:
+    the index tuples of axis k at its first node and at its last, k = 0 to
+    n - 1."""
+    return [(slice(None),) * k + (e,) for k in range(ndim) for e in (0, -1)]
+
+
 def shell_max(log_f: np.ndarray, axis_kernels, negate: bool = False) -> np.ndarray:
     """``contract(log_f, axis_kernels, "max")`` over the boundary shell of
     ``log_f`` alone: one (n - 1)-dimensional contraction per face, or per
     pair of equal end faces, each face's kernel column added last. With
     ``negate`` the shell of ``-log_f`` is read, one face at a time."""
     log_f = np.asarray(log_f, dtype=float)
-    faces = []  # (k, the face's maximum expanded along k, its column along k)
+    shell = faces(log_f.ndim)
+    maxima = []  # (k, the face's maximum expanded along k, its column along k)
     for k, w in enumerate(axis_kernels):
-        head = (slice(None),) * k
-        low, high = log_f[head + (0,)], log_f[head + (-1,)]
+        low, high = log_f[shell[2 * k]], log_f[shell[2 * k + 1]]
         if negate:
             low, high = -low, -high
         if np.array_equal(low, high):
@@ -505,8 +515,8 @@ def shell_max(log_f: np.ndarray, axis_kernels, negate: bool = False) -> np.ndarr
             ends = [(low, _column(w, 0)), (high, _column(w, -1))]
         others = axis_kernels[:k] + axis_kernels[k + 1:]
         shape = (-1,) + (1,) * (log_f.ndim - k - 1)
-        faces += [(k, np.expand_dims(contract(face, others, "max"), k), col.reshape(shape)) for face, col in ends]
-    (_, g, col), rest = faces[0], faces[1:]
+        maxima += [(k, np.expand_dims(contract(face, others, "max"), k), col.reshape(shape)) for face, col in ends]
+    (_, g, col), rest = maxima[0], maxima[1:]
     out = np.add(g, col)
     if rest:
         bands = row_bands(out.shape)
@@ -518,6 +528,24 @@ def shell_max(log_f: np.ndarray, axis_kernels, negate: bool = False) -> np.ndarr
                 np.add(g[band] if k else g, col if k else col[band], out=part)
                 np.maximum(acc, part, out=acc)
     return out
+
+
+def edge_dominated(log_f: np.ndarray, axis_kernels) -> np.ndarray:
+    """Where ``contract(log_f, axis_kernels, "max")`` peaks on the boundary shell.
+
+    True where the largest kernel-weighted term over the shell of ``log_f``
+    is at least the largest over the interior: the integral behind that
+    output node is cut by the grid edge, not decayed inside it. The shell's
+    maximum comes from ``shell_max``; then the faces of ``log_f`` are set to
+    -inf in place and the interior's maximum is contracted into ``log_f``
+    when the shapes allow. So the call takes ownership of ``log_f``, a float
+    array: its values are gone when it returns.
+    """
+    boundary_max = shell_max(log_f, axis_kernels)
+    for face in faces(log_f.ndim):
+        log_f[face] = -np.inf
+    fits = log_f.shape == boundary_max.shape
+    return boundary_max >= contract(log_f, axis_kernels, "max", out=log_f if fits else None)
 
 
 def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse", out: np.ndarray | None = None) -> np.ndarray:

@@ -231,7 +231,7 @@ class LogQuad:
     def __post_init__(self):
         if self.sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or +1")
-        if self.sign == 0 and self.log_abs != NEG_INF and not math.isinf(self.log_abs):
+        if self.sign == 0 and self.log_abs != NEG_INF:
             raise ValueError("sign 0 requires -inf log_abs")
         if self.tail_ratio < 0:
             raise ValueError("tail_ratio must be nonnegative")

@@ -24,7 +24,7 @@ from .core import (
     NEG_INF,
     make_grid,
 )
-from .contract import Outer, contract
+from .contract import Outer, contract, edge_dominated
 from .heatflow import KernelUnderResolvedError, fp_evolve, ou_apply, ou_edge_flags
 from .legendre import polar_density
 from .quadrature import (
@@ -32,10 +32,9 @@ from .quadrature import (
     LEBESGUE,
     LOG_2PI,
     add_trapezoid_log_weights,
-    edge_dominated,
     log_integral,
     log_lq_norm,
-    logsumexp_all,
+    logsumexp_in_place,
 )
 
 # Laplace-transform grids are widened until q log F has dropped this many nats
@@ -101,7 +100,8 @@ def nelson_q(s: float, p: float) -> float:
 
 def _ou_lift(f0: LogDensity, s: float, p: float) -> tuple[LogDensity, LogDensity]:
     """g = (f0/gamma)^{1/p} and P_s g."""
-    g_phi = (f0.phi + GAUSSIAN.log_weight(f0.grid)) / p  # -log[(f0/gamma)^{1/p}]
+    g_phi = GAUSSIAN.add_log_weight(f0.phi.copy(), f0.grid)
+    g_phi /= p  # -log[(f0/gamma)^{1/p}]
     g = LogDensity(grid=f0.grid, phi=g_phi)
     return g, ou_apply(g, s)
 
@@ -315,7 +315,8 @@ def bl_integral(f1: LogDensity, f2: LogDensity, data: BLData) -> LogQuad:
     # x2, so x2 is integrated out axis by axis
     cross = -2 * math.pi * q2[0, 1]
     kernels = [Outer(cross * f1.grid.axis(k), f2.grid.axis(k)) for k in range(n)]
-    total = logsumexp_all(base1 + contract(base2, kernels))
+    base1 += contract(base2, kernels)
+    total = logsumexp_in_place(base1)
     if total == NEG_INF:
         return LogQuad(NEG_INF, 0)
     return LogQuad(log_abs=float(total), sign=1)
@@ -455,7 +456,7 @@ def tropical_limit_curve(f: LogDensity, s_list) -> tuple[list[tuple[float, float
             + sched.q * log_lq_norm(psg, sched.q, GAUSSIAN).log_abs
         )
         out.append((s, math.exp(log_bridge)))
-        w = -sched.q * psg.phi + GAUSSIAN.log_weight(f.grid)
+        w = GAUSSIAN.add_log_weight(-sched.q * psg.phi, f.grid)
         truncated |= bool(_in_window(ou_edge_flags(g, s), w).any())
     return out, truncated
 

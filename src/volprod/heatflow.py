@@ -14,9 +14,9 @@ import math
 
 import numpy as np
 
-from .contract import Gauss, Outer, contract
+from .contract import Gauss, Outer, contract, edge_dominated
 from .core import GridSpec, LogDensity
-from .quadrature import add_trapezoid_log_weights, edge_dominated
+from .quadrature import add_trapezoid_log_weights
 
 # cache of per-axis Gauss kernels keyed by (kind, t, n, half_width), never
 # cleared; each holds one (n - n // 2, n) array, the x >= 0 rows of its

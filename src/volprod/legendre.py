@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from .contract import Outer, contract, row_bands, shell_max
+from .contract import Outer, contract, faces, row_bands, shell_max
 from .core import GridSpec, LogDensity, check_even, make_grid
 
 # polars of Gaussian-decay inputs should fall by this many nats inside the box
@@ -125,13 +125,13 @@ def polar_density(f: LogDensity, dual: GridSpec | None = None) -> LogDensity:
     if not check_even(f):
         warnings.warn("polar of a non-even density: Blaschke-Santalo hypotheses unmet")
     dual = dual if dual is not None else default_dual_grid(f)
-    faces = [(slice(None),) * k + (e,) for k in range(f.grid.dim) for e in (0, -1)]
+    shell = faces(f.grid.dim)
     # a shell that is +inf already (a box) cannot win; an all-shell input has
     # no inner conjugate (a min is finite where any entry is)
-    if min(f.phi[face].min() for face in faces) == np.inf or f.phi[(slice(1, -1),) * f.grid.dim].min() == np.inf:
+    if min(f.phi[face].min() for face in shell) == np.inf or f.phi[(slice(1, -1),) * f.grid.dim].min() == np.inf:
         return legendre_transform(f, dual)
     masked = f.phi.copy()
-    for face in faces:
+    for face in shell:
         masked[face] = np.inf
     inner = legendre_transform(LogDensity(f.grid, masked), dual).phi
     del masked  # before the shell's maximum is formed

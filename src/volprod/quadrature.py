@@ -2,10 +2,14 @@
 
 Everything is computed as log-sum-exp of (-phi + log weight); a single global
 max shift keeps the reduction stable even when -q*phi spans hundreds of nats.
-The trapezoid weights are added in place from two slabs
-(``add_trapezoid_log_weights``) and the Gaussian log-weight in row bands of
-one buffer (``Measure.add_log_weight``), so an integral under either
-measure holds one full-size array, its integrand.
+Every step works in a buffer the caller owns: the trapezoid weights are
+added in place from two slabs (``add_trapezoid_log_weights``), the Gaussian
+log-weight in row bands of one buffer (``Measure.add_log_weight``), and
+``logsumexp_in_place`` shifts and exponentiates the integrand where it lies,
+so an integral under either measure holds one full-size array, its
+integrand. This module integrates and nothing else: the boundary shell that
+the tail ratio reads is ``contract.faces``, and the edge flags are
+``contract.edge_dominated``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contract import contract, row_bands, shell_max
+from .contract import faces, row_bands
 from .core import GridSpec, LogDensity, LogQuad, NEG_INF
 
 LOG_2PI = math.log(2 * math.pi)
@@ -30,11 +34,6 @@ class Measure:
     def __post_init__(self):
         if self.kind not in ("lebesgue", "standard_gaussian"):
             raise ValueError(f"unknown measure {self.kind!r}")
-
-    def log_weight(self, grid: GridSpec) -> np.ndarray | float:
-        if self.kind == "lebesgue":
-            return 0.0
-        return self.add_log_weight(np.zeros(grid.points), grid)
 
     def add_log_weight(self, a: np.ndarray, grid: GridSpec) -> np.ndarray:
         """Add the log-weight to ``a`` in place and return ``a``. The Gaussian
@@ -62,13 +61,9 @@ LEBESGUE = Measure("lebesgue")
 GAUSSIAN = Measure("standard_gaussian")
 
 
-def logsumexp_all(terms: np.ndarray) -> float:
-    """log sum exp over the full array; -inf entries drop out."""
-    return _logsumexp_in_place(np.array(terms, dtype=float))
-
-
-def _logsumexp_in_place(buf: np.ndarray) -> float:
-    """``logsumexp_all(buf)``, shifting and exponentiating ``buf`` in place."""
+def logsumexp_in_place(buf: np.ndarray) -> float:
+    """log sum exp over the whole float array ``buf``, which it shifts and
+    exponentiates in place; -inf entries drop out."""
     m = float(buf.max())
     if m == NEG_INF:
         return NEG_INF
@@ -103,38 +98,11 @@ def add_trapezoid_log_weights(a: np.ndarray, grid: GridSpec) -> np.ndarray:
     return a
 
 
-def boundary_mask(shape: tuple[int, ...]) -> np.ndarray:
-    mask = np.zeros(shape, dtype=bool)
-    for k in range(len(shape)):
-        sl = [slice(None)] * len(shape)
-        sl[k] = 0
-        mask[tuple(sl)] = True
-        sl[k] = -1
-        mask[tuple(sl)] = True
-    return mask
-
-
-def edge_dominated(log_f: np.ndarray, axis_kernels) -> np.ndarray:
-    """Where ``contract(log_f, axis_kernels, "max")`` peaks on the grid boundary.
-
-    True where the largest kernel-weighted term over boundary nodes of
-    ``log_f`` is at least the largest over interior nodes: the integral behind
-    that output node is cut by the grid edge, not decayed inside it. The
-    boundary's maximum comes from the faces (``contract.shell_max``), the
-    interior's from one contraction with the shell masked out.
-    """
-    boundary_max = shell_max(log_f, axis_kernels)
-    # the masked copy takes the interior's maximum when the shapes allow
-    masked = np.where(boundary_mask(log_f.shape), NEG_INF, log_f)
-    fits = masked.shape == boundary_max.shape
-    return boundary_max >= contract(masked, axis_kernels, "max", out=masked if fits else None)
-
-
 def _tail_ratio(log_integrand: np.ndarray) -> float:
     """max boundary integrand / max interior integrand, in linear scale, read
     off the 2n faces and the interior view."""
     a = log_integrand
-    mb = max(float(a[(slice(None),) * k + (e,)].max()) for k in range(a.ndim) for e in (0, -1))
+    mb = max(float(a[face].max()) for face in faces(a.ndim))
     mi = float(a[(slice(1, -1),) * a.ndim].max())
     if mb == NEG_INF:
         return 0.0
@@ -161,7 +129,7 @@ def log_lq_norm(f: LogDensity, q: float, measure: Measure = LEBESGUE) -> LogQuad
     measure.add_log_weight(log_integrand, f.grid)
     tail_ratio = _tail_ratio(log_integrand)
     add_trapezoid_log_weights(log_integrand, f.grid)
-    la = _logsumexp_in_place(log_integrand)
+    la = logsumexp_in_place(log_integrand)
     if la == NEG_INF:
         return LogQuad(log_abs=NEG_INF, sign=0)
     return LogQuad(log_abs=la / q, sign=1, tail_ratio=tail_ratio)

@@ -20,6 +20,19 @@ def trapezoid_log_weights(grid) -> np.ndarray:
     return np.broadcast_to(total, grid.points)
 
 
+def boundary_mask(shape: tuple[int, ...]) -> np.ndarray:
+    """True on the boundary shell of an array of ``shape``: every node at
+    the first or last index of some axis."""
+    mask = np.zeros(shape, dtype=bool)
+    for k in range(len(shape)):
+        sl = [slice(None)] * len(shape)
+        sl[k] = 0
+        mask[tuple(sl)] = True
+        sl[k] = -1
+        mask[tuple(sl)] = True
+    return mask
+
+
 def peak_in_outputs(fn, *args, nbytes: int | None = None, **kwargs) -> float:
     """tracemalloc peak of ``fn(*args, **kwargs)``, in units of its output array.
 

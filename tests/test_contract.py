@@ -12,8 +12,7 @@ from volprod import functionals as functionals_mod
 from volprod import heatflow as heatflow_mod
 from volprod import legendre as legendre_mod
 from volprod import oracles
-from volprod import quadrature as quadrature_mod
-from volprod.contract import Gauss, Outer, contract, shell_max
+from volprod.contract import Gauss, Outer, contract, edge_dominated, faces, shell_max
 from volprod.core import (
     BodySpec,
     ExponentSchedule,
@@ -36,9 +35,8 @@ from volprod.functionals import (
 )
 from volprod.heatflow import fp_evolve, ou_apply, ou_edge_flags
 from volprod.legendre import default_dual_grid, legendre_transform, polar_density
-from volprod.quadrature import boundary_mask, edge_dominated
 
-from conftest import peak_in_outputs, trapezoid_log_weights
+from conftest import boundary_mask, peak_in_outputs, trapezoid_log_weights
 
 REL = 1e-12
 
@@ -387,7 +385,7 @@ def engine_steps(monkeypatch):
         calls.append((reduce, np.shape(log_f), tuple(w.shape[0] for w in kernels), []))
         return inner(log_f, kernels, reduce, out)
 
-    for mod in (contract_mod, functionals_mod, heatflow_mod, legendre_mod, quadrature_mod):
+    for mod in (contract_mod, functionals_mod, heatflow_mod, legendre_mod):
         monkeypatch.setattr(mod, "contract", spy)
     for name in ("lse", "max"):
         step = getattr(contract_mod, "_" + name)
@@ -1134,12 +1132,44 @@ def test_edge_flags_differ_only_at_exact_ties(s):
     scale = 1.0 / ExponentSchedule(s).p
     kernels = [Outer(1.5 * scale * a, a) for a in grid.axes()]
     log_f = -scale * gaussian(grid).phi
-    got = edge_dominated(log_f, kernels)
+    got = edge_dominated(log_f.copy(), kernels)
     want, boundary, interior = _edge_dominated_two_contractions(log_f, kernels)
     edge = shell_max(log_f, kernels)
     _close(edge, boundary)
     flips = got != want
     assert np.all((boundary == interior) | (edge == interior) | ~flips)
+
+
+@pytest.mark.parametrize("shape", [(9,), (5, 7), (4, 5, 6)], ids=["1d", "2d", "3d"])
+def test_faces_are_the_boundary_shell(shape):
+    """``faces(n)`` lists axis k at its first node and then at its last, k in
+    order, and together they mark exactly the nodes with an end index."""
+    shell = faces(len(shape))
+    assert shell == [(slice(None),) * k + (e,) for k in range(len(shape)) for e in (0, -1)]
+    mask = np.zeros(shape, dtype=bool)
+    for face in shell:
+        mask[face] = True
+    ends = np.any([(i == 0) | (i == n - 1) for i, n in zip(np.indices(shape), shape)], axis=0)
+    assert np.array_equal(mask, ends)
+
+
+@pytest.mark.parametrize("out_points", [17, 33], ids=["other-shape", "own-shape"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_edge_dominated_masks_its_input_in_place(dim, out_points):
+    """``edge_dominated`` gives the bytes of the shell maximum compared with
+    a contraction of a masked copy. It works in its input instead: when the
+    result fits, the input ends as the interior's maximum, else as the input
+    with its shell at -inf."""
+    grid = make_grid(dim, 4.0, 33)
+    x = make_grid(dim, 3.0, out_points)
+    kernels = [Outer(1.5 * x.axis(k), grid.axis(k)) for k in range(dim)]
+    log_f = -exp_power(grid, 2.5).phi
+    masked = np.where(boundary_mask(log_f.shape), -np.inf, log_f)
+    interior = contract(masked, kernels, "max")
+    want = shell_max(log_f, kernels) >= interior
+    owned = log_f.copy()
+    assert edge_dominated(owned, kernels).tobytes() == want.tobytes()
+    assert owned.tobytes() == (interior if out_points == 33 else masked).tobytes()
 
 
 @pytest.fixture

@@ -222,6 +222,13 @@ class TestLogQuad:
         with pytest.raises(ValueError):
             LogQuad(log_abs=1.0, sign=0)
 
+    @pytest.mark.parametrize("log_abs", [math.inf, math.nan])
+    def test_sign_zero_rejects_other_than_minus_inf(self, log_abs):
+        """A sign-0 quad is the zero sentinel, -inf alone: +inf would build a
+        quad whose value() reads 0.0."""
+        with pytest.raises(ValueError, match="sign 0 requires -inf log_abs"):
+            LogQuad(log_abs=log_abs, sign=0)
+
     def test_flagged_property(self):
         assert LogQuad(0.0, 1, tail_ratio=1e-6).flagged
         assert not LogQuad(0.0, 1, tail_ratio=1e-12).flagged
@@ -304,4 +311,4 @@ class TestPerAxisBuilders:
         sq = sum(m * m for m in grid.meshgrid())
         assert grid.sq_norm().tobytes() == sq.tobytes()
         want = -0.5 * sq - 0.5 * grid.dim * LOG_2PI
-        assert GAUSSIAN.log_weight(grid).tobytes() == want.tobytes()
+        assert GAUSSIAN.add_log_weight(np.zeros(grid.points), grid).tobytes() == want.tobytes()

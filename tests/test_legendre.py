@@ -17,9 +17,9 @@ from volprod.legendre import (
     polar_density,
 )
 from volprod.oracles import hull_legendre
-from volprod.quadrature import boundary_mask, log_integral
+from volprod.quadrature import log_integral
 
-from conftest import peak_in_outputs
+from conftest import boundary_mask, peak_in_outputs
 
 
 def _random_density(rng, grid, with_inf=False):

@@ -5,15 +5,19 @@ output included. A builder or an integral holds its output and slab- or
 band-sized temporaries only. A contraction route holds the buffers it
 contracts into (``contract(..., out=)``) plus orthant-sized engine
 temporaries: the flow one full-size array, the conjugate its negated input,
-the polar that and the masked copy, the edge flags their input, the shell's
-maximum and the masked copy.
+the polar that and the masked copy, the edge flags their input (whose shell
+is masked in place, and the interior's maximum contracted into it) and the
+shell's maximum. The Laplace transform holds its output beside the edge
+flags' buffers, the Brascamp-Lieb integral its two integrands and their
+contraction, and one step of the tropical bridge its lift, the OU flow and
+the window weight beside the edge flags.
 """
 
 import pytest
 
-from volprod.core import body_to_logdensity, ellipsoid, lp_ball, make_grid
+from volprod.core import ExponentSchedule, body_to_logdensity, ellipsoid, lp_ball, make_grid
 from volprod.densities import box, exp_power, gaussian
-from volprod.functionals import volume_product
+from volprod.functionals import bl_data, bl_integral, laplace_grid, log_laplace, tropical_limit_curve, volume_product
 from volprod.heatflow import fp_evolve, ou_apply, ou_edge_flags
 from volprod.legendre import default_dual_grid, legendre_transform, polar_density
 from volprod.quadrature import GAUSSIAN, log_integral, log_lq_norm
@@ -23,6 +27,9 @@ from conftest import peak_in_outputs
 GRID = make_grid(3, 6.0, 65)
 F = gaussian(GRID)
 ELLIPSOID = [[1.0, 0.3, 0.0], [0.3, 0.8, 0.1], [0.0, 0.1, 1.5]]
+S = 0.4
+SCALE = 1.0 / ExponentSchedule(S).p
+X_GRID = laplace_grid(F, ExponentSchedule(S).q, SCALE)
 
 BUDGETS = {
     "gaussian": (lambda: gaussian(GRID), 1.3),
@@ -37,7 +44,10 @@ BUDGETS = {
     "default_dual_grid": (lambda: default_dual_grid(F), 0.1),
     "fp_evolve": (lambda: fp_evolve(F, 0.5), 1.7),
     "ou_apply": (lambda: ou_apply(F, 0.5), 1.7),
-    "ou_edge_flags": (lambda: ou_edge_flags(F, 0.4), 3.45),
+    "ou_edge_flags": (lambda: ou_edge_flags(F, S), 2.45),
+    "log_laplace": (lambda: log_laplace(F, X_GRID, SCALE), 3.45),
+    "bl_integral": (lambda: bl_integral(F, F, bl_data(S)), 3.15),
+    "tropical_limit_curve": (lambda: tropical_limit_curve(F, [S]), 5.45),
     "legendre_transform": (lambda: legendre_transform(F), 1.45),
     "polar_density": (lambda: polar_density(F), 2.45),
     "volume_product": (lambda: volume_product(F), 2.45),

@@ -11,13 +11,12 @@ from volprod.quadrature import (
     LEBESGUE,
     Measure,
     add_trapezoid_log_weights,
-    boundary_mask,
     log_integral,
     log_lq_norm,
-    logsumexp_all,
+    logsumexp_in_place,
 )
 
-from conftest import trapezoid_log_weights
+from conftest import boundary_mask, trapezoid_log_weights
 
 
 def test_gaussian_mass():
@@ -63,8 +62,8 @@ def test_unknown_measure_rejected():
 
 
 def test_logsumexp_all_inf_safe():
-    assert logsumexp_all(np.array([-np.inf, -np.inf])) == -np.inf
-    assert logsumexp_all(np.array([-np.inf, 0.0])) == pytest.approx(0.0)
+    assert logsumexp_in_place(np.array([-np.inf, -np.inf])) == -np.inf
+    assert logsumexp_in_place(np.array([-np.inf, 0.0])) == pytest.approx(0.0)
 
 
 def test_trapezoid_weights_sum():
@@ -96,7 +95,8 @@ def test_trapezoid_weights_added_in_place(grid):
 def test_gaussian_log_weight_added_in_row_bands(monkeypatch, grid, row_elems):
     """Band by band (one row per band at 7 elements), the Gaussian log-weight
     adds the bytes of -|x|^2 / 2 - n log(2 pi) / 2 formed whole, |x|^2 summed
-    axis by axis from 0; ``log_weight`` is those bytes alone."""
+    axis by axis from 0; added to zeros it gives those bytes alone, and the
+    Lebesgue weight adds nothing."""
     monkeypatch.setattr("volprod.contract.ROW_ELEMS", row_elems)
     want = grid.sq_norm()
     want *= -0.5
@@ -105,8 +105,8 @@ def test_gaussian_log_weight_added_in_row_bands(monkeypatch, grid, row_elems):
     got = a.copy()
     assert GAUSSIAN.add_log_weight(got, grid) is got
     assert got.tobytes() == (a + want).tobytes()
-    assert GAUSSIAN.log_weight(grid).tobytes() == want.tobytes()
-    assert LEBESGUE.add_log_weight(got, grid) is got and LEBESGUE.log_weight(grid) == 0.0
+    assert GAUSSIAN.add_log_weight(np.zeros(grid.points), grid).tobytes() == want.tobytes()
+    assert LEBESGUE.add_log_weight(got, grid) is got and got.tobytes() == (a + want).tobytes()
 
 
 def test_boundary_mask_counts():
