@@ -7,8 +7,10 @@ Laplace kernel ``a x_k z_k``, the Brascamp-Lieb cross term and the L^r kernel
 ``r x_k y_k`` all factor this way, so each axis step touches ``M_k N_k
 prod_{l != k} N_l`` pairs instead of all pairs.
 
-A kernel is one of three kinds: an ``(M, N)`` array, an ``Outer`` kernel or a
-``Gauss`` kernel.
+An ``"lse"`` kernel is an ``(M, N)`` array, an ``Outer`` kernel or a ``Gauss``
+kernel. A ``"max"`` kernel is an Outer kernel on finite, nondecreasing axes,
+the only kind the library sends; ``contract``, ``shell_max`` and
+``edge_dominated`` raise ``ValueError`` on any other.
 
 ``Outer(x, y)`` is the rank-one kernel ``W[i, j] = x[i] * y[j]`` held as its
 two axes. Every rank-one kernel goes to the engine so, its scale folded into
@@ -53,24 +55,22 @@ Cost of one axis step with an ``(M, N)`` kernel on ``columns`` columns:
   ``e^FLOOR`` it may have lost terms to underflow; those entries are
   recomputed with an exact per-entry max-shifted sum, gathered in chunks of at
   most ``WORK_ELEMS`` elements.
-- ``"max"`` on an Outer kernel on sorted axes with two or more columns is
-  windowed, whatever its row count. Adding ``block[j, c]`` keeps each
-  column Monge, so its first row argmax never decreases with i (Aggarwal,
-  Klawe, Moran, Shor and Wilber, Algorithmica 2, 1987): a dense argmax on every
-  ``STRIDE``-th row brackets the rows between, and each row reduces only over
-  its bracket. That is ``M N columns / STRIDE`` for the argmaxes plus ``M
-  columns`` per bracketed j, with no ``(M, N, columns)`` array. A one-column
-  step of more than ``2 STRIDE`` rows and at least ``FLAT_ELEMS`` elements
-  takes the same windows flat: every row's window of ``x[i] y[j] + block[j]``
-  is gathered into one array and reduced by one ``np.maximum.reduceat``,
-  about ``M N / STRIDE`` products for the argmaxes plus the windows, with no
-  Python loop (0.12 against 0.37 ms on a 257 x 513 step). Every other step
-  (array, Gauss and unsorted Outer kernels, small one-column steps) is dense:
-  it forms the ``(rows, N, columns)`` sums in row blocks of at most
-  ``ROW_ELEMS`` elements (one row at least) and reduces them over j. The
-  windowed and dense steps return the same values; only the sign of a zero
-  maximum can differ at exact ties, where numpy's dense max picks -0.0
-  or +0.0 by SIMD lane.
+- ``"max"`` picks one of three routes by the step's shape alone. A step of
+  two or more columns is windowed, whatever its row count. Adding
+  ``block[j, c]`` keeps each column Monge, so its first row argmax never
+  decreases with i (Aggarwal, Klawe, Moran, Shor and Wilber, Algorithmica 2,
+  1987): a dense argmax on every ``STRIDE``-th row brackets the rows between,
+  and each row reduces only over its bracket. That is ``M N columns /
+  STRIDE`` for the argmaxes plus ``M columns`` per bracketed j, with no ``(M,
+  N, columns)`` array. A one-column step of at least ``ROW_ELEMS`` kernel
+  elements takes the same windows flat: every row's window of ``x[i] y[j] +
+  block[j]`` is gathered into one array and reduced by one
+  ``np.maximum.reduceat``, about ``M N / STRIDE`` products for the argmaxes
+  plus the windows, with no Python loop (0.12 against 0.37 ms on a 257 x 513
+  step). A smaller one-column step is one dense block: it forms the ``(M,
+  N)`` sums and reduces them over j. The routes return the same values; only
+  the sign of a zero maximum can differ at exact ties, where numpy's dense
+  max picks -0.0 or +0.0 by SIMD lane.
 
 Symmetry halves the work. Each kernel is checked first (Outer and Gauss
 kernels from their axes, an array kernel by one read), then the input, one
@@ -83,12 +83,11 @@ read per axis whose kernel passes:
   a time and maps mirror columns to equal outputs, so evenness survives
   every step and no step computes a mirror column: step k reads 2^(n - 1 -
   k) times fewer columns than one that halves only its own rows, and with
-  every axis even a 3D step costs at most 1/8 of the full one. A step that
-  sums over all of its axis (``"lse"``, or ``"max"`` on an array, Gauss or
-  unsorted Outer kernel) first restores it by one reflection, and axis 0
-  stays whole for it, since no earlier step gains from that cut. At the end
-  each halved axis is filled by one sliced reflection, exactly, its x_k = 0
-  slab included. A ``"max"`` step on an Outer kernel on sorted axes keeps
+  every axis even a 3D step costs at most 1/8 of the full one. An ``"lse"``
+  step sums over all of its axis, so it first restores it by one
+  reflection, and axis 0 stays whole for it, since no earlier step gains
+  from that cut. At the end each halved axis is filled by one sliced
+  reflection, exactly, its x_k = 0 slab included. A ``"max"`` step keeps
   the ``y_k >= 0`` half, ``Outer(x[M // 2:], y[N // 2:])`` on ``block[N //
   2:]``: the block is even along k, x_i >= 0 and y_j >= 0 there, and
   fl(x_i (-y_j)) = -fl(x_i y_j) <= fl(x_i y_j), so each mirrored term
@@ -158,18 +157,16 @@ WORK_ELEMS = 2**22
 # lost to underflow is under 2.3e-308, a share below N e^-108 of S
 FLOOR = -600.0
 # element budget of one row block (256 KB of float64): "lse" exponentiates its
-# kernel and a dense "max" step forms its sums this many elements at a time,
-# so a 1D 513-node step allocates no (M, N) temporary; glibc unmapped 2 MB ones
-# and they faulted in again on every call (blocks of 2^17 and up still do)
+# kernel this many elements at a time, so a 1D 513-node step allocates no
+# (M, N) temporary (glibc unmapped 2 MB ones, faulted in again on every call;
+# blocks of 2^17 and up still do). A one-column "max" step takes flat windows
+# from this many kernel elements M N on: in 1D the dense block was 10-30%
+# faster at 2^14, the two broke even near 2^14.5, flat windows were faster
+# from 2^15, 3x at 257 x 513
 ROW_ELEMS = 2**15
 # rows between dense argmaxes in the windowed "max" step (4 to 16 measured; 8
 # was fastest on 2D 129^2 and 3D 33^3 and 65^3 polars)
 STRIDE = 8
-# a one-column "max" step on an Outer kernel takes flat windows from this many
-# kernel elements M N on (1D steps of 2^14 to 2^15 elements measured: the dense
-# step was 10-30% faster at 2^14, the two broke even near 2^14.5, and flat
-# windows were faster from 2^15, 3x at 257 x 513)
-FLAT_ELEMS = 2**15
 
 
 class Outer(NamedTuple):
@@ -400,24 +397,26 @@ def _max_flat(w: Outer, col: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(w.x[i] * w.y[j] + col[j], start)[:, None]
 
 
-def _sorted_axes(w: Outer) -> bool:
-    """Finite, nondecreasing axes (a NaN fails the order test, so a sorted
-    axis is finite when its ends are): the exact products x[i] y[j] are then
-    finite and Monge, since each 2 x 2 difference is (x[i+1] - x[i]) (y[j+1]
-    - y[j]) >= 0."""
-    return all(a.size == 0 or bool((a[1:] >= a[:-1]).all()) and -np.inf < a[0] and a[-1] < np.inf for a in w)
+def _check_max(axis_kernels) -> None:
+    """Raise unless each kernel is an Outer kernel on finite, nondecreasing
+    axes (a NaN fails the order test, so a sorted axis is finite when its
+    ends are): the exact products x[i] y[j] are then finite and Monge, since
+    each 2 x 2 difference is (x[i+1] - x[i]) (y[j+1] - y[j]) >= 0."""
+    for w in axis_kernels:
+        if not (isinstance(w, Outer) and all(
+                a.size == 0 or bool((a[1:] >= a[:-1]).all()) and -np.inf < a[0] and a[-1] < np.inf for a in w)):
+            raise ValueError("max takes Outer kernels on finite, nondecreasing axes")
 
 
-def _max(w, block: np.ndarray, monge: bool) -> np.ndarray:
-    """max_j (w[i, j] + block[j, c]): windowed when ``monge`` (w is an Outer
-    kernel on sorted axes) and the step has two or more columns, or one
-    column, more than 2 STRIDE rows and at least FLAT_ELEMS elements; else
-    dense, in row blocks of at most ROW_ELEMS sums."""
-    (m, n), cols = w.shape, block.shape[1]
-    # a windowed one-column step below FLAT_ELEMS costs more than the dense one
-    if monge and (cols >= 2 or (m > 2 * STRIDE and m * n >= FLAT_ELEMS)):
-        return _max_windowed(w, block) if cols >= 2 else _max_flat(w, block[:, 0])
-    return np.concatenate([np.max(_rows(w, band)[:, :, None] + block, axis=1) for band in row_bands(w.shape + (cols,))])
+def _max(w: Outer, block: np.ndarray) -> np.ndarray:
+    """max_j (w[i, j] + block[j, c]) for an Outer w on sorted axes, routed by
+    shape: windowed on two or more columns, flat windows on one column of at
+    least ROW_ELEMS kernel elements, else one dense block of sums."""
+    if block.shape[1] >= 2:
+        return _max_windowed(w, block)
+    if math.prod(w.shape) >= ROW_ELEMS:
+        return _max_flat(w, block[:, 0])
+    return np.max(_rows(w, slice(None))[:, :, None] + block, axis=1)
 
 
 def _fill_even(a: np.ndarray) -> None:
@@ -480,16 +479,6 @@ def _low_cut(w, low: int):
     return w[low:]
 
 
-def _column(w, j: int) -> np.ndarray:
-    """Column ``w[:, j]`` of a kernel of any kind, with the IEEE bytes of its
-    materialized array."""
-    if isinstance(w, Outer):
-        return w.x * w.y[j]
-    if isinstance(w, Gauss):
-        return _gauss_rows(w.u, w.v[j], w.var)
-    return w[:, j]
-
-
 def faces(ndim: int) -> list[tuple]:
     """The 2n faces of the boundary shell of an ``ndim``-dimensional array:
     the index tuples of axis k at its first node and at its last, k = 0 to
@@ -502,6 +491,7 @@ def shell_max(log_f: np.ndarray, axis_kernels, negate: bool = False) -> np.ndarr
     ``log_f`` alone: one (n - 1)-dimensional contraction per face, or per
     pair of equal end faces, each face's kernel column added last. With
     ``negate`` the shell of ``-log_f`` is read, one face at a time."""
+    _check_max(axis_kernels)
     log_f = np.asarray(log_f, dtype=float)
     shell = faces(log_f.ndim)
     maxima = []  # (k, the face's maximum expanded along k, its column along k)
@@ -510,9 +500,9 @@ def shell_max(log_f: np.ndarray, axis_kernels, negate: bool = False) -> np.ndarr
         if negate:
             low, high = -low, -high
         if np.array_equal(low, high):
-            ends = [(low, np.maximum(_column(w, 0), _column(w, -1)))]
+            ends = [(low, np.maximum(w.x * w.y[0], w.x * w.y[-1]))]
         else:
-            ends = [(low, _column(w, 0)), (high, _column(w, -1))]
+            ends = [(low, w.x * w.y[0]), (high, w.x * w.y[-1])]
         others = axis_kernels[:k] + axis_kernels[k + 1:]
         shape = (-1,) + (1,) * (log_f.ndim - k - 1)
         maxima += [(k, np.expand_dims(contract(face, others, "max"), k), col.reshape(shape)) for face, col in ends]
@@ -552,8 +542,9 @@ def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse", out: np.ndarr
     """Apply one log-kernel matrix per axis of ``log_f``, reducing by ``reduce``.
 
     ``axis_kernels[k]`` is an array, an ``Outer`` or a ``Gauss`` kernel of
-    shape ``(M_k, log_f.shape[k])``; the result has shape ``(M_0, ...,
-    M_{d-1})``. ``-inf`` entries of ``log_f`` (vanishing density, masked
+    shape ``(M_k, log_f.shape[k])``, for ``"max"`` an Outer kernel on finite,
+    nondecreasing axes (else ``ValueError``); the result has shape ``(M_0,
+    ..., M_{d-1})``. ``-inf`` entries of ``log_f`` (vanishing density, masked
     bodies) drop out; a column that is ``-inf`` throughout gives ``-inf``.
 
     The result is written into ``out`` when given (a float array of the
@@ -567,8 +558,8 @@ def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse", out: np.ndarr
       ``W[i, j] = W[-1 - i, -1 - j]``, and along which ``log_f`` equals its
       own flip, only rows ``M_k // 2:`` are contracted and the rest is their
       reflection. The input keeps only its ``y_k >= 0`` half there (axis 0
-      only for a ``"max"`` step on sorted Outer kernels, which reads just
-      that half); every other step restores its own axis by one reflection.
+      only for a ``"max"`` step, which reads just that half); an ``"lse"``
+      step restores its own axis by one reflection.
     - central half path: when no axis qualifies but every kernel is centrally
       symmetric and ``log_f`` equals its reflection through the origin, rows
       ``M_0 // 2:`` of axis 0 are contracted and the rest is their reflection.
@@ -581,6 +572,8 @@ def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse", out: np.ndarr
     shape = tuple(w.shape[0] for w in axis_kernels)
     if out is not None and (out.shape != shape or out.dtype != float):
         raise ValueError(f"out must be a float array of shape {shape}, got {out.dtype} {out.shape}")
+    if reduce == "max":
+        _check_max(axis_kernels)
     symmetric = [_symmetric(w) for w in axis_kernels]
     even = [sym and _even_along(log_f, k) for k, sym in enumerate(symmetric)]
     central = not any(even) and log_f.ndim > 1 and all(symmetric) and np.array_equal(log_f, reflect(log_f))
@@ -588,22 +581,21 @@ def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse", out: np.ndarr
     if central:
         lows[0] = axis_kernels[0].shape[0] // 2
     kernels = [_low_cut(w, low) if low else w for w, low in zip(axis_kernels, lows)]
-    monge = [reduce == "max" and isinstance(w, Outer) and _sorted_axes(w) for w in kernels]
     # steps work column by column and mirror columns are equal, so each even
     # axis drops its y_k < 0 half, but axis 0 when its step sums over all of it
-    cut = [half and (k > 0 or monge[0]) for k, half in enumerate(even)]
+    cut = [half and (k > 0 or reduce == "max") for k, half in enumerate(even)]
     res = log_f[tuple(slice(n // 2 if c else 0, None) for n, c in zip(log_f.shape, cut))] if any(cut) else log_f
     for k, w in enumerate(kernels):
         moved = np.moveaxis(res, k, 0) if k else res
         n = w.shape[1]
-        if cut[k] and monge[k]:
+        if cut[k] and reduce == "max":
             # x >= 0 on these rows, y_j >= 0 and block[j] = block[-1 - j]: each
             # mirrored term x (-y_j) + block[j] rounds at most to its partner
             w = Outer(w.x, w.y[n // 2:])
         elif cut[k]:
             moved = np.concatenate([moved[::-1][:n // 2], moved])
         rest = moved.shape[1:]
-        if monge[k] and math.prod(rest) > 1:
+        if reduce == "max" and math.prod(rest) > 1:
             # a windowed step: (N, columns) in column order, as its argmaxes read it
             block = np.moveaxis(moved, 0, -1).reshape(-1, moved.shape[0]).T
         else:
@@ -612,7 +604,7 @@ def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse", out: np.ndarr
             block = moved.reshape(moved.shape[0], -1)
         # the previous result lives on only through block, when it is a view
         del moved, res
-        res = (_max(w, block, monge[k]) if reduce == "max" else _lse(w, block)).reshape((w.shape[0],) + rest)
+        res = (_max(w, block) if reduce == "max" else _lse(w, block)).reshape((w.shape[0],) + rest)
         del block
         res = np.moveaxis(res, 0, k) if k else res
     if not (central or any(lows)):

@@ -158,7 +158,7 @@ class ExponentSchedule:
     q: float = field(init=False)
 
     def __post_init__(self):
-        if self.s <= 0:
+        if not self.s > 0:  # NaN fails too
             raise ValueError("s must be positive")
         object.__setattr__(self, "p", -math.expm1(-2 * self.s))
         object.__setattr__(self, "q", -math.expm1(2 * self.s))

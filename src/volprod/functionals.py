@@ -91,9 +91,9 @@ def volume_product(f: LogDensity, dual: GridSpec | None = None) -> LogQuad:
 
 def nelson_q(s: float, p: float) -> float:
     """Borell's sharp threshold q(s, p) = 1 + e^{2s} (p - 1)."""
-    if s <= 0:
+    if not s > 0:  # NaN fails too
         raise ValueError("s must be positive")
-    if p >= 1:
+    if not p < 1:
         raise ValueError("p must be below 1")
     return 1.0 + math.exp(2 * s) * (p - 1.0)
 
@@ -456,7 +456,8 @@ def tropical_limit_curve(f: LogDensity, s_list) -> tuple[list[tuple[float, float
             + sched.q * log_lq_norm(psg, sched.q, GAUSSIAN).log_abs
         )
         out.append((s, math.exp(log_bridge)))
+        flags = ou_edge_flags(g, s)  # before w, so that w is not live through them
         w = GAUSSIAN.add_log_weight(-sched.q * psg.phi, f.grid)
-        truncated |= bool(_in_window(ou_edge_flags(g, s), w).any())
+        truncated |= bool(_in_window(flags, w).any())
     return out, truncated
 

@@ -67,7 +67,7 @@ def _apply_kernel(f: LogDensity, t: float, kind: str) -> LogDensity:
 
 def fp_evolve(f0: LogDensity, t: float) -> LogDensity:
     """Solve the Fokker-Planck flow d/dt f = Lap f + div(x f) at time t exactly."""
-    if t < 0:
+    if not t >= 0:  # NaN fails too, before a kernel is built or cached
         raise ValueError("t must be nonnegative")
     if t == 0:
         return f0
@@ -76,7 +76,7 @@ def fp_evolve(f0: LogDensity, t: float) -> LogDensity:
 
 def ou_apply(g: LogDensity, s: float) -> LogDensity:
     """P_s g on the same grid; g = e^{-phi} may be any positive grid function."""
-    if s <= 0:
+    if not s > 0:  # NaN fails too, before a kernel is built or cached
         raise ValueError("s must be positive")
     return _apply_kernel(g, s, "ou")
 
@@ -90,6 +90,8 @@ def ou_edge_flags(g: LogDensity, s: float) -> np.ndarray:
     term in x alone, which moves no argmax over z, so the max-plus step runs
     on the rank-one kernel (e^{-s} / var) x_k z_k.
     """
+    if not s > 0:
+        raise ValueError("s must be positive")
     var = -math.expm1(-2 * s)
     log_g = g.grid.sq_norm()
     log_g /= 2 * var

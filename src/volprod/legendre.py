@@ -32,7 +32,9 @@ DUAL_DECAY_NATS = 40.0
 def legendre_1d(y: np.ndarray, phi: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Exact discrete conjugate of the sampled phi, evaluated at dual nodes x.
 
-    All-inf input is rejected; +inf samples simply do not participate in the sup.
+    Nodes y and x must be finite and nondecreasing, as every grid axis is
+    (``oracles.hull_legendre`` assumes it too), else ``ValueError``. All-inf
+    input is rejected; +inf samples simply do not participate in the sup.
     An exactly even phi on odd y and x gets the engine's orthant path.
     """
     phi = np.asarray(phi, dtype=float)

@@ -82,6 +82,12 @@ def _random_case(rng, in_shape, out_shape):
     return log_f, kernels
 
 
+def _engine_case(rng, reduce, in_shape, out_shape):
+    """Array kernels for "lse"; for "max", which takes nothing else, Outer
+    kernels on sorted axes."""
+    return (_random_case if reduce == "lse" else _monge_case)(rng, in_shape, out_shape)
+
+
 class TestEngine:
     @pytest.mark.parametrize("reduce", ["lse", "max"])
     @pytest.mark.parametrize(
@@ -90,7 +96,7 @@ class TestEngine:
     )
     def test_matches_all_pairs(self, reduce, in_shape, out_shape):
         rng = np.random.default_rng(len(in_shape))
-        log_f, kernels = _random_case(rng, in_shape, out_shape)
+        log_f, kernels = _engine_case(rng, reduce, in_shape, out_shape)
         got = contract(log_f, kernels, reduce)
         assert got.shape == out_shape
         _close(got, _brute(log_f, kernels, reduce))
@@ -98,7 +104,7 @@ class TestEngine:
     @pytest.mark.parametrize("reduce", ["lse", "max"])
     def test_minus_inf_columns_and_masked_body(self, reduce):
         rng = np.random.default_rng(5)
-        log_f, kernels = _random_case(rng, (6, 7, 5), (4, 3, 8))
+        log_f, kernels = _engine_case(rng, reduce, (6, 7, 5), (4, 3, 8))
         log_f[:, 2, :] = -np.inf  # columns that vanish throughout
         log_f[1:3, :, 4] = -np.inf
         got = contract(log_f, kernels, reduce)
@@ -106,12 +112,15 @@ class TestEngine:
         # a 0 / -inf body mask, as lr_volume_product passes it
         mask = np.where(rng.random((8, 9)) < 0.4, 0.0, -np.inf)
         mask[3, :] = -np.inf
-        kern2 = [rng.normal(size=(5, 8)), rng.normal(size=(6, 9))]
+        if reduce == "lse":
+            kern2 = [rng.normal(size=(5, 8)), rng.normal(size=(6, 9))]
+        else:
+            kern2 = _monge_case(rng, (8, 9), (5, 6))[1]
         _close(contract(mask, kern2, reduce), _brute(mask, kern2, reduce))
 
     def test_all_minus_inf_gives_minus_inf(self):
-        kernels = [np.zeros((3, 4)), np.zeros((2, 5))]
-        for reduce in ("lse", "max"):
+        for reduce, kernels in [("lse", [np.zeros((3, 4)), np.zeros((2, 5))]),
+                                ("max", [Outer(np.zeros(3), np.zeros(4)), Outer(np.zeros(2), np.zeros(5))])]:
             out = contract(np.full((4, 5), -np.inf), kernels, reduce)
             assert np.all(out == -np.inf)
 
@@ -119,16 +128,17 @@ class TestEngine:
     @pytest.mark.parametrize("in_shape, out_shape", [((40,), (31,)), ((13, 6), (29, 5)), ((6, 7, 11), (5, 4, 9))])
     def test_row_blocks_are_bitwise_invisible(self, monkeypatch, reduce, in_shape, out_shape):
         rng = np.random.default_rng(9)
-        log_f, kernels = _random_case(rng, in_shape, out_shape)
+        log_f, kernels = _engine_case(rng, reduce, in_shape, out_shape)
         log_f[rng.random(in_shape) < 0.2] = -np.inf
         log_f[..., 0] = -np.inf  # on 2D and 3D, axis-0 columns that vanish throughout
-        kernels[0][4] = -np.inf
+        if reduce == "lse":
+            kernels[0][4] = -np.inf
         whole = contract(log_f, kernels, reduce)
-        # three rows per axis-0 block, so 31 rows end in a block of one and 29
-        # and 5 rows in a block of two: an "lse" block counts kernel elements,
-        # a "max" block its sums over every column
-        columns = math.prod(in_shape[1:]) if reduce == "max" else 1
-        monkeypatch.setattr(contract_mod, "ROW_ELEMS", 3 * in_shape[0] * columns + 1)
+        # three rows per axis-0 "lse" block, so 31 rows end in a block of one
+        # and 29 and 5 rows in a block of two; a windowed "max" step forms its
+        # argmax sums three axis-0 columns at a time, and the 1D "max" step
+        # takes flat windows where it took one dense block
+        monkeypatch.setattr(contract_mod, "ROW_ELEMS", 3 * in_shape[0] + 1)
         blocked = contract(log_f, kernels, reduce)
         assert blocked.tobytes() == whole.tobytes()
         _close(blocked, _brute(log_f, kernels, reduce))
@@ -168,7 +178,12 @@ class TestEngine:
 
     @pytest.mark.parametrize("reduce", ["lse", "max"])
     def test_repeated_calls_are_bitwise_identical(self, reduce):
-        log_f, kernels = self._underflow_case()
+        if reduce == "lse":
+            log_f, kernels = self._underflow_case()
+        else:
+            rng = np.random.default_rng(11)
+            log_f, kernels = _monge_case(rng, (40, 6), (30, 5))
+            log_f[rng.random(log_f.shape) < 0.2] = -np.inf
         assert contract(log_f, kernels, reduce).tobytes() == contract(log_f, kernels, reduce).tobytes()
 
     def test_rejects_bad_input(self):
@@ -179,6 +194,29 @@ class TestEngine:
         with pytest.raises(ValueError):
             contract(np.zeros(3), [np.zeros((2, 3))], reduce="sum")
 
+
+def _kind_reduces(*kinds):
+    """(kind, reducer) pairs, every kind under each reducer."""
+    return [(kind, reduce) for reduce in ("lse", "max") for kind in kinds]
+
+
+KIND_REDUCES = _kind_reduces("array", "outer", "gauss")
+
+
+def _max_refuses(kind, reduce, log_f, kernels, *spies, out=None):
+    """Whether ``contract`` refuses kernels of ``kind`` under ``reduce``, as
+    "max" refuses all but Outer kernels. If so, checks that the call raises
+    before it takes any path (every spy still empty) and leaves ``log_f`` and
+    ``out`` as they were."""
+    if reduce != "max" or kind == "outer":
+        return False
+    arrays = [log_f] if out is None else [log_f, out]
+    before = [a.tobytes() for a in arrays]
+    with pytest.raises(ValueError, match="Outer kernels on finite, nondecreasing axes"):
+        contract(log_f, kernels, reduce, out=out)
+    assert [a.tobytes() for a in arrays] == before
+    assert all(spy == [] for spy in spies)
+    return True
 
 # square kernels, so that the input itself can take the result
 OUT_CASES = [((9,), "orthant"), ((9,), "full"), ((15, 31), "orthant"), ((15, 31), "central"), ((15, 31), "full"),
@@ -203,15 +241,16 @@ def _out_case(rng, kind, shape, path):
 
 
 class TestOutBuffer:
-    @pytest.mark.parametrize("reduce", ["lse", "max"])
-    @pytest.mark.parametrize("kind", ["array", "outer", "gauss"])
+    @pytest.mark.parametrize("kind, reduce", KIND_REDUCES)
     @pytest.mark.parametrize("shape, path", OUT_CASES)
     def test_out_holds_the_bytes_of_a_call_without_it(self, reduce, kind, shape, path):
         rng = np.random.default_rng(len(shape) + len(kind) + len(path))
         log_f, kernels = _out_case(rng, kind, shape, path)
+        buf = np.full(shape, np.nan)
+        if _max_refuses(kind, reduce, log_f, kernels, out=buf):
+            return
         want = contract(log_f, kernels, reduce)
         before = log_f.tobytes()
-        buf = np.full(shape, np.nan)
         assert contract(log_f, kernels, reduce, out=buf) is buf
         assert buf.tobytes() == want.tobytes()
         assert log_f.tobytes() == before  # a separate out leaves the input as it was
@@ -357,18 +396,6 @@ def _nudge_off_axis(a, k):
     return a
 
 
-def _unsorted(w: Outer, axis: str) -> Outer:
-    """``w`` with its ``x`` or ``y`` axis permuted, still odd but unsorted:
-    a negative node past the middle."""
-    axes = list(w)
-    a = axes[axis == "y"]
-    n = a.size
-    perm = np.arange(n)
-    perm[[2, n - 5]], perm[[n - 3, 4]] = perm[[n - 5, 2]], perm[[4, n - 3]]
-    axes[axis == "y"] = a[perm]
-    return Outer(*axes)
-
-
 def _ids(kernels):
     return [id(w) for w in kernels]
 
@@ -390,21 +417,21 @@ def engine_steps(monkeypatch):
     for name in ("lse", "max"):
         step = getattr(contract_mod, "_" + name)
 
-        def step_spy(w, block, *route, step=step, name=name):
+        def step_spy(w, block, step=step, name=name):
             calls[-1][-1].append((name, w.shape[0], block.shape))
-            return step(w, block, *route)
+            return step(w, block)
 
         monkeypatch.setattr(contract_mod, "_" + name, step_spy)
     return calls
 
 
-def _orthant_steps(in_shape, out_shape, reduce, axes, windows):
+def _orthant_steps(in_shape, out_shape, reduce, axes):
     """The ``engine_steps`` record of each axis step of a call whose input is
     even along ``axes``: a step along k holds only the orthant of every other
     even axis l, ``M_l - M_l // 2`` once contracted and ``N_l - N_l // 2``
     before, as columns, and the whole of the rest. Its block has ``N_k - N_k
-    // 2`` rows when it is a "max" step on sorted Outer kernels
-    (``windows``) along an even axis, and ``N_k`` otherwise."""
+    // 2`` rows when it is a "max" step along an even axis, and ``N_k``
+    otherwise."""
     def orthant(n, l):
         return n - n // 2 if l in axes else n
 
@@ -412,7 +439,7 @@ def _orthant_steps(in_shape, out_shape, reduce, axes, windows):
     for k, n in enumerate(in_shape):
         cols = math.prod(orthant(m, l) for l, m in enumerate(out_shape[:k]))
         cols *= math.prod(orthant(n_l, l) for l, n_l in enumerate(in_shape) if l > k)
-        rows = orthant(n, k) if reduce == "max" and windows else n
+        rows = orthant(n, k) if reduce == "max" else n
         steps.append((reduce, orthant(out_shape[k], k), (rows, cols)))
     return steps
 
@@ -423,12 +450,13 @@ class TestEvenPath:
     central half path when no axis qualifies but every kernel is centrally
     symmetric and the input is even through the origin."""
 
-    @pytest.mark.parametrize("reduce", ["lse", "max"])
-    @pytest.mark.parametrize("kind", ["array", "outer", "gauss"])
+    @pytest.mark.parametrize("kind, reduce", KIND_REDUCES)
     @pytest.mark.parametrize("in_shape, out_shape", EVEN_SHAPES)
     def test_even_input_takes_the_half_path(self, low_cuts, orthant_fills, reduce, kind, in_shape, out_shape):
         rng = np.random.default_rng(len(in_shape) + out_shape[0] + len(kind))
         log_f, kernels = _symmetric_case(rng, kind, in_shape, out_shape)
+        if _max_refuses(kind, reduce, log_f, kernels, low_cuts, orthant_fills):
+            return
         got = contract(log_f, kernels, reduce)
         assert len(low_cuts) == 1 and low_cuts[0] is kernels[0]
         # even along no single axis in 2D and 3D: the central path; in 1D the
@@ -441,8 +469,7 @@ class TestEvenPath:
         assert got.shape == out_shape and _is_even(got) and np.isfinite(got).any()
         _matches_brute(got, log_f, kernels, reduce)
 
-    @pytest.mark.parametrize("reduce", ["lse", "max"])
-    @pytest.mark.parametrize("kind", ["array", "outer", "gauss"])
+    @pytest.mark.parametrize("kind, reduce", KIND_REDUCES)
     @pytest.mark.parametrize("off", ["input", "rows", "columns"])
     @pytest.mark.parametrize("in_shape, out_shape", EVEN_SHAPES[2:])
     def test_one_ulp_off_takes_the_full_path(self, low_cuts, reduce, kind, off, in_shape, out_shape):
@@ -455,18 +482,21 @@ class TestEvenPath:
             flat[i] = np.nextafter(flat[i], np.inf)
         else:  # an axis of the last kernel, so that the earlier ones pass
             kernels[-1] = _one_ulp_off(kernels[-1], off)
+        if _max_refuses(kind, reduce, log_f, kernels, low_cuts):
+            return
         got = contract(log_f, kernels, reduce)
         assert low_cuts == []
         _matches_brute(got, log_f, kernels, reduce)
 
-    @pytest.mark.parametrize("reduce", ["lse", "max"])
-    @pytest.mark.parametrize("kind", ["array", "outer", "gauss"])
+    @pytest.mark.parametrize("kind, reduce", KIND_REDUCES)
     @pytest.mark.parametrize("in_shape, out_shape", EVEN_SHAPES)
     def test_input_even_in_every_axis_halves_every_axis(self, low_cuts, orthant_fills, reduce, kind, in_shape,
                                                         out_shape):
         d = len(in_shape)
         rng = np.random.default_rng(d + out_shape[0] + len(kind) + 1)
         log_f, kernels = _orthant_case(rng, kind, in_shape, out_shape, range(d))
+        if _max_refuses(kind, reduce, log_f, kernels, low_cuts, orthant_fills):
+            return
         got = contract(log_f, kernels, reduce)
         assert _ids(low_cuts) == _ids(kernels)
         assert orthant_fills == [[m // 2 for m in out_shape]]
@@ -474,22 +504,22 @@ class TestEvenPath:
         assert all(_even_along(got, k) for k in range(d))
         _matches_brute(got, log_f, kernels, reduce)
 
-    @pytest.mark.parametrize("reduce", ["lse", "max"])
-    @pytest.mark.parametrize("kind", ["array", "outer", "gauss"])
+    @pytest.mark.parametrize("kind, reduce", KIND_REDUCES)
     @pytest.mark.parametrize("in_shape, out_shape", EVEN_SHAPES[3:])
     def test_input_even_in_one_axis_halves_that_axis(self, low_cuts, orthant_fills, reduce, kind, in_shape,
                                                      out_shape):
         rng = np.random.default_rng(len(in_shape) + len(kind) + 2)
         log_f, kernels = _orthant_case(rng, kind, in_shape, out_shape, [1])
         assert _halved_axes(log_f) == 1 and not np.array_equal(log_f, reflect(log_f))
+        if _max_refuses(kind, reduce, log_f, kernels, low_cuts, orthant_fills):
+            return
         got = contract(log_f, kernels, reduce)
         assert _ids(low_cuts) == _ids(kernels[1:2])
         assert orthant_fills == [[out_shape[1] // 2 if k == 1 else 0 for k in range(len(in_shape))]]
         assert _even_along(got, 1) and np.isfinite(got).any()
         _matches_brute(got, log_f, kernels, reduce)
 
-    @pytest.mark.parametrize("reduce", ["lse", "max"])
-    @pytest.mark.parametrize("kind", ["array", "outer", "gauss"])
+    @pytest.mark.parametrize("kind, reduce", KIND_REDUCES)
     @pytest.mark.parametrize("off", ["input", "rows", "columns"])
     @pytest.mark.parametrize("in_shape, out_shape", EVEN_SHAPES[2:])
     def test_one_ulp_off_along_one_axis_halves_the_others(self, low_cuts, orthant_fills, reduce, kind, off,
@@ -503,27 +533,30 @@ class TestEvenPath:
             assert not _even_along(log_f, k) and all(_even_along(log_f, l) for l in range(k))
         else:
             kernels[k] = _one_ulp_off(kernels[k], off)
+        if _max_refuses(kind, reduce, log_f, kernels, low_cuts, orthant_fills):
+            return
         got = contract(log_f, kernels, reduce)
         assert _ids(low_cuts) == _ids(kernels[:k])
         assert orthant_fills == ([[m // 2 for m in out_shape[:k]] + [0]] if k else [])
         _matches_brute(got, log_f, kernels, reduce)
 
-    @pytest.mark.parametrize("reduce", ["lse", "max"])
-    @pytest.mark.parametrize("kind", ["array", "outer", "gauss"])
+    @pytest.mark.parametrize("kind, reduce", KIND_REDUCES)
     @pytest.mark.parametrize("axes", [(1, 2), (0, 2), (2,)], ids=["12", "02", "2"])
     @pytest.mark.parametrize("in_shape, out_shape", [EVEN_SHAPES[4], ((9, 11, 7), (13, 9, 11))])
     def test_input_even_in_some_axes(self, engine_steps, low_cuts, orthant_fills, reduce, kind, axes, in_shape,
                                      out_shape):
         """3D inputs even along some axes only, where the input's cut and the
         halved rows differ: axis 0 keeps its whole input unless its step is
-        a "max" step on sorted Outer kernels, and only even axes are halved."""
+        a "max" step, and only even axes are halved."""
         rng = np.random.default_rng(sum(axes) + len(axes) + len(kind) + in_shape[0])
         log_f, kernels = _orthant_case(rng, kind, in_shape, out_shape, axes)
         assert [k for k in range(3) if _even_along(log_f, k)] == list(axes)
+        if _max_refuses(kind, reduce, log_f, kernels, engine_steps, low_cuts, orthant_fills):
+            return
         got = contract_mod.contract(log_f, kernels, reduce)
         assert _ids(low_cuts) == [id(kernels[k]) for k in axes]
         assert orthant_fills == [[m // 2 if k in axes else 0 for k, m in enumerate(out_shape)]]
-        steps = _orthant_steps(in_shape, out_shape, reduce, axes, kind == "outer")
+        steps = _orthant_steps(in_shape, out_shape, reduce, axes)
         assert engine_steps == [(reduce, in_shape, out_shape, steps)]
         want = _brute(log_f, kernels, reduce)
         if reduce == "max":
@@ -533,8 +566,7 @@ class TestEvenPath:
             assert np.array_equal(np.isposinf(got), np.isposinf(want))
             assert np.array_equal(np.isneginf(got), np.isneginf(want))
 
-    @pytest.mark.parametrize("reduce", ["lse", "max"])
-    @pytest.mark.parametrize("kind", ["array", "outer"])
+    @pytest.mark.parametrize("kind, reduce", _kind_reduces("array", "outer"))
     @pytest.mark.parametrize("case", ["plus_inf", "minus_inf", "all_minus_inf"])
     def test_infinite_entries_on_the_orthant_path(self, low_cuts, orthant_fills, reduce, kind, case):
         rng = np.random.default_rng(53 + len(case))
@@ -547,6 +579,8 @@ class TestEvenPath:
             log_f[[0, -1]] = -np.inf
         else:
             log_f[...] = -np.inf
+        if _max_refuses(kind, reduce, log_f, kernels, low_cuts, orthant_fills):
+            return
         got = contract(log_f, kernels, reduce)
         assert len(low_cuts) == 3 and orthant_fills == [[5, 2, 3]]
         if case == "plus_inf":
@@ -556,19 +590,6 @@ class TestEvenPath:
         else:
             assert np.isfinite(got).any() and (got == -np.inf).any() == (kind == "array")
         _matches_brute(got, log_f, kernels, reduce)
-
-    @pytest.mark.parametrize("unsorted", ["x", "y"])
-    def test_unsorted_outer_axis_reads_every_column(self, engine_kernels, low_cuts, unsorted):
-        """An odd but unsorted Outer axis still halves the rows, but its "max"
-        step reads every column: off sorted axes a y >= 0 term need not win."""
-        rng = np.random.default_rng(59)
-        log_f, kernels = _orthant_case(rng, "outer", (31, 41), (29, 37), range(2))
-        kernels[1] = _unsorted(kernels[1], unsorted)
-        assert contract_mod._symmetric(kernels[1]) and not contract_mod._sorted_axes(kernels[1])
-        got = contract(log_f, kernels, "max")
-        assert _ids(low_cuts) == _ids(kernels)
-        assert [w.shape for w in engine_kernels["max"]] == [(15, 16), (19, 41)]
-        assert got.tobytes() == _brute(log_f, kernels, "max").tobytes()
 
     @pytest.mark.parametrize("norm", ["l1", "linf"])
     @pytest.mark.parametrize("in_shape, out_shape", [((21,), (25,)), ((21, 17), (25, 13)), ((9, 11, 7), (13, 9, 11))])
@@ -591,8 +612,11 @@ class TestEvenPath:
     def test_plus_inf_input(self, low_cuts, reduce):
         log_f = np.zeros((5, 7))
         log_f[1, 2] = log_f[3, 4] = np.inf
-        kernels = [np.add.outer(np.arange(3.0), np.arange(5.0)) % 3, np.ones((9, 7))]
-        kernels[0] = kernels[0] + kernels[0][::-1, ::-1]
+        if reduce == "lse":
+            kernels = [np.add.outer(np.arange(3.0), np.arange(5.0)) % 3, np.ones((9, 7))]
+            kernels[0] = kernels[0] + kernels[0][::-1, ::-1]
+        else:
+            kernels = [Outer(np.arange(3.0) - 1, np.arange(5.0) - 2), Outer(np.arange(9.0) - 4, np.arange(7.0) - 3)]
         got = contract(log_f, kernels, reduce)
         assert len(low_cuts) == 1 and np.isposinf(got).all()
         assert got.tobytes() == _brute(log_f, kernels, reduce).tobytes()
@@ -711,25 +735,80 @@ class TestWindowedMax:
         assert got.tobytes() == _brute(log_f, kernels, "max").tobytes()
         assert _is_even(got)
 
-    @pytest.mark.parametrize("in_shape, out_shape", [((301,), (257,))] + WINDOWED_SHAPES)
-    @pytest.mark.parametrize("kernel", ["monge", "not_monge"])
-    def test_array_kernels_take_the_dense_step(self, windowed_steps, flat_steps, in_shape, out_shape, kernel):
-        rng = np.random.default_rng(17)
-        if kernel == "monge":
-            log_f, outers = _monge_case(rng, in_shape, out_shape)
-            # row and column terms leave every 2 x 2 difference of x (x) y as it is
-            kernels = [rng.normal(size=(m, 1)) + rng.normal(size=n) + np.multiply.outer(x, y)
-                       for (x, y), m, n in zip(outers, out_shape, in_shape)]
-        else:
-            log_f, kernels = _random_case(rng, in_shape, out_shape)
-        monge = [bool(np.all(np.diff(np.diff(w, axis=1), axis=0) >= 0.0)) for w in kernels]
-        assert monge == [kernel == "monge"] * len(kernels)
-        log_f[rng.random(in_shape) < 0.2] = -np.inf
-        for w in kernels:
-            w.flags.writeable = False  # read-only arrays take the dense step too
-        got = contract(log_f, kernels, "max")
-        assert windowed_steps == [] and flat_steps == []
-        assert got.tobytes() == _brute(log_f, kernels, "max").tobytes()
+
+@pytest.fixture
+def max_routes(monkeypatch):
+    """The route of each "max" axis step, in step order: "windowed", "flat"
+    or "dense" (the one dense block)."""
+    routes = []
+    step = contract_mod._max
+
+    def step_spy(w, block):
+        routes.append("dense")
+        return step(w, block)
+
+    monkeypatch.setattr(contract_mod, "_max", step_spy)
+    for route in ("windowed", "flat"):
+        inner = getattr(contract_mod, "_max_" + route)
+
+        def spy(w, block, inner=inner, route=route):
+            routes[-1] = route
+            return inner(w, block)
+
+        monkeypatch.setattr(contract_mod, "_max_" + route, spy)
+    return routes
+
+
+# two or more columns are windowed; one column takes flat windows from
+# ROW_ELEMS = 2^15 kernel elements M N on, however few its rows (9 x 4001), and
+# is one dense block below (181 x 181 is 32761, 181 x 182 is 32942)
+ROUTE_CASES = [((4001,), (9,), ["flat"]), ((181,), (181,), ["dense"]), ((182,), (181,), ["flat"]),
+               ((7, 1), (3, 4), ["dense", "windowed"]), ((5, 6), (1, 1), ["windowed", "dense"])]
+
+
+@pytest.mark.parametrize("in_shape, out_shape, routes", ROUTE_CASES)
+def test_max_steps_are_routed_by_shape(max_routes, in_shape, out_shape, routes):
+    rng = np.random.default_rng(sum(in_shape) + sum(out_shape))
+    log_f, kernels = _monge_case(rng, in_shape, out_shape)
+    log_f[rng.random(in_shape) < 0.2] = -np.inf
+    got = contract(log_f, kernels, "max")
+    assert max_routes == routes
+    assert got.tobytes() == _brute(log_f, kernels, "max").tobytes()
+
+
+def _with_node(a, i, value):
+    a = a.copy()
+    a[i] = value
+    return a
+
+
+_X, _Y = np.linspace(-2.0, 2.0, 5), np.linspace(-1.0, 1.0, 7)
+# (5, 7) kernels that a "max" step refuses: array and Gauss kernels, and Outer
+# kernels off finite, nondecreasing axes
+REFUSED_MAX_KERNELS = {
+    "array": np.multiply.outer(_X, _Y),
+    "gauss": Gauss.of(_X, _Y, 0.5),
+    "decreasing_x": Outer(_X[::-1], _Y),
+    "decreasing_y": Outer(_X, _Y[::-1]),
+    "nan": Outer(_X, _with_node(_Y, 3, np.nan)),
+    "inf": Outer(_with_node(_X, -1, np.inf), _Y),
+    "minus_inf": Outer(_X, _with_node(_Y, 0, -np.inf)),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("entry", [lambda f, k: contract(f, k, "max"), shell_max, edge_dominated],
+                         ids=["contract", "shell_max", "edge_dominated"])
+@pytest.mark.parametrize("kind", list(REFUSED_MAX_KERNELS))
+def test_max_refuses_all_but_outer_kernels_on_sorted_axes(kind, entry, dim):
+    """On the last axis, after a valid kernel in 2D; the input is left as it
+    was, even by ``edge_dominated``, which owns it."""
+    kernels = [Outer(np.arange(3.0), np.arange(4.0))] * (dim - 1) + [REFUSED_MAX_KERNELS[kind]]
+    log_f = np.random.default_rng(89).normal(size=[w.shape[1] for w in kernels])
+    before = log_f.tobytes()
+    with pytest.raises(ValueError, match="Outer kernels on finite, nondecreasing axes"):
+        entry(log_f, kernels)
+    assert log_f.tobytes() == before
 
 
 @pytest.fixture
@@ -780,7 +859,7 @@ def _outer_case(rng, in_shape, out_shape, even, case):
     return log_f, kernels
 
 
-# 1D steps below and above FLAT_ELEMS (also for the even quarter: the x >= 0
+# 1D steps below and above ROW_ELEMS (also for the even quarter: the x >= 0
 # rows on the y >= 0 half), then 2D and 3D shapes whose steps have more than
 # 2 STRIDE rows; M < N and M > N both present, and odd sizes, so that even
 # axes exist
@@ -792,7 +871,7 @@ class TestOuterKernel:
     def test_shapes_cover_both_sides_of_the_size_rule(self):
         sizes = [in_shape[0] * out_shape[0] for in_shape, out_shape in OUTER_SHAPES[:4]]
         quarters = [(n - n // 2) * (m - m // 2) for (n,), (m,) in OUTER_SHAPES[:4]]
-        assert max(sizes[:2]) < contract_mod.FLAT_ELEMS <= min(sizes[2:] + quarters[2:])
+        assert max(sizes[:2]) < contract_mod.ROW_ELEMS <= min(sizes[2:] + quarters[2:])
 
     @pytest.mark.parametrize("reduce", ["lse", "max"])
     @pytest.mark.parametrize("in_shape, out_shape", OUTER_SHAPES)
@@ -804,8 +883,9 @@ class TestOuterKernel:
         log_f, kernels = _outer_case(rng, in_shape, out_shape, even, case)
         arrays = [np.multiply.outer(x, y) for x, y in kernels]
         got = contract(log_f, kernels, reduce)
-        assert got.tobytes() == contract(log_f, arrays, reduce).tobytes()
-        assert len(low_cuts) == 2 * even * _halved_axes(log_f)
+        assert len(low_cuts) == even * _halved_axes(log_f)
+        if reduce == "lse":  # "max" takes no array kernel; _brute's bytes below are its reference
+            assert got.tobytes() == contract(log_f, arrays, reduce).tobytes()
         want = _brute(log_f, arrays, reduce)
         if reduce == "max":
             assert got.tobytes() == want.tobytes()
@@ -826,15 +906,6 @@ class TestOuterKernel:
         log_f[7] = np.inf
         got = contract(log_f, kernels, "max")
         assert np.all(got == np.inf) and len(flat_steps) == 1
-
-    @pytest.mark.parametrize("in_shape, out_shape", OUTER_SHAPES[2:])
-    def test_unsorted_axes_take_the_dense_step(self, flat_steps, windowed_steps, in_shape, out_shape):
-        rng = np.random.default_rng(41)
-        log_f, kernels = _outer_case(rng, in_shape, out_shape, False, "minus_inf")
-        kernels = [Outer(rng.permutation(x), y) for x, y in kernels]
-        got = contract(log_f, kernels, "max")
-        assert flat_steps == [] and windowed_steps == []
-        assert got.tobytes() == _brute(log_f, [np.multiply.outer(x, y) for x, y in kernels], "max").tobytes()
 
 
 @pytest.fixture
@@ -906,6 +977,9 @@ class TestGaussKernel:
             low = w.shape[0] // 2 if even else 0
             assert not w.shifted.flags.writeable
             assert w.shifted.tobytes() == np.exp(a - w.row_max)[low:].tobytes()
+        if _max_refuses("gauss", reduce, log_f, kernels, low_cuts):
+            assert _max_refuses("array", reduce, log_f, arrays, low_cuts)
+            return
         got = contract(log_f, kernels, reduce)
         assert got.tobytes() == contract(log_f, arrays, reduce).tobytes()
         assert len(low_cuts) == 2 * even * _halved_axes(log_f)
@@ -1028,9 +1102,14 @@ class TestShellMax:
             log_f[(1,) * d] = log_f[(0,) * d] = np.inf
             for k in axes:
                 log_f = np.maximum(log_f, np.flip(log_f, k))
-            kernels = [np.where(np.isfinite(w), w, 0.0) for w in kernels] if kind == "array" else kernels
         elif case == "dead_face":
             log_f[..., 0] = log_f[..., -1] = -np.inf
+        if kind != "outer":  # refused, as by "max", before any face is read
+            before = log_f.tobytes()
+            with pytest.raises(ValueError, match="Outer kernels on finite, nondecreasing axes"):
+                shell_max(log_f, kernels)
+            assert log_f.tobytes() == before and face_contractions == []
+            return
         got = shell_max(log_f, kernels)
         assert got.shape == out_shape
         assert got.tobytes() == _brute_shell(log_f, kernels).tobytes()
@@ -1042,14 +1121,6 @@ class TestShellMax:
             assert np.isposinf(got).all()
         else:
             assert np.isfinite(got).any() == (case != "dead_face" or d > 1)
-
-    @pytest.mark.parametrize("unsorted", ["x", "y"])
-    def test_unsorted_outer_axes(self, unsorted):
-        rng = np.random.default_rng(61)
-        log_f, kernels = _orthant_case(rng, "outer", (31, 41, 9), (29, 37, 7), range(3))
-        kernels[1] = _unsorted(kernels[1], unsorted)
-        assert contract_mod._symmetric(kernels[1]) and not contract_mod._sorted_axes(kernels[1])
-        assert shell_max(log_f, kernels).tobytes() == _brute_shell(log_f, kernels).tobytes()
 
     @pytest.mark.parametrize("in_shape, out_shape", SHELL_SHAPES)
     def test_row_bands_are_bitwise_invisible(self, monkeypatch, in_shape, out_shape):
@@ -1179,9 +1250,9 @@ def engine_kernels(monkeypatch):
     for name in seen:
         inner = getattr(contract_mod, "_" + name)
 
-        def spy(w, block, *route, inner=inner, name=name):
+        def spy(w, block, inner=inner, name=name):
             seen[name].append(w)
-            return inner(w, block, *route)
+            return inner(w, block)
 
         monkeypatch.setattr(contract_mod, "_" + name, spy)
     return seen
@@ -1202,11 +1273,11 @@ GRIDS = [make_grid(1, 8.0, 513), make_grid(2, 6.0, 65), make_grid(3, 4.0, 17)]
 )
 def test_library_max_steps_get_outer_kernels(engine_kernels, grid, route):
     """No library route hands the engine an array kernel: each "max" step gets
-    an Outer kernel on sorted axes, which may take the windows, and each
-    "lse" step an Outer or a Gauss kernel."""
+    an Outer kernel on sorted axes, the only kind "max" takes, and each "lse"
+    step an Outer or a Gauss kernel."""
     route(grid)
     assert engine_kernels["lse"] or engine_kernels["max"]
-    assert all(isinstance(w, Outer) and contract_mod._sorted_axes(w) for w in engine_kernels["max"])
+    contract_mod._check_max(engine_kernels["max"])
     assert all(isinstance(w, (Outer, Gauss)) for w in engine_kernels["lse"])
 
 
@@ -1253,7 +1324,7 @@ def test_even_routes_read_only_the_orthant(engine_steps, grid, route):
     route(grid)
     assert engine_steps
     for reduce, in_shape, out_shape, steps in engine_steps:
-        assert steps == _orthant_steps(in_shape, out_shape, reduce, range(len(in_shape)), True)
+        assert steps == _orthant_steps(in_shape, out_shape, reduce, range(len(in_shape)))
 
 
 @pytest.mark.parametrize("grid", TRAFFIC_GRIDS, ids=["1d513", "2d65"])

@@ -160,6 +160,10 @@ class TestExponentSchedule:
         with pytest.raises(ValueError):
             ExponentSchedule(0.0)
 
+    def test_nan_s_rejected(self):
+        with pytest.raises(ValueError, match="s must be positive"):
+            ExponentSchedule(math.nan)
+
 
 class TestGaussian:
     def test_unit_mass_density_value_at_origin(self):

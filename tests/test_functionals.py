@@ -130,6 +130,10 @@ class TestNelsonQ:
             nelson_q(-1.0, 0.5)
         with pytest.raises(ValueError):
             nelson_q(1.0, 1.5)
+        with pytest.raises(ValueError, match="s must be positive"):
+            nelson_q(math.nan, 0.5)
+        with pytest.raises(ValueError, match="p must be below 1"):
+            nelson_q(1.0, math.nan)
 
 
 class TestGaussianRevHC:

@@ -219,6 +219,22 @@ def exact_entries(monkeypatch):
     return entries
 
 
+@pytest.mark.parametrize(
+    "call, time",
+    [(fp_evolve, math.nan), (ou_apply, math.nan), (ou_edge_flags, math.nan), (ou_edge_flags, 0.0),
+     (ou_edge_flags, -0.1)],
+    ids=["fp_evolve-nan", "ou_apply-nan", "ou_edge_flags-nan", "ou_edge_flags-0", "ou_edge_flags-negative"],
+)
+def test_bad_times_are_rejected_where_they_enter(call, time):
+    """NaN fails each entry check as an out-of-range time does, before a
+    kernel is built or cached: the edge flags used to return all False at
+    NaN, raise ZeroDivisionError at 0 and flag every node below it."""
+    cached = len(heatflow._KERNEL_CACHE)
+    with pytest.raises(ValueError, match="must be"):
+        call(gaussian(make_grid(1, 8.0, 129)), time)
+    assert len(heatflow._KERNEL_CACHE) == cached
+
+
 class TestKernelCache:
     def test_cached_kernels_are_read_only(self):
         x = make_grid(1, 8.0, 65).axis(0)

@@ -60,6 +60,20 @@ class TestLegendre1d:
         with pytest.raises(ValueError):
             legendre_1d(np.array([0.0, 1.0]), np.array([np.inf, np.inf]), np.array([0.0]))
 
+    @pytest.mark.parametrize("node", ["y_unsorted", "x_unsorted", "y_nan", "x_inf"])
+    def test_nodes_off_a_finite_nondecreasing_axis_are_rejected(self, node):
+        y, x = np.linspace(-3.0, 3.0, 31), np.linspace(-2.0, 2.0, 21)
+        if node == "y_unsorted":
+            y[[4, 20]] = y[[20, 4]]
+        elif node == "x_unsorted":
+            x = x[::-1].copy()
+        elif node == "y_nan":
+            y[7] = np.nan
+        else:
+            x[-1] = np.inf
+        with pytest.raises(ValueError, match="nondecreasing"):
+            legendre_1d(y, 0.5 * np.nan_to_num(y) ** 2, x)
+
     def test_matches_brute_force_bitwise(self):
         rng = np.random.default_rng(42)
         g = make_grid(1, 4.0, 65)

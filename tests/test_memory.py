@@ -9,8 +9,8 @@ the polar that and the masked copy, the edge flags their input (whose shell
 is masked in place, and the interior's maximum contracted into it) and the
 shell's maximum. The Laplace transform holds its output beside the edge
 flags' buffers, the Brascamp-Lieb integral its two integrands and their
-contraction, and one step of the tropical bridge its lift, the OU flow and
-the window weight beside the edge flags.
+contraction, and one step of the tropical bridge its lift and the OU flow
+beside the edge flags' buffers, then the window weight once they are gone.
 """
 
 import pytest
@@ -47,7 +47,7 @@ BUDGETS = {
     "ou_edge_flags": (lambda: ou_edge_flags(F, S), 2.45),
     "log_laplace": (lambda: log_laplace(F, X_GRID, SCALE), 3.45),
     "bl_integral": (lambda: bl_integral(F, F, bl_data(S)), 3.15),
-    "tropical_limit_curve": (lambda: tropical_limit_curve(F, [S]), 5.45),
+    "tropical_limit_curve": (lambda: tropical_limit_curve(F, [S]), 4.45),
     "legendre_transform": (lambda: legendre_transform(F), 1.45),
     "polar_density": (lambda: polar_density(F), 2.45),
     "volume_product": (lambda: volume_product(F), 2.45),
