@@ -261,13 +261,7 @@ def _scenario_nelson(cfg: ExperimentConfig):
         vals = []
         for beta in betas:
             for a in shifts:
-                r = functionals.gaussian_rev_hc(beta, [a], s, p, q)
-                if r.sign == 0:
-                    v = 0.0
-                elif math.isinf(r.log_abs):
-                    v = math.inf
-                else:
-                    v = r.value()
+                v = functionals.gaussian_rev_hc(beta, [a], s, p, q).value()
                 rows.append((q, beta, a, v))
                 vals.append(v)
         infima.append(min(vals))

@@ -38,23 +38,23 @@ exactly as -(a - b): on odd axes row M - 1 - i of ``exp(W - r)`` is row i
 reversed, byte for byte, so ``Gauss.of`` forms and keeps only the ``M - M //
 2`` rows from ``M // 2`` on (the x >= 0 rows), half the bytes and half the
 exponentials of the whole (a 1D 513 kernel: 257 x 513, 1.05 MB). An
-``"lse"`` step reads bands of its exponential and exponentiates nothing (a
-halved 1D 513 step, 257 x 513 on one column: 0.17 against 0.96 ms on its
-log array): stored rows in place, and each band of the rows below ``M //
-2``, which only an input not even along the axis needs, copied from its
-mirror into one reused buffer. The underflow fallback re-forms the log rows
+``"lse"`` step reads its exponential and exponentiates nothing (a halved 1D
+513 step, 257 x 513 on one column: 0.17 against 0.96 ms on its log array):
+the stored rows in place, in one product, and each band of the rows below
+``M // 2``, which only an input not even along the axis needs, copied from
+its mirror into the band buffer. The underflow fallback re-forms the log rows
 it needs from the axes with the IEEE operations of the build, so a Gauss
 kernel gives the bytes of its log array.
 
 Cost of one axis step with an ``(M, N)`` kernel on ``columns`` columns:
 
 - ``"lse"`` shifts each kernel row and each column by its maximum, so the step
-  is one ``M N columns`` sum of products (``np.einsum``, over row blocks of at
-  most ``ROW_ELEMS`` kernel elements) plus ``M N + N columns`` exponentials
-  (``N columns`` on a Gauss kernel), with no ``(M, N, columns)`` array. Where the shifted sum falls below
-  ``e^FLOOR`` it may have lost terms to underflow; those entries are
-  recomputed with an exact per-entry max-shifted sum, gathered in chunks of at
-  most ``WORK_ELEMS`` elements.
+  is one ``M N columns`` sum of products (``np.einsum``, over row bands of the
+  kernel) plus ``M N + N columns`` exponentials (``N columns`` on a Gauss
+  kernel), with no ``(M, N, columns)`` array. Where the shifted sum falls
+  below ``e^FLOOR`` it may have lost terms to underflow; those entries are
+  recomputed with an exact per-entry max-shifted sum, a band of entries at a
+  time.
 - ``"max"`` picks one of three routes by the step's shape alone. A step of
   two or more columns is windowed, whatever its row count. Adding
   ``block[j, c]`` keeps each column Monge, so its first row argmax never
@@ -117,10 +117,10 @@ which takes the orthant path as any call does, and the kernel column
 ``W_k[:, e]`` is added along axis k last. Where the two end faces along k
 are equal, as on every even input, one call serves both with the column
 ``max(W_k[:, 0], W_k[:, -1])``, exactly, since fl(c + .) is monotone. The
-faces are folded into the output in row bands of at most ``ROW_ELEMS``
-elements, with no full-size temporary. Adding the column last rounds
-otherwise than a contraction in axis order can, so against the maximum over
-the interior the two can disagree where one of them ties it exactly.
+faces are folded into the output in row bands, with no full-size temporary.
+Adding the column last rounds otherwise than a contraction in axis order
+can, so against the maximum over the interior the two can disagree where one
+of them ties it exactly.
 
 ``contract(log_f, kernels, reduce, out=buf)`` writes the whole result, the
 reflected fill included, into ``buf`` and returns it. ``buf`` may be
@@ -137,6 +137,11 @@ then negated in place (1.69), ``legendre_transform`` into its negated input
 ``edge_dominated`` into its own input, the shell masked in place once
 ``shell_max`` has read it (``ou_edge_flags`` 2.44).
 
+Every full-size pass of the library is cut into row bands by ``banded``:
+bands of at most ``ROW_ELEMS`` elements, formed in one buffer per pass. That
+covers the "lse" kernel bands and the fallback's sums, the windowed argmax
+sums, the shell's face fold, the polar's margin and the Gaussian log-weight.
+
 ``np.einsum`` runs numpy's own loop; a BLAS product (``@``) would be faster
 single-threaded but stalls under a default-threaded OpenBLAS on small
 matrices, and the library sets no thread variables.
@@ -151,18 +156,16 @@ import numpy as np
 
 from .core import reflect
 
-# element budget of one chunk of the "lse" fallback (32 MB of float64)
-WORK_ELEMS = 2**22
 # below log S = FLOOR the shifted "lse" sum is recomputed exactly: every term
 # lost to underflow is under 2.3e-308, a share below N e^-108 of S
 FLOOR = -600.0
-# element budget of one row block (256 KB of float64): "lse" exponentiates its
-# kernel this many elements at a time, so a 1D 513-node step allocates no
-# (M, N) temporary (glibc unmapped 2 MB ones, faulted in again on every call;
-# blocks of 2^17 and up still do). A one-column "max" step takes flat windows
-# from this many kernel elements M N on: in 1D the dense block was 10-30%
-# faster at 2^14, the two broke even near 2^14.5, flat windows were faster
-# from 2^15, 3x at 257 x 513
+# element budget of one row band (256 KB of float64), the engine's only one:
+# ``banded`` cuts every full-size pass into bands of this many elements, so a
+# 1D 513-node "lse" step allocates no (M, N) temporary (glibc unmapped 2 MB
+# ones, faulted in again on every call; bands of 2^17 and up still do). A
+# one-column "max" step takes flat windows from this many kernel elements M N
+# on: in 1D the dense block was 10-30% faster at 2^14, the two broke even near
+# 2^14.5, flat windows were faster from 2^15, 3x at 257 x 513
 ROW_ELEMS = 2**15
 # rows between dense argmaxes in the windowed "max" step (4 to 16 measured; 8
 # was fastest on 2D 129^2 and 3D 33^3 and 65^3 polars)
@@ -238,20 +241,28 @@ def _rows(w, rows, out: np.ndarray | None = None) -> np.ndarray:
     return w[rows]
 
 
-def row_bands(shape) -> list[slice]:
-    """Slices of axis 0 of an array of ``shape`` whose bands hold at most
-    ROW_ELEMS elements (one row at least)."""
+def banded(shape):
+    """Yield ``(band, part)`` for each slice ``band`` of axis 0 of an array of
+    ``shape`` that holds at most ROW_ELEMS elements (one row at least), in
+    order; ``part`` is that band's rows of one float buffer, allocated once
+    per call. One buffer serves every band because glibc maps each new 256 KB
+    array afresh: with a new array per band, its page faults made a 257 x 513
+    "lse" step slower than forming the whole kernel (1.1-1.4 against
+    0.85-0.93 ms)."""
     step = max(1, ROW_ELEMS // math.prod(shape[1:]))
-    return [slice(lo, min(lo + step, shape[0])) for lo in range(0, shape[0], step)]
+    buf = np.empty((min(step, shape[0]),) + tuple(shape[1:]))
+    for lo in range(0, shape[0], step):
+        band = slice(lo, min(lo + step, shape[0]))
+        yield band, buf[:band.stop - lo]
 
 
 def _finite_or_zero(a: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(a), a, 0.0)
 
 
-def _lse_exact(w_rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """log sum_j exp(w_rows[e, j] + cols[e, j]) per entry e, shifted by its maximum."""
-    summed = w_rows + cols
+def _lse_exact(summed: np.ndarray) -> np.ndarray:
+    """log sum_j exp(summed[e, j]) per entry e, shifted by its maximum and
+    exponentiated in place."""
     m = _finite_or_zero(np.max(summed, axis=1, keepdims=True))
     summed -= m
     np.exp(summed, out=summed)
@@ -271,14 +282,11 @@ def _row_max(w) -> np.ndarray:
 
 
 def _mirror_rows(w: Gauss, band: slice, out: np.ndarray) -> None:
-    """Rows ``band`` of a Gauss kernel's ``exp(W - r)`` into ``out``. A row i
-    below the stored ones is stored row M - 1 - i reversed: (-a) - (-b)
+    """Rows ``band``, below the stored ones, of a Gauss kernel's ``exp(W -
+    r)`` into ``out``. Row i is stored row M - 1 - i reversed: (-a) - (-b)
     rounds as -(a - b), so these are the bytes of the full array's rows."""
     m, low = w.shape[0], w.first_stored
-    below = min(band.stop, low) - band.start
-    np.copyto(out[:below], w.shifted[m - low - band.start - below:m - low - band.start][::-1, ::-1])
-    if band.stop > low:
-        np.copyto(out[below:], w.shifted[:band.stop - low])
+    np.copyto(out, w.shifted[m - low - band.stop:m - low - band.start][::-1, ::-1])
 
 
 def _lse(w, block: np.ndarray) -> np.ndarray:
@@ -291,24 +299,19 @@ def _lse(w, block: np.ndarray) -> np.ndarray:
     kb = block - s
     np.exp(kb, out=kb)
     log_sum = np.empty((w.shape[0], block.shape[1]))
-    bands = row_bands(w.shape)
-    # a Gauss kernel's stored rows, from ``low`` on, are read in place; every
-    # other band is formed in one buffer: glibc maps each new 256 KB array
-    # afresh, and with a new array per band its page faults made a 257 x 513
-    # step slower than forming the whole kernel (1.1-1.4 against 0.85-0.93 ms)
+    # the rows below ``low`` are formed (or mirrored) band by band, and a
+    # Gauss kernel's stored rows, from ``low`` on, are read in place; a row's
+    # sums do not depend on the rows beside it, so no band moves a byte
     low = w.first_stored if isinstance(w, Gauss) else w.shape[0]
-    buf = np.empty((bands[0].stop, w.shape[1])) if bands and low else None
-    for band in bands:
-        if band.start >= low:
-            kw = w.shifted[band.start - low:band.stop - low]
+    for band, part in banded((low, w.shape[1])):
+        if isinstance(w, Gauss):
+            _mirror_rows(w, band, part)
         else:
-            kw = buf[:band.stop - band.start]
-            if isinstance(w, Gauss):
-                _mirror_rows(w, band, kw)
-            else:
-                np.subtract(_rows(w, band, kw), r[band], out=kw)
-                np.exp(kw, out=kw)
-        np.einsum("ij,jc->ic", kw, kb, out=log_sum[band])
+            np.subtract(_rows(w, band, part), r[band], out=part)
+            np.exp(part, out=part)
+        np.einsum("ij,jc->ic", part, kb, out=log_sum[band])
+    if isinstance(w, Gauss):
+        np.einsum("ij,jc->ic", w.shifted, kb, out=log_sum[low:])
     with np.errstate(divide="ignore"):
         np.log(log_sum, out=log_sum)
     # an all -inf kernel row or column gives exactly -inf; elsewhere a sum
@@ -316,10 +319,9 @@ def _lse(w, block: np.ndarray) -> np.ndarray:
     rows, cols = np.nonzero((log_sum < FLOOR) & np.isfinite(row_max) & np.isfinite(col_max))
     log_sum += r
     log_sum += s
-    step = max(1, WORK_ELEMS // w.shape[1])
-    for lo in range(0, rows.size, step):
-        i, c = rows[lo:lo + step], cols[lo:lo + step]
-        log_sum[i, c] = _lse_exact(_rows(w, i), block[:, c].T)
+    for band, part in banded((rows.size, w.shape[1])):
+        i, c = rows[band], cols[band]
+        log_sum[i, c] = _lse_exact(np.add(_rows(w, i), block[:, c].T, out=part))
     return log_sum
 
 
@@ -356,16 +358,14 @@ def _max_windowed(w, block: np.ndarray) -> np.ndarray:
     if not live.any():
         return acc
     # (columns, N): argmax runs along rows, and a block in column order is
-    # that array already; its sums with each coarse row are formed a band of
-    # at most ROW_ELEMS at a time, and the dead columns' argmaxes dropped
+    # that array already; its sums with each coarse row are formed a band at
+    # a time, and the dead columns' argmaxes dropped
     by_column = np.ascontiguousarray(block.T)
     coarse = _coarse_rows(m)
     arg = np.empty((coarse.size, by_column.shape[0]), dtype=np.intp)
-    bands = row_bands(by_column.shape)
-    sums = np.empty((bands[0].stop, by_column.shape[1]))
-    for band in bands:
+    for band, sums in banded(by_column.shape):
         for i, r in enumerate(coarse):
-            np.argmax(np.add(by_column[band], w[r], out=sums[:band.stop - band.start]), axis=1, out=arg[i, band])
+            np.argmax(np.add(by_column[band], w[r], out=sums), axis=1, out=arg[i, band])
     del by_column, sums
     arg = arg[:, live]
     lo, hi = _brackets(coarse, arg.min(axis=1), arg.max(axis=1))
@@ -509,11 +509,8 @@ def shell_max(log_f: np.ndarray, axis_kernels, negate: bool = False) -> np.ndarr
     (_, g, col), rest = maxima[0], maxima[1:]
     out = np.add(g, col)
     if rest:
-        bands = row_bands(out.shape)
-        buf = np.empty((bands[0].stop,) + out.shape[1:])
-        for band in bands:
+        for band, part in banded(out.shape):
             acc = out[band]
-            part = buf[:acc.shape[0]]
             for k, g, col in rest:
                 np.add(g[band] if k else g, col if k else col[band], out=part)
                 np.maximum(acc, part, out=acc)

@@ -233,6 +233,8 @@ class LogQuad:
             raise ValueError("sign must be -1, 0 or +1")
         if self.sign == 0 and self.log_abs != NEG_INF:
             raise ValueError("sign 0 requires -inf log_abs")
+        if math.isnan(self.log_abs):
+            raise ValueError("log_abs must not be NaN")
         if self.tail_ratio < 0:
             raise ValueError("tail_ratio must be nonnegative")
 

@@ -146,11 +146,14 @@ def gaussian_rev_hc(beta: float, a, s: float, p: float, q: float) -> LogQuad:
     q > 0 and collapses to zero for q < 0 (sign-0 sentinel, infinite
     tail_ratio marker).
     """
-    if beta <= 0:
+    # each check is written so that NaN fails it
+    if not beta > 0:
         raise ValueError("beta must be positive")
-    if s <= 0 or q == 0 or p <= 0:
+    if not (s > 0 and p > 0 and (q < 0 or q > 0)):
         raise ValueError("need s > 0, p > 0, q != 0")
     shifts = np.atleast_1d(np.asarray(a, dtype=float))
+    if not np.isfinite(shifts).all():
+        raise ValueError("shifts must be finite")
     sig2 = -math.expm1(-2 * s)
     es = math.exp(-s)
     total = 0.0
@@ -229,9 +232,10 @@ def q_functional(f0: LogDensity, s: float, times) -> list[tuple[float, float]]:
     """Q_s(t) = log int F_t^q dx along the flow; t = 0 uses f0 directly."""
     sched = ExponentSchedule(s)
     times = list(times)
-    if any(b <= a for a, b in zip(times, times[1:])):
+    # NaN fails both checks, before any kernel is built or cached
+    if any(not b > a for a, b in zip(times, times[1:])):
         raise ValueError("times must be ascending")
-    if any(t < 0 for t in times):
+    if any(not t >= 0 for t in times):
         raise ValueError("times must be nonnegative")
     out = []
     for t in times:
@@ -283,7 +287,7 @@ def bl_data(s: float, p: float | None = None, q: float | None = None) -> BLData:
     sched = ExponentSchedule(s)
     p = sched.p if p is None else p
     q = sched.q if q is None else q
-    if p == 0 or q == 0:
+    if not (p < 0 or p > 0) or not (q < 0 or q > 0):  # NaN fails too
         raise ValueError(f"bl_data needs nonzero exponents, got p = {p!r}, q = {q!r}")
     e2s = math.exp(-2 * s)
     es = math.exp(-s)
@@ -437,7 +441,7 @@ def tropical_limit_curve(f: LogDensity, s_list) -> tuple[list[tuple[float, float
       q < 0 the bridge comes out too high; every point is kept.
     """
     s_list = list(s_list)
-    if any(b >= a for a, b in zip(s_list, s_list[1:])):
+    if any(not b < a for a, b in zip(s_list, s_list[1:])):  # NaN fails too
         raise ValueError("s_list must be strictly descending")
     n = f.grid.dim
     mass = log_integral(f, LEBESGUE)

@@ -102,8 +102,9 @@ def ou_edge_flags(g: LogDensity, s: float) -> np.ndarray:
 def flow_trajectory(f0: LogDensity, times) -> list[LogDensity]:
     """f_t for each requested time, each computed independently from f0."""
     times = list(times)
-    if any(t <= 0 for t in times):
+    # NaN fails both checks, before any kernel is built or cached
+    if any(not t > 0 for t in times):
         raise ValueError("times must be positive (t = 0 is f0 itself)")
-    if any(b <= a for a, b in zip(times, times[1:])):
+    if any(not b > a for a, b in zip(times, times[1:])):
         raise ValueError("times must be strictly increasing")
     return [fp_evolve(f0, t) for t in times]

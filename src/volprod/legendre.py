@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from .contract import Outer, contract, faces, row_bands, shell_max
+from .contract import Outer, banded, contract, faces, shell_max
 from .core import GridSpec, LogDensity, check_even, make_grid
 
 # polars of Gaussian-decay inputs should fall by this many nats inside the box
@@ -140,11 +140,9 @@ def polar_density(f: LogDensity, dual: GridSpec | None = None) -> LogDensity:
     phi = shell_max(f.phi, [Outer(dual.axis(k), f.grid.axis(k)) for k in range(f.grid.dim)], negate=True)
     np.maximum(inner, phi, out=phi)  # the conjugate over all nodes
     # inner + 1e-12 (1 + |phi|), |phi| taken as 0 where phi is infinite, in
-    # row bands of one buffer, added into inner
-    bands = row_bands(phi.shape)
-    buf = np.empty((bands[0].stop,) + phi.shape[1:])
-    for band in bands:
-        margin = np.abs(phi[band], out=buf[:band.stop - band.start])
+    # row bands, added into inner
+    for band, margin in banded(phi.shape):
+        np.abs(phi[band], out=margin)
         margin[np.isinf(margin)] = 0.0
         margin += 1.0
         margin *= 1e-12

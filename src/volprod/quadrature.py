@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contract import faces, row_bands
+from .contract import banded, faces
 from .core import GridSpec, LogDensity, LogQuad, NEG_INF
 
 LOG_2PI = math.log(2 * math.pi)
@@ -37,17 +37,14 @@ class Measure:
 
     def add_log_weight(self, a: np.ndarray, grid: GridSpec) -> np.ndarray:
         """Add the log-weight to ``a`` in place and return ``a``. The Gaussian
-        one, -|x|^2 / 2 - n log(2 pi) / 2, is formed in row bands of axis 0
-        of at most ROW_ELEMS nodes in one buffer, |x|^2 summed axis by axis
-        as ``GridSpec.sq_norm`` sums it."""
+        one, -|x|^2 / 2 - n log(2 pi) / 2, is formed in the row bands of
+        ``contract.banded``, |x|^2 summed axis by axis as ``GridSpec.sq_norm``
+        sums it."""
         if self.kind == "lebesgue":
             return a
         axes = grid.open_axes()
-        bands = row_bands(grid.points)
-        buf = np.empty((bands[0].stop,) + grid.points[1:])
-        for band in bands:
+        for band, w in banded(grid.points):
             # x_0^2 is 0 + x_0^2 exactly, as GridSpec.sq_norm's first sum
-            w = buf[:band.stop - band.start]
             w[...] = axes[0][band] * axes[0][band]
             for x in axes[1:]:
                 w += x * x

@@ -209,6 +209,13 @@ class TestMain:
         monkeypatch.setattr(cli.heatflow, "fp_evolve", lambda f, t: f)
         assert main([scenario, "--config", _write(tmp_path, text), "--out", str(tmp_path / "g")]) == 1
 
+    def test_nelson_nan_beta_exits_2(self, tmp_path, capsys):
+        """A NaN beta is refused by the closed form, and no row is written."""
+        cfg = _write(tmp_path, "[params]\nq = 0.08893\nbetas = nan, 1\nshifts = 0\n")
+        assert main(["nelson", "--config", cfg, "--out", str(tmp_path / "n")]) == 2
+        assert "error: beta must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "n").exists()
+
     def test_bad_threshold_exits_2(self, tmp_path, capsys):
         cfg = _write(tmp_path, "[params]\nq = 0.08893\nbetas = 1\nshifts = 0\nassert_threshold_min = high\n")
         assert main(["nelson", "--config", cfg, "--out", str(tmp_path / "n")]) == 2

@@ -12,6 +12,7 @@ from volprod import functionals as functionals_mod
 from volprod import heatflow as heatflow_mod
 from volprod import legendre as legendre_mod
 from volprod import oracles
+from volprod import quadrature as quadrature_mod
 from volprod.contract import Gauss, Outer, contract, edge_dominated, faces, shell_max
 from volprod.core import (
     BodySpec,
@@ -35,6 +36,7 @@ from volprod.functionals import (
 )
 from volprod.heatflow import fp_evolve, ou_apply, ou_edge_flags
 from volprod.legendre import default_dual_grid, legendre_transform, polar_density
+from volprod.quadrature import GAUSSIAN, log_lq_norm
 
 from conftest import boundary_mask, peak_in_outputs, trapezoid_log_weights
 
@@ -160,9 +162,9 @@ class TestEngine:
         exact = contract_mod._lse_exact
         entries = []
 
-        def spy(w_rows, cols):
-            entries.append(len(w_rows))
-            return exact(w_rows, cols)
+        def spy(summed):
+            entries.append(len(summed))
+            return exact(summed)
 
         monkeypatch.setattr(contract_mod, "_lse_exact", spy)
         got = contract(log_f, kernels)
@@ -173,7 +175,7 @@ class TestEngine:
     def test_fallback_chunking_is_bitwise_invisible(self, monkeypatch):
         log_f, kernels = self._underflow_case()
         whole = contract(log_f, kernels)
-        monkeypatch.setattr(contract_mod, "WORK_ELEMS", 40 * 4)  # 4 entries per chunk
+        monkeypatch.setattr(contract_mod, "ROW_ELEMS", 40 * 4)  # 4 entries per chunk
         assert contract(log_f, kernels).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("reduce", ["lse", "max"])
@@ -193,6 +195,77 @@ class TestEngine:
             contract(np.zeros(3), [np.zeros((2, 4))])
         with pytest.raises(ValueError):
             contract(np.zeros(3), [np.zeros((2, 3))], reduce="sum")
+
+
+def _all_fallback_case(n):
+    """A 1D n-node "lse" step whose every entry falls back to the exact sum:
+    each kernel row peaks at j = 0, where the input is 2000 nats down, so
+    every shifted sum underflows to 0; each exact sum is log n - 2000."""
+    w = np.full((n, n), -2000.0)
+    w[:, 0] = 0.0
+    log_f = np.zeros(n)
+    log_f[0] = -2000.0
+    return log_f, [w]
+
+
+class TestBanded:
+    @pytest.mark.parametrize("shape", [(513, 513), (257, 513), (65, 65, 65), (7,), (100_000,), (3, 40_000), (1, 5)])
+    def test_bands_cover_axis_0_once_in_order_in_one_buffer(self, shape):
+        bands = list(contract_mod.banded(shape))
+        assert [i for band, _ in bands for i in range(band.start, band.stop)] == list(range(shape[0]))
+        row = math.prod(shape[1:])
+        buf = bands[0][1].base
+        for band, part in bands:
+            assert part.shape == (band.stop - band.start,) + shape[1:] and part.dtype == float
+            assert part.size <= max(contract_mod.ROW_ELEMS, row)
+            assert part.base is buf and part.ctypes.data == buf.ctypes.data
+        # every band but the last is full
+        assert all(part.size + row > contract_mod.ROW_ELEMS for _, part in bands[:-1])
+
+    def test_zero_rows_yield_nothing(self):
+        assert list(contract_mod.banded((0, 5))) == []
+
+    def test_every_band_loop_goes_through_banded(self, monkeypatch):
+        """Six loops cut full-size passes into bands: the "lse" kernel bands
+        and its fallback, the windowed argmax sums, the shell's face fold,
+        the polar's margin and the Gaussian log-weight."""
+        inner = contract_mod.banded
+        sites = set()
+
+        def spy(shape):
+            caller = inspect.currentframe().f_back
+            sites.add((caller.f_code.co_name, caller.f_lineno))
+            return inner(shape)
+
+        for module in (contract_mod, legendre_mod, quadrature_mod):
+            monkeypatch.setattr(module, "banded", spy)
+        log_f, kernels = _all_fallback_case(65)
+        contract(log_f, kernels)
+        grid = make_grid(2, 6.0, 17)
+        polar_density(gaussian(grid))
+        log_lq_norm(gaussian(grid), 1.0, GAUSSIAN)
+        names = sorted(name for name, _ in sites)
+        assert names == ["_lse", "_lse", "_max_windowed", "add_log_weight", "polar_density", "shell_max"]
+
+    def test_fallback_holds_one_band_of_temporaries(self, monkeypatch):
+        """Every entry of a 1D 513 step falls back; the exact sums are formed
+        in chunks of at most one band, so the call holds three bands at once
+        (the band buffer and the kernel rows and columns it adds), not the
+        whole 513 x 513 sum three times over."""
+        log_f, kernels = _all_fallback_case(513)
+        inner = contract_mod._lse_exact
+        chunks = []
+
+        def spy(summed):
+            chunks.append(summed.size)
+            return inner(summed)
+
+        monkeypatch.setattr(contract_mod, "_lse_exact", spy)
+        got = contract(log_f, kernels)
+        assert sum(chunks) == 513 * 513 and max(chunks) <= contract_mod.ROW_ELEMS
+        assert np.all(got == math.log(513) - 2000.0)
+        band_bytes = 8 * contract_mod.ROW_ELEMS
+        assert peak_in_outputs(contract, log_f, kernels, nbytes=band_bytes) < 4
 
 
 def _kind_reduces(*kinds):
@@ -999,7 +1072,7 @@ def _shifted_array(w):
     return np.exp(a - np.max(a, axis=1, keepdims=True))
 
 
-# odd and even row counts, bands of 63 rows straddling M // 2 on 513 columns
+# odd and even row counts, bands of 63 rows below M // 2 on 513 columns
 HALF_SHAPES = [(513, 513), (512, 513), (301, 513), (300, 257), (9, 7), (8, 6)]
 
 
@@ -1030,8 +1103,8 @@ class TestGaussHalfRows:
     def test_every_mirrored_band_is_the_materialized_one(self, m, n):
         w = _odd_gauss(np.random.default_rng(3 * m + n), m, n)
         full = _shifted_array(w)
-        bands = [b for b in contract_mod.row_bands(w.shape) if b.start < m // 2]
-        assert bands and (m < 100 or any(b.stop > m // 2 for b in bands))
+        bands = [b for b, _ in contract_mod.banded((w.first_stored, n))]
+        assert bands[-1].stop == m // 2 and (m < 100 or len(bands) > 1)
         for band in bands:
             out = np.full((band.stop - band.start, n), np.nan)
             contract_mod._mirror_rows(w, band, out)

@@ -233,6 +233,11 @@ class TestLogQuad:
         with pytest.raises(ValueError, match="sign 0 requires -inf log_abs"):
             LogQuad(log_abs=log_abs, sign=0)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_nan_log_abs_rejected(self, sign):
+        with pytest.raises(ValueError, match="log_abs must not be NaN"):
+            LogQuad(log_abs=math.nan, sign=sign)
+
     def test_flagged_property(self):
         assert LogQuad(0.0, 1, tail_ratio=1e-6).flagged
         assert not LogQuad(0.0, 1, tail_ratio=1e-12).flagged

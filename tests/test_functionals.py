@@ -31,7 +31,8 @@ from volprod.functionals import (
     tropical_limit_curve,
     volume_product,
 )
-from volprod.heatflow import fp_evolve
+from volprod import heatflow
+from volprod.heatflow import flow_trajectory, fp_evolve
 from volprod.legendre import polar_density
 from volprod.oracles import _gaussian_bl_objective, bl_search, fd_derivative, gaussian_closed_forms
 from volprod.quadrature import log_integral
@@ -169,6 +170,18 @@ class TestGaussianRevHC:
         for q in (-0.5, 0.5):
             r = gaussian_rev_hc(100.0, [0.0], 1.0, 0.1, q)
             assert math.isinf(r.log_abs) or r.sign == 0
+
+    @pytest.mark.parametrize("arg, bad", [("beta", math.nan), ("s", math.nan), ("p", math.nan), ("q", math.nan),
+                                          ("a", [0.0, math.nan]), ("a", [math.inf])],
+                             ids=["beta-nan", "s-nan", "p-nan", "q-nan", "shift-nan", "shift-inf"])
+    def test_nan_argument_rejected(self, arg, bad):
+        """NaN fails every entry check rather than coming back as a NaN
+        ``log_abs``; a shift must be finite."""
+        sched = ExponentSchedule(0.3)
+        args = {"beta": 2.0, "a": [0.0, 1.0], "s": 0.3, "p": sched.p, "q": sched.q}
+        args[arg] = bad
+        with pytest.raises(ValueError):
+            gaussian_rev_hc(**args)
 
 
 class TestLaplaceFt:
@@ -384,6 +397,12 @@ class TestBrascampLieb:
         with pytest.raises(ValueError, match="nonzero exponents"):
             bl_data(0.3, p, q)
 
+    @pytest.mark.parametrize("p, q", [(math.nan, -1.0), (0.5, math.nan)], ids=["p", "q"])
+    def test_nan_exponent_rejected(self, p, q):
+        """A NaN exponent fails the nonzero check instead of building a NaN form."""
+        with pytest.raises(ValueError, match="nonzero exponents"):
+            bl_data(0.3, p, q)
+
     def test_grid_integral_matches_closed_form(self):
         data = bl_data(S_HALF_LN2)
         opt = gaussian_bl_constant(data)
@@ -468,6 +487,21 @@ class TestTropicalLimit:
     def test_s_order_enforced(self):
         with pytest.raises(ValueError):
             tropical_limit_curve(gaussian(GRID), [0.1, 0.2])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda f: flow_trajectory(f, [0.1, math.nan]), lambda f: q_functional(f, 0.3, [0.0, 0.2, math.nan]),
+     lambda f: tropical_limit_curve(f, [0.4, math.nan])],
+    ids=["flow_trajectory", "q_functional", "tropical_limit_curve"],
+)
+def test_nan_in_a_list_is_rejected_before_any_kernel(monkeypatch, call):
+    """A NaN time or s fails the list's own checks, before a Mehler kernel
+    is built for the entries ahead of it."""
+    monkeypatch.setattr(heatflow, "_KERNEL_CACHE", {})
+    with pytest.raises(ValueError):
+        call(gaussian(GRID))
+    assert heatflow._KERNEL_CACHE == {}
 
 
 class TestBatteryProperties:

@@ -211,9 +211,9 @@ def exact_entries(monkeypatch):
     entries = []
     inner = contract_mod._lse_exact
 
-    def spy(w_rows, cols):
-        entries.append(len(w_rows))
-        return inner(w_rows, cols)
+    def spy(summed):
+        entries.append(len(summed))
+        return inner(summed)
 
     monkeypatch.setattr(contract_mod, "_lse_exact", spy)
     return entries
