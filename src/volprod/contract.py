@@ -9,8 +9,8 @@ prod_{l != k} N_l`` pairs instead of all pairs.
 
 An ``"lse"`` kernel is an ``(M, N)`` array, an ``Outer`` kernel or a ``Gauss``
 kernel. A ``"max"`` kernel is an Outer kernel on finite, nondecreasing axes,
-the only kind the library sends; ``contract``, ``shell_max`` and
-``edge_dominated`` raise ``ValueError`` on any other.
+the only kind the library sends; ``contract`` and the shell's functions
+raise ``ValueError`` on any other.
 
 ``Outer(x, y)`` is the rank-one kernel ``W[i, j] = x[i] * y[j]`` held as its
 two axes. Every rank-one kernel goes to the engine so, its scale folded into
@@ -108,34 +108,33 @@ stored rows of ``exp(W - r)`` as they are, a view with no copy.
 
 The boundary shell is decided here alone. ``faces(n)`` lists its 2n faces,
 axis k at its first node and at its last, for the polar, the edge flags and
-the quadrature's tail ratio. ``shell_max`` is the ``"max"`` contraction over
-the shell alone, for the polar and ``edge_dominated``, which compare it with
-the maximum over the rest of the grid. A max over a union of node sets is
-the max of the maxes, so it goes face by face: the face ``j_k = e`` is an
+the quadrature's tail ratio. ``shell_split`` gives the polar and
+``edge_dominated`` the ``"max"`` contraction over the shell and over the rest:
+it checks the kernels, copies the faces out and sets them to -inf in place,
+contracts the interior into its input when the shapes fit, and only then forms
+the shell's maximum from the copies (``shell_max``), so the two never sit
+beside a third full-size array. ``shell_max`` goes face by face, as a max over
+a union of node sets is the max of the maxes: the face ``j_k = e`` is an
 (n - 1)-dimensional ``contract`` call over the other axes (a scalar in 1D),
-which takes the orthant path as any call does, and the kernel column
-``W_k[:, e]`` is added along axis k last. Where the two end faces along k
-are equal, as on every even input, one call serves both with the column
-``max(W_k[:, 0], W_k[:, -1])``, exactly, since fl(c + .) is monotone. The
-faces are folded into the output in row bands, with no full-size temporary.
-Adding the column last rounds otherwise than a contraction in axis order
-can, so against the maximum over the interior the two can disagree where one
-of them ties it exactly.
+and the column ``W_k[:, e]`` is added along axis k last; two equal end faces,
+as on every even input, share one call with the column
+``max(W_k[:, 0], W_k[:, -1])``, exactly, since fl(c + .) is monotone. Adding
+the column last rounds otherwise than a contraction in axis order, so the two
+orders can disagree where one of them ties the interior's maximum exactly.
 
 ``contract(log_f, kernels, reduce, out=buf)`` writes the whole result, the
-reflected fill included, into ``buf`` and returns it. ``buf`` may be
-``log_f`` itself: every step writes a fresh array, and ``buf`` is written
-only after the last one. A step drops the previous result once its block
-exists, a windowed step reads its block in column order in place, and the
-fill copies each orthant from the last result. On 3D 65^3 with every axis
-even, a contraction into its own input holds 0.44 of a full-size array
-beyond it for ``"max"`` and 0.69 for ``"lse"``. The routes contract into
-buffers they own (tracemalloc peaks on 3D 65^3 in full-size arrays, output
-included): ``fp_evolve`` and ``ou_apply`` into their weighted log-values,
-then negated in place (1.69), ``legendre_transform`` into its negated input
-(1.44), ``polar_density`` likewise, with its masked copy (2.44), and
-``edge_dominated`` into its own input, the shell masked in place once
-``shell_max`` has read it (``ou_edge_flags`` 2.44).
+reflected fill included, into ``buf`` and returns it. ``buf`` may be ``log_f``
+itself: every step writes a fresh array, and ``buf`` is written only after the
+last one. A step drops the previous result once its block exists, a windowed
+step reads its block in column order in place, and the fill copies each
+orthant from the last result. On 3D 65^3 with every axis even, a contraction
+into its own input holds 0.44 of a full-size array beyond it for ``"max"`` and
+0.69 for ``"lse"``. The routes contract into buffers they own (tracemalloc
+peaks on 3D 65^3 in full-size arrays, output included): ``fp_evolve`` and
+``ou_apply`` into their weighted log-values, then negated in place (1.69),
+``legendre_transform`` into its negated input (1.44), and ``shell_split`` into
+its input, the polar's negated one and the edge flags' own, the shell masked
+in place (``polar_density`` and ``ou_edge_flags`` 2.31).
 
 Every full-size pass of the library is cut into row bands by ``banded``:
 bands of at most ``ROW_ELEMS`` elements, formed in one buffer per pass. That
@@ -486,26 +485,21 @@ def faces(ndim: int) -> list[tuple]:
     return [(slice(None),) * k + (e,) for k in range(ndim) for e in (0, -1)]
 
 
-def shell_max(log_f: np.ndarray, axis_kernels, negate: bool = False) -> np.ndarray:
-    """``contract(log_f, axis_kernels, "max")`` over the boundary shell of
-    ``log_f`` alone: one (n - 1)-dimensional contraction per face, or per
-    pair of equal end faces, each face's kernel column added last. With
-    ``negate`` the shell of ``-log_f`` is read, one face at a time."""
+def shell_max(ends, axis_kernels) -> np.ndarray:
+    """``contract(log_f, axis_kernels, "max")`` over the boundary shell alone,
+    from its faces ``ends = [log_f[face] for face in faces(n)]``: one call
+    per face or pair of equal end faces, each face's column added last."""
     _check_max(axis_kernels)
-    log_f = np.asarray(log_f, dtype=float)
-    shell = faces(log_f.ndim)
     maxima = []  # (k, the face's maximum expanded along k, its column along k)
     for k, w in enumerate(axis_kernels):
-        low, high = log_f[shell[2 * k]], log_f[shell[2 * k + 1]]
-        if negate:
-            low, high = -low, -high
+        low, high = ends[2 * k], ends[2 * k + 1]
         if np.array_equal(low, high):
-            ends = [(low, np.maximum(w.x * w.y[0], w.x * w.y[-1]))]
+            pairs = [(low, np.maximum(w.x * w.y[0], w.x * w.y[-1]))]
         else:
-            ends = [(low, w.x * w.y[0]), (high, w.x * w.y[-1])]
+            pairs = [(low, w.x * w.y[0]), (high, w.x * w.y[-1])]
         others = axis_kernels[:k] + axis_kernels[k + 1:]
-        shape = (-1,) + (1,) * (log_f.ndim - k - 1)
-        maxima += [(k, np.expand_dims(contract(face, others, "max"), k), col.reshape(shape)) for face, col in ends]
+        shape = (-1,) + (1,) * (len(axis_kernels) - k - 1)
+        maxima += [(k, np.expand_dims(contract(face, others, "max"), k), col.reshape(shape)) for face, col in pairs]
     (_, g, col), rest = maxima[0], maxima[1:]
     out = np.add(g, col)
     if rest:
@@ -517,22 +511,28 @@ def shell_max(log_f: np.ndarray, axis_kernels, negate: bool = False) -> np.ndarr
     return out
 
 
-def edge_dominated(log_f: np.ndarray, axis_kernels) -> np.ndarray:
-    """Where ``contract(log_f, axis_kernels, "max")`` peaks on the boundary shell.
-
-    True where the largest kernel-weighted term over the shell of ``log_f``
-    is at least the largest over the interior: the integral behind that
-    output node is cut by the grid edge, not decayed inside it. The shell's
-    maximum comes from ``shell_max``; then the faces of ``log_f`` are set to
-    -inf in place and the interior's maximum is contracted into ``log_f``
-    when the shapes allow. So the call takes ownership of ``log_f``, a float
-    array: its values are gone when it returns.
-    """
-    boundary_max = shell_max(log_f, axis_kernels)
+def shell_split(log_f: np.ndarray, axis_kernels) -> tuple[np.ndarray, np.ndarray]:
+    """``contract(log_f, axis_kernels, "max")`` over the boundary shell of
+    ``log_f`` and over the rest, as ``(shell, interior)``, in the order the
+    module docstring gives. It owns ``log_f``, a float array, which ends as
+    the interior's maximum when the shapes fit, else with its faces at -inf."""
+    _check_max(axis_kernels)
+    ends = [log_f[face].copy() for face in faces(log_f.ndim)]
     for face in faces(log_f.ndim):
         log_f[face] = -np.inf
-    fits = log_f.shape == boundary_max.shape
-    return boundary_max >= contract(log_f, axis_kernels, "max", out=log_f if fits else None)
+    fits = log_f.shape == tuple(w.shape[0] for w in axis_kernels)
+    interior = contract(log_f, axis_kernels, "max", out=log_f if fits else None)
+    return shell_max(ends, axis_kernels), interior
+
+
+def edge_dominated(log_f: np.ndarray, axis_kernels) -> np.ndarray:
+    """Where ``contract(log_f, axis_kernels, "max")`` peaks on the boundary
+    shell: its largest kernel-weighted term over the shell of ``log_f`` is at
+    least the largest over the interior, so the integral behind that output
+    node is cut by the grid edge, not decayed inside it. Both maxima come
+    from ``shell_split``, which takes ownership of ``log_f``."""
+    shell, interior = shell_split(log_f, axis_kernels)
+    return shell >= interior
 
 
 def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse", out: np.ndarray | None = None) -> np.ndarray:

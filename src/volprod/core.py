@@ -235,7 +235,7 @@ class LogQuad:
             raise ValueError("sign 0 requires -inf log_abs")
         if math.isnan(self.log_abs):
             raise ValueError("log_abs must not be NaN")
-        if self.tail_ratio < 0:
+        if not self.tail_ratio >= 0:  # NaN fails too
             raise ValueError("tail_ratio must be nonnegative")
 
     def value(self) -> float:

@@ -44,6 +44,12 @@ LAPLACE_DECAY_NATS = 40.0
 FLAG_WINDOW_NATS = 30.0
 
 
+def _require_finite(**args) -> None:
+    for name, value in args.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BLData:
     """Two-function inverse Brascamp-Lieb data (exponents and kernel form)."""
@@ -129,6 +135,7 @@ def rev_hc_value(f0: LogDensity, s: float, p: float | None = None, q: float | No
     q = sched.q if q is None else q
     if not (0 < p) or not (q < 0):
         raise ValueError("need 0 < p and q < 0")
+    _require_finite(p=p, q=q)
     _, psg = _ou_lift(f0, s, p)
     lhs = log_lq_norm(psg, q, GAUSSIAN)
     mass = log_integral(f0, LEBESGUE)
@@ -152,8 +159,7 @@ def gaussian_rev_hc(beta: float, a, s: float, p: float, q: float) -> LogQuad:
     if not (s > 0 and p > 0 and (q < 0 or q > 0)):
         raise ValueError("need s > 0, p > 0, q != 0")
     shifts = np.atleast_1d(np.asarray(a, dtype=float))
-    if not np.isfinite(shifts).all():
-        raise ValueError("shifts must be finite")
+    _require_finite(beta=beta, s=s, p=p, q=q, shifts=shifts)
     sig2 = -math.expm1(-2 * s)
     es = math.exp(-s)
     total = 0.0
@@ -289,6 +295,7 @@ def bl_data(s: float, p: float | None = None, q: float | None = None) -> BLData:
     q = sched.q if q is None else q
     if not (p < 0 or p > 0) or not (q < 0 or q > 0):  # NaN fails too
         raise ValueError(f"bl_data needs nonzero exponents, got p = {p!r}, q = {q!r}")
+    _require_finite(p=p, q=q)
     e2s = math.exp(-2 * s)
     es = math.exp(-s)
     denom = 2 * math.pi * (1 - e2s)

@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from .contract import Outer, banded, contract, faces, shell_max
+from .contract import Outer, banded, contract, faces, shell_split
 from .core import GridSpec, LogDensity, check_even, make_grid
 
 # polars of Gaussian-decay inputs should fall by this many nats inside the box
@@ -114,15 +114,12 @@ def polar_density(f: LogDensity, dual: GridSpec | None = None) -> LogDensity:
     Dual nodes whose sup is attained on the primal boundary shell are
     truncation artifacts (the sup over all of R^n is +inf there, as for
     f = e^{-|y|} beyond |x| = 1); those nodes are reported as phi* = +inf.
-    One conjugate runs, over the nodes inside the shell, and the shell's own
-    maximum comes from its faces (``contract.shell_max``); the conjugate over
-    all nodes is the larger of the two. Where it exceeds the inner conjugate
-    by more than 1e-12 (1 + |phi*|), the boundary was the maximizer.
-
-    The masked copy lives only through the inner conjugate, the faces of
-    -phi are negated one at a time, and the margin is formed in row bands
-    into the inner conjugate: a 3D 65^3 polar holds 2.44 full-size arrays,
-    its output included.
+    ``contract.shell_split`` gives the conjugate over the shell and over the
+    nodes inside it, masking the faces of -phi in place (no masked copy); the
+    conjugate over all nodes is the larger of the two. Where it exceeds the
+    inner conjugate by more than 1e-12 (1 + |phi*|), the boundary was the
+    maximizer. The margin is formed in row bands into the inner conjugate: a
+    3D 65^3 polar holds 2.31 full-size arrays, its output included.
     """
     if not check_even(f):
         warnings.warn("polar of a non-even density: Blaschke-Santalo hypotheses unmet")
@@ -132,12 +129,8 @@ def polar_density(f: LogDensity, dual: GridSpec | None = None) -> LogDensity:
     # no inner conjugate (a min is finite where any entry is)
     if min(f.phi[face].min() for face in shell) == np.inf or f.phi[(slice(1, -1),) * f.grid.dim].min() == np.inf:
         return legendre_transform(f, dual)
-    masked = f.phi.copy()
-    for face in shell:
-        masked[face] = np.inf
-    inner = legendre_transform(LogDensity(f.grid, masked), dual).phi
-    del masked  # before the shell's maximum is formed
-    phi = shell_max(f.phi, [Outer(dual.axis(k), f.grid.axis(k)) for k in range(f.grid.dim)], negate=True)
+    kernels = [Outer(dual.axis(k), f.grid.axis(k)) for k in range(f.grid.dim)]
+    phi, inner = shell_split(np.negative(f.phi), kernels)
     np.maximum(inner, phi, out=phi)  # the conjugate over all nodes
     # inner + 1e-12 (1 + |phi|), |phi| taken as 0 where phi is infinite, in
     # row bands, added into inner

@@ -216,6 +216,13 @@ class TestMain:
         assert "error: beta must be positive" in capsys.readouterr().err
         assert not (tmp_path / "n").exists()
 
+    def test_nelson_infinite_p_exits_2(self, tmp_path, capsys):
+        """An infinite p is refused by the closed form, and no row is written."""
+        cfg = _write(tmp_path, "[params]\np = inf\nq = -1\nbetas = 1\nshifts = 0\n")
+        assert main(["nelson", "--config", cfg, "--out", str(tmp_path / "n")]) == 2
+        assert "error: p must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "n").exists()
+
     def test_bad_threshold_exits_2(self, tmp_path, capsys):
         cfg = _write(tmp_path, "[params]\nq = 0.08893\nbetas = 1\nshifts = 0\nassert_threshold_min = high\n")
         assert main(["nelson", "--config", cfg, "--out", str(tmp_path / "n")]) == 2

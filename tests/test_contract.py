@@ -13,7 +13,7 @@ from volprod import heatflow as heatflow_mod
 from volprod import legendre as legendre_mod
 from volprod import oracles
 from volprod import quadrature as quadrature_mod
-from volprod.contract import Gauss, Outer, contract, edge_dominated, faces, shell_max
+from volprod.contract import Gauss, Outer, contract, edge_dominated, faces, shell_max, shell_split
 from volprod.core import (
     BodySpec,
     ExponentSchedule,
@@ -870,12 +870,14 @@ REFUSED_MAX_KERNELS = {
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("entry", [lambda f, k: contract(f, k, "max"), shell_max, edge_dominated],
-                         ids=["contract", "shell_max", "edge_dominated"])
+@pytest.mark.parametrize(
+    "entry", [lambda f, k: contract(f, k, "max"), lambda f, k: shell_max(_ends(f), k), edge_dominated, shell_split],
+    ids=["contract", "shell_max", "edge_dominated", "shell_split"])
 @pytest.mark.parametrize("kind", list(REFUSED_MAX_KERNELS))
 def test_max_refuses_all_but_outer_kernels_on_sorted_axes(kind, entry, dim):
     """On the last axis, after a valid kernel in 2D; the input is left as it
-    was, even by ``edge_dominated``, which owns it."""
+    was, even by ``edge_dominated`` and ``shell_split``, which own it: the
+    kernels are checked before any face is masked."""
     kernels = [Outer(np.arange(3.0), np.arange(4.0))] * (dim - 1) + [REFUSED_MAX_KERNELS[kind]]
     log_f = np.random.default_rng(89).normal(size=[w.shape[1] for w in kernels])
     before = log_f.tobytes()
@@ -1125,6 +1127,11 @@ class TestGaussHalfRows:
         assert contract(log_f, kernels).tobytes() == contract(log_f, arrays).tobytes()
 
 
+def _ends(log_f):
+    """The faces ``shell_max`` takes, in ``faces(n)`` order."""
+    return [log_f[face] for face in faces(log_f.ndim)]
+
+
 def _brute_shell(log_f, kernels):
     """The all-pairs max over the boundary shell, face by face: each face's
     kernel column is added last, as ``shell_max`` adds it."""
@@ -1180,10 +1187,10 @@ class TestShellMax:
         if kind != "outer":  # refused, as by "max", before any face is read
             before = log_f.tobytes()
             with pytest.raises(ValueError, match="Outer kernels on finite, nondecreasing axes"):
-                shell_max(log_f, kernels)
+                shell_max(_ends(log_f), kernels)
             assert log_f.tobytes() == before and face_contractions == []
             return
-        got = shell_max(log_f, kernels)
+        got = shell_max(_ends(log_f), kernels)
         assert got.shape == out_shape
         assert got.tobytes() == _brute_shell(log_f, kernels).tobytes()
         _close(got, _brute(np.where(boundary_mask(in_shape), log_f, -np.inf), kernels, "max"))
@@ -1199,9 +1206,9 @@ class TestShellMax:
     def test_row_bands_are_bitwise_invisible(self, monkeypatch, in_shape, out_shape):
         rng = np.random.default_rng(67)
         log_f, kernels = _orthant_case(rng, "outer", in_shape, out_shape, [])
-        want = shell_max(log_f, kernels)
+        want = shell_max(_ends(log_f), kernels)
         monkeypatch.setattr(contract_mod, "ROW_ELEMS", 7)
-        assert shell_max(log_f, kernels).tobytes() == want.tobytes()
+        assert shell_max(_ends(log_f), kernels).tobytes() == want.tobytes()
 
     def test_forms_no_full_size_temporary(self):
         grid = make_grid(3, 6.0, 65)
@@ -1209,24 +1216,8 @@ class TestShellMax:
         kernels = [Outer(a, a) for a in grid.axes()]
         log_f = -f.phi
         log_f[0] = -1.0  # one face that differs from its partner
-        assert peak_in_outputs(shell_max, log_f, kernels) < 1 + 4 * 8 * contract_mod.ROW_ELEMS / log_f.nbytes
-
-    @pytest.mark.parametrize("in_shape, out_shape", SHELL_SHAPES)
-    def test_negate_reads_the_shell_of_the_negation(self, in_shape, out_shape):
-        """``negate`` gives the bytes of the call on ``-phi``, and reads only
-        faces: the polar's conjugate of phi forms no full-size negation."""
-        rng = np.random.default_rng(71)
-        log_f, kernels = _orthant_case(rng, "outer", in_shape, out_shape, [])
-        phi = -log_f
-        assert shell_max(phi, kernels, negate=True).tobytes() == shell_max(log_f, kernels).tobytes()
-
-    def test_negate_forms_no_full_size_temporary(self):
-        grid = make_grid(3, 6.0, 65)
-        phi = gaussian(grid).phi.copy()
-        phi[0] = 1.0  # one face that differs from its partner
-        kernels = [Outer(a, a) for a in grid.axes()]
-        peak = peak_in_outputs(shell_max, phi, kernels, negate=True)
-        assert peak < 1 + 4 * 8 * contract_mod.ROW_ELEMS / phi.nbytes
+        ends = _ends(log_f)
+        assert peak_in_outputs(shell_max, ends, kernels) < 1 + 4 * 8 * contract_mod.ROW_ELEMS / log_f.nbytes
 
 
 def _edge_dominated_two_contractions(log_f, kernels):
@@ -1278,7 +1269,7 @@ def test_edge_flags_differ_only_at_exact_ties(s):
     log_f = -scale * gaussian(grid).phi
     got = edge_dominated(log_f.copy(), kernels)
     want, boundary, interior = _edge_dominated_two_contractions(log_f, kernels)
-    edge = shell_max(log_f, kernels)
+    edge = shell_max(_ends(log_f), kernels)
     _close(edge, boundary)
     flips = got != want
     assert np.all((boundary == interior) | (edge == interior) | ~flips)
@@ -1310,10 +1301,38 @@ def test_edge_dominated_masks_its_input_in_place(dim, out_points):
     log_f = -exp_power(grid, 2.5).phi
     masked = np.where(boundary_mask(log_f.shape), -np.inf, log_f)
     interior = contract(masked, kernels, "max")
-    want = shell_max(log_f, kernels) >= interior
+    want = shell_max(_ends(log_f), kernels) >= interior
     owned = log_f.copy()
     assert edge_dominated(owned, kernels).tobytes() == want.tobytes()
     assert owned.tobytes() == (interior if out_points == 33 else masked).tobytes()
+
+
+@pytest.mark.parametrize("even", [True, False], ids=["even", "uneven"])
+@pytest.mark.parametrize("out_size", [9, 7], ids=["own-shape", "other-shape"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_shell_split_gives_the_two_contractions(dim, out_size, even):
+    """``shell_split`` gives the bytes of the shell and interior maxima of two
+    full ``max`` contractions on masked copies. The data are dyadic (integer
+    axes, inputs a quarter off the integers), so every sum is exact and no
+    maximum is zero: the order in which ``shell_max`` adds a face column
+    moves no byte. When the shapes fit, the input ends as the interior's
+    maximum, else as the input with its shell at -inf."""
+    rng = np.random.default_rng(97 + dim + out_size)
+    kernels = [Outer(np.arange(out_size) - out_size // 2.0, np.arange(9) - 4.0)] * dim
+    log_f = rng.integers(-8, 8, size=(9,) * dim) + 0.25
+    log_f[rng.random(log_f.shape) < 0.2] = -np.inf
+    log_f[(0,) * dim] = log_f[(4,) * dim] = 1.25  # a finite node on the shell and one inside
+    if even:
+        for k in range(dim):
+            log_f = np.maximum(log_f, np.flip(log_f, k))
+    _, boundary, interior = _edge_dominated_two_contractions(log_f, kernels)
+    masked = np.where(boundary_mask(log_f.shape), -np.inf, log_f)
+    owned = log_f.copy()
+    shell, inner = shell_split(owned, kernels)
+    assert shell.tobytes() == boundary.tobytes() and inner.tobytes() == interior.tobytes()
+    assert np.isfinite(boundary).any() and np.isfinite(interior).any()
+    assert (inner is owned) == (out_size == 9)
+    assert owned.tobytes() == (interior if out_size == 9 else masked).tobytes()
 
 
 @pytest.fixture

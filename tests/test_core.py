@@ -238,6 +238,11 @@ class TestLogQuad:
         with pytest.raises(ValueError, match="log_abs must not be NaN"):
             LogQuad(log_abs=math.nan, sign=sign)
 
+    def test_nan_tail_ratio_rejected(self):
+        """A NaN truncation marker would read as unflagged."""
+        with pytest.raises(ValueError, match="tail_ratio must be nonnegative"):
+            LogQuad(0.0, 1, tail_ratio=math.nan)
+
     def test_flagged_property(self):
         assert LogQuad(0.0, 1, tail_ratio=1e-6).flagged
         assert not LogQuad(0.0, 1, tail_ratio=1e-12).flagged

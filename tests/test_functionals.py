@@ -115,6 +115,13 @@ class TestRevHC:
         with pytest.raises(ValueError):
             rev_hc_value(gaussian(GRID), 0.5, p=0.5, q=0.5)
 
+    @pytest.mark.parametrize("p, q, name", [(math.inf, -1.0, "p"), (0.5, -math.inf, "q")], ids=["p", "q"])
+    def test_infinite_exponent_rejected(self, p, q, name):
+        """An infinite exponent passes the sign checks; it is refused by name
+        instead of coming back as a zero slack."""
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            rev_hc_value(gaussian(GRID), 0.3, p=p, q=q)
+
 
 class TestNelsonQ:
     def test_values(self):
@@ -181,6 +188,18 @@ class TestGaussianRevHC:
         args = {"beta": 2.0, "a": [0.0, 1.0], "s": 0.3, "p": sched.p, "q": sched.q}
         args[arg] = bad
         with pytest.raises(ValueError):
+            gaussian_rev_hc(**args)
+
+    @pytest.mark.parametrize("arg, bad", [("beta", math.inf), ("s", math.inf), ("p", math.inf), ("q", math.inf),
+                                          ("q", -math.inf)],
+                             ids=["beta", "s", "p", "q-plus", "q-minus"])
+    def test_infinite_argument_rejected(self, arg, bad):
+        """An infinite argument passes the sign checks; it is refused by name
+        instead of a math domain error or an infinite ``log_abs``."""
+        sched = ExponentSchedule(0.3)
+        args = {"beta": 2.0, "a": [0.0, 1.0], "s": 0.3, "p": sched.p, "q": sched.q}
+        args[arg] = bad
+        with pytest.raises(ValueError, match=f"{arg} must be finite"):
             gaussian_rev_hc(**args)
 
 
@@ -401,6 +420,12 @@ class TestBrascampLieb:
     def test_nan_exponent_rejected(self, p, q):
         """A NaN exponent fails the nonzero check instead of building a NaN form."""
         with pytest.raises(ValueError, match="nonzero exponents"):
+            bl_data(0.3, p, q)
+
+    @pytest.mark.parametrize("p, q, name", [(math.inf, -1.0, "p"), (0.5, -math.inf, "q")], ids=["p", "q"])
+    def test_infinite_exponent_rejected(self, p, q, name):
+        """An infinite exponent is refused by name instead of building a NaN form."""
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
             bl_data(0.3, p, q)
 
     def test_grid_integral_matches_closed_form(self):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from volprod import legendre as legendre_mod
-from volprod.contract import shell_max
 from volprod.core import LogDensity, body_to_logdensity, check_even, lp_ball, make_grid, reflect
 from volprod.densities import battery_1d, box, cross2d, exp_power, gaussian
 from volprod.heatflow import fp_evolve
@@ -327,33 +326,31 @@ class TestPolarDensity:
             assert math.exp(v) == pytest.approx(2 * math.pi, rel=5e-3)
 
     @pytest.mark.parametrize(
-        "f, shell_maxima",
+        "f, splits",
         [(box(make_grid(1, 3.0, 129)), 0), (cross2d(make_grid(2, 6.0, 65)), 0), (gaussian(make_grid(2, 6.0, 33)), 1)],
         ids=["box-1d", "cross2d", "gaussian-2d"],
     )
-    def test_plus_inf_shell_conjugates_once(self, monkeypatch, f, shell_maxima):
-        # with the boundary shell already +inf, trimming it changes nothing;
-        # a finite shell adds its faces' maximum, not a second conjugate
+    def test_plus_inf_shell_conjugates_once(self, monkeypatch, f, splits):
+        # with the boundary shell already +inf, trimming it changes nothing
+        # and one conjugate runs; a finite shell is split from -phi instead
         dual = default_dual_grid(f)
         want = legendre_transform(f, dual).phi
-        calls, shells = [], []
+        calls = {"legendre_transform": [], "shell_split": []}
 
-        def spy(*args):
-            calls.append(args)
-            return legendre_transform(*args)
+        def spy(name):
+            inner = getattr(legendre_mod, name)
 
-        def shell_spy(*args, **kwargs):
-            shells.append(args)
-            return shell_max(*args, **kwargs)
+            def call(*args):
+                calls[name].append(np.array_equal(args[0], -f.phi) if name == "shell_split" else args)
+                return inner(*args)
 
-        monkeypatch.setattr(legendre_mod, "legendre_transform", spy)
-        monkeypatch.setattr(legendre_mod, "shell_max", shell_spy)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(legendre_mod, name, spy(name))
         got = polar_density(f, dual)
-        assert len(calls) == 1 and len(shells) == shell_maxima
-        if shell_maxima:
-            assert np.isposinf(calls[0][0].phi[boundary_mask(f.phi.shape)]).all()
-        else:
-            assert got.phi.tobytes() == want.tobytes()
+        assert len(calls["legendre_transform"]) == 1 - splits and calls["shell_split"] == [True] * splits
+        assert got.phi.tobytes() == (_polar_two_conjugates(f, dual) if splits else want).tobytes()
 
     @pytest.mark.parametrize(
         "f",

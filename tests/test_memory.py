@@ -5,9 +5,10 @@ output included. A builder or an integral holds its output and slab- or
 band-sized temporaries only. A contraction route holds the buffers it
 contracts into (``contract(..., out=)``) plus orthant-sized engine
 temporaries: the flow one full-size array, the conjugate its negated input,
-the polar that and the masked copy, the edge flags their input (whose shell
-is masked in place, and the interior's maximum contracted into it) and the
-shell's maximum. The Laplace transform holds its output beside the edge
+and the polar and the edge flags the array ``shell_split`` owns (the polar's
+negated input, the flags' own; its shell masked in place and the interior's
+maximum contracted into it) and the shell's maximum, formed only after that
+contraction. The Laplace transform holds its output beside the edge
 flags' buffers, the Brascamp-Lieb integral its two integrands and their
 contraction, and one step of the tropical bridge its lift and the OU flow
 beside the edge flags' buffers, then the window weight once they are gone.
@@ -44,13 +45,13 @@ BUDGETS = {
     "default_dual_grid": (lambda: default_dual_grid(F), 0.1),
     "fp_evolve": (lambda: fp_evolve(F, 0.5), 1.7),
     "ou_apply": (lambda: ou_apply(F, 0.5), 1.7),
-    "ou_edge_flags": (lambda: ou_edge_flags(F, S), 2.45),
-    "log_laplace": (lambda: log_laplace(F, X_GRID, SCALE), 3.45),
+    "ou_edge_flags": (lambda: ou_edge_flags(F, S), 2.35),
+    "log_laplace": (lambda: log_laplace(F, X_GRID, SCALE), 3.35),
     "bl_integral": (lambda: bl_integral(F, F, bl_data(S)), 3.15),
-    "tropical_limit_curve": (lambda: tropical_limit_curve(F, [S]), 4.45),
+    "tropical_limit_curve": (lambda: tropical_limit_curve(F, [S]), 4.35),
     "legendre_transform": (lambda: legendre_transform(F), 1.45),
-    "polar_density": (lambda: polar_density(F), 2.45),
-    "volume_product": (lambda: volume_product(F), 2.45),
+    "polar_density": (lambda: polar_density(F), 2.35),
+    "volume_product": (lambda: volume_product(F), 2.35),
 }
 
 
