@@ -9,8 +9,8 @@ prod_{l != k} N_l`` pairs instead of all pairs.
 
 An ``"lse"`` kernel is an ``(M, N)`` array, an ``Outer`` kernel or a ``Gauss``
 kernel. A ``"max"`` kernel is an Outer kernel on finite, nondecreasing axes,
-the only kind the library sends; ``contract`` and the shell's functions
-raise ``ValueError`` on any other.
+the only kind the library sends; ``contract`` and ``shell_split`` raise
+``ValueError`` on any other.
 
 ``Outer(x, y)`` is the rank-one kernel ``W[i, j] = x[i] * y[j]`` held as its
 two axes. Every rank-one kernel goes to the engine so, its scale folded into
@@ -110,17 +110,17 @@ The boundary shell is decided here alone. ``faces(n)`` lists its 2n faces,
 axis k at its first node and at its last, for the polar, the edge flags and
 the quadrature's tail ratio. ``shell_split`` gives the polar and
 ``edge_dominated`` the ``"max"`` contraction over the shell and over the rest:
-it checks the kernels, copies the faces out and sets them to -inf in place,
-contracts the interior into its input when the shapes fit, and only then forms
-the shell's maximum from the copies (``shell_max``), so the two never sit
-beside a third full-size array. ``shell_max`` goes face by face, as a max over
-a union of node sets is the max of the maxes: the face ``j_k = e`` is an
-(n - 1)-dimensional ``contract`` call over the other axes (a scalar in 1D),
-and the column ``W_k[:, e]`` is added along axis k last; two equal end faces,
-as on every even input, share one call with the column
-``max(W_k[:, 0], W_k[:, -1])``, exactly, since fl(c + .) is monotone. Adding
-the column last rounds otherwise than a contraction in axis order, so the two
-orders can disagree where one of them ties the interior's maximum exactly.
+it checks the kernels before it writes to its input, copies the faces out and
+sets them to -inf in place, contracts the interior into its input when the
+shapes fit, and only then forms the shell's maximum from the copies, so the
+two never sit beside a third full-size array. That maximum goes face by face,
+as a max over a union of node sets is the max of the maxes: the face ``j_k =
+e`` is an (n - 1)-dimensional ``contract`` call over the other axes (a scalar
+in 1D), and the column ``W_k[:, e]`` is added along axis k last; two equal end
+faces, as on every even input, share one call with the column ``max(W_k[:, 0],
+W_k[:, -1])``, exactly, since fl(c + .) is monotone. Adding the column last
+rounds otherwise than a contraction in axis order, so the two orders can
+disagree where one of them ties the interior's maximum exactly.
 
 ``contract(log_f, kernels, reduce, out=buf)`` writes the whole result, the
 reflected fill included, into ``buf`` and returns it. ``buf`` may be ``log_f``
@@ -407,6 +407,12 @@ def _check_max(axis_kernels) -> None:
             raise ValueError("max takes Outer kernels on finite, nondecreasing axes")
 
 
+def _check_fit(shape: tuple, axis_kernels) -> None:
+    """Raise unless kernel k has ``shape[k]`` columns, one kernel per axis."""
+    if [w.shape[1] for w in axis_kernels] != list(shape):
+        raise ValueError(f"kernels {[w.shape for w in axis_kernels]} do not fit an array of shape {shape}")
+
+
 def _max(w: Outer, block: np.ndarray) -> np.ndarray:
     """max_j (w[i, j] + block[j, c]) for an Outer w on sorted axes, routed by
     shape: windowed on two or more columns, flat windows on one column of at
@@ -485,11 +491,19 @@ def faces(ndim: int) -> list[tuple]:
     return [(slice(None),) * k + (e,) for k in range(ndim) for e in (0, -1)]
 
 
-def shell_max(ends, axis_kernels) -> np.ndarray:
-    """``contract(log_f, axis_kernels, "max")`` over the boundary shell alone,
-    from its faces ``ends = [log_f[face] for face in faces(n)]``: one call
-    per face or pair of equal end faces, each face's column added last."""
+def shell_split(log_f: np.ndarray, axis_kernels) -> tuple[np.ndarray, np.ndarray]:
+    """``contract(log_f, axis_kernels, "max")`` over the boundary shell of
+    ``log_f`` and over the rest, as ``(shell, interior)``, in the order the
+    module docstring gives. It owns ``log_f``, a float array, which ends as
+    the interior's maximum when the shapes fit, else with its faces at -inf,
+    and as it was when the kernels are refused."""
+    _check_fit(log_f.shape, axis_kernels)
     _check_max(axis_kernels)
+    ends = [log_f[face].copy() for face in faces(log_f.ndim)]
+    for face in faces(log_f.ndim):
+        log_f[face] = -np.inf
+    fits = log_f.shape == tuple(w.shape[0] for w in axis_kernels)
+    interior = contract(log_f, axis_kernels, "max", out=log_f if fits else None)
     maxima = []  # (k, the face's maximum expanded along k, its column along k)
     for k, w in enumerate(axis_kernels):
         low, high = ends[2 * k], ends[2 * k + 1]
@@ -501,28 +515,14 @@ def shell_max(ends, axis_kernels) -> np.ndarray:
         shape = (-1,) + (1,) * (len(axis_kernels) - k - 1)
         maxima += [(k, np.expand_dims(contract(face, others, "max"), k), col.reshape(shape)) for face, col in pairs]
     (_, g, col), rest = maxima[0], maxima[1:]
-    out = np.add(g, col)
+    shell = np.add(g, col)
     if rest:
-        for band, part in banded(out.shape):
-            acc = out[band]
+        for band, part in banded(shell.shape):
+            acc = shell[band]
             for k, g, col in rest:
                 np.add(g[band] if k else g, col if k else col[band], out=part)
                 np.maximum(acc, part, out=acc)
-    return out
-
-
-def shell_split(log_f: np.ndarray, axis_kernels) -> tuple[np.ndarray, np.ndarray]:
-    """``contract(log_f, axis_kernels, "max")`` over the boundary shell of
-    ``log_f`` and over the rest, as ``(shell, interior)``, in the order the
-    module docstring gives. It owns ``log_f``, a float array, which ends as
-    the interior's maximum when the shapes fit, else with its faces at -inf."""
-    _check_max(axis_kernels)
-    ends = [log_f[face].copy() for face in faces(log_f.ndim)]
-    for face in faces(log_f.ndim):
-        log_f[face] = -np.inf
-    fits = log_f.shape == tuple(w.shape[0] for w in axis_kernels)
-    interior = contract(log_f, axis_kernels, "max", out=log_f if fits else None)
-    return shell_max(ends, axis_kernels), interior
+    return shell, interior
 
 
 def edge_dominated(log_f: np.ndarray, axis_kernels) -> np.ndarray:
@@ -564,8 +564,7 @@ def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse", out: np.ndarr
     if reduce not in ("lse", "max"):
         raise ValueError(f"reduce must be 'lse' or 'max', got {reduce!r}")
     log_f = np.asarray(log_f, dtype=float)
-    if [w.shape[1] for w in axis_kernels] != list(log_f.shape):
-        raise ValueError(f"kernels {[w.shape for w in axis_kernels]} do not fit an array of shape {log_f.shape}")
+    _check_fit(log_f.shape, axis_kernels)
     shape = tuple(w.shape[0] for w in axis_kernels)
     if out is not None and (out.shape != shape or out.dtype != float):
         raise ValueError(f"out must be a float array of shape {shape}, got {out.dtype} {out.shape}")

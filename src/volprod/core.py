@@ -130,10 +130,12 @@ class GaussianSpec:
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.covariance, dtype=float))
-        if self.mass <= 0:
+        if not self.mass > 0:  # NaN fails too
             raise ValueError("mass must be positive")
         if a.shape[0] != a.shape[1]:
             raise ValueError("covariance must be square")
+        if not np.isfinite(a).all():
+            raise ValueError("covariance must be finite")
         if not np.allclose(a, a.T, rtol=0, atol=1e-12):
             raise ValueError("covariance must be symmetric")
         if np.linalg.eigvalsh(a).min() <= 0:
@@ -176,14 +178,16 @@ class BodySpec:
 
     def __post_init__(self):
         if self.kind == "lp_ball":
-            if self.exponent is None or self.exponent < 1:
+            if self.exponent is None or not self.exponent >= 1:  # NaN fails too
                 raise ValueError("lp_ball needs exponent r >= 1 (inf allowed)")
-            if self.radius <= 0:
+            if not self.radius > 0:
                 raise ValueError("radius must be positive")
         elif self.kind == "ellipsoid":
             a = np.atleast_2d(np.asarray(self.matrix, dtype=float))
             if a.shape != (self.dim, self.dim):
                 raise ValueError("ellipsoid matrix must be dim x dim")
+            if not np.isfinite(a).all():
+                raise ValueError("ellipsoid matrix must be finite")
             if np.linalg.eigvalsh(a).min() <= 0:
                 raise ValueError("ellipsoid matrix must be positive definite")
             object.__setattr__(self, "matrix", a)

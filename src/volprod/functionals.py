@@ -10,6 +10,7 @@ identity -q/p = e^{2s} used when assembling the tropical bridge.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -361,6 +362,8 @@ def gaussian_bl_constant(data: BLData, n: int = 1) -> BLOptimum:
     """
     if not (0 < data.p < 1 and data.q < 0):
         raise ValueError("need 0 < p < 1 and q < 0")
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     c1, c2 = data.c1, data.c2
     (big_a, k), (_, big_b) = (2 * math.pi * data.qform).tolist()
     kk = k * k
@@ -403,8 +406,10 @@ def lr_volume_product(
     |K| uses midpoint cell counting (a cell counts when its center's gauge is
     at most 1); the outer integral is truncated where its integrand has decayed.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not 0 < r < math.inf:  # NaN fails too
+        raise ValueError(f"r must be positive and finite, got {r}")
+    if not (isinstance(inner_cells, numbers.Integral) and inner_cells >= 1):
+        raise ValueError(f"inner_cells must be a positive integer, got {inner_cells!r}")
     n = body.dim
     if n > 2:
         raise ValueError("L^r-volume product supported for n <= 2")

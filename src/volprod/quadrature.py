@@ -117,6 +117,8 @@ def log_lq_norm(f: LogDensity, q: float, measure: Measure = LEBESGUE) -> LogQuad
     """(1/q) log int f^q dmu; q < 0 measures positivity, inf-phi nodes drop out."""
     if q == 0:
         raise ValueError("q must be nonzero")
+    if not abs(q) < math.inf:  # NaN fails too
+        raise ValueError(f"q must be finite, got {q}")
     phi = f.phi
     log_integrand = -q * phi
     if q < 0:

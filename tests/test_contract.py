@@ -13,7 +13,7 @@ from volprod import heatflow as heatflow_mod
 from volprod import legendre as legendre_mod
 from volprod import oracles
 from volprod import quadrature as quadrature_mod
-from volprod.contract import Gauss, Outer, contract, edge_dominated, faces, shell_max, shell_split
+from volprod.contract import Gauss, Outer, contract, edge_dominated, faces, shell_split
 from volprod.core import (
     BodySpec,
     ExponentSchedule,
@@ -245,7 +245,7 @@ class TestBanded:
         polar_density(gaussian(grid))
         log_lq_norm(gaussian(grid), 1.0, GAUSSIAN)
         names = sorted(name for name, _ in sites)
-        assert names == ["_lse", "_lse", "_max_windowed", "add_log_weight", "polar_density", "shell_max"]
+        assert names == ["_lse", "_lse", "_max_windowed", "add_log_weight", "polar_density", "shell_split"]
 
     def test_fallback_holds_one_band_of_temporaries(self, monkeypatch):
         """Every entry of a 1D 513 step falls back; the exact sums are formed
@@ -871,8 +871,8 @@ REFUSED_MAX_KERNELS = {
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize(
-    "entry", [lambda f, k: contract(f, k, "max"), lambda f, k: shell_max(_ends(f), k), edge_dominated, shell_split],
-    ids=["contract", "shell_max", "edge_dominated", "shell_split"])
+    "entry", [lambda f, k: contract(f, k, "max"), edge_dominated, shell_split],
+    ids=["contract", "edge_dominated", "shell_split"])
 @pytest.mark.parametrize("kind", list(REFUSED_MAX_KERNELS))
 def test_max_refuses_all_but_outer_kernels_on_sorted_axes(kind, entry, dim):
     """On the last axis, after a valid kernel in 2D; the input is left as it
@@ -882,6 +882,25 @@ def test_max_refuses_all_but_outer_kernels_on_sorted_axes(kind, entry, dim):
     log_f = np.random.default_rng(89).normal(size=[w.shape[1] for w in kernels])
     before = log_f.tobytes()
     with pytest.raises(ValueError, match="Outer kernels on finite, nondecreasing axes"):
+        entry(log_f, kernels)
+    assert log_f.tobytes() == before
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("entry", [edge_dominated, shell_split], ids=["edge_dominated", "shell_split"])
+@pytest.mark.parametrize("misfit", ["columns", "axes"])
+def test_split_refuses_kernels_that_do_not_fit_before_it_masks(misfit, entry, dim):
+    """Outer kernels on sorted axes that miss the input's shape, by a column
+    on the last axis or by one kernel too many: the split raises before any
+    face is masked, so its input is left as it was."""
+    w = Outer(np.linspace(-2.0, 2.0, 5), np.linspace(-1.0, 1.0, 7))
+    log_f = np.random.default_rng(83).normal(size=(7,) * dim)
+    if misfit == "columns":
+        kernels = [w] * (dim - 1) + [Outer(w.x, w.y[:6])]
+    else:
+        kernels = [w] * (dim + 1)
+    before = log_f.tobytes()
+    with pytest.raises(ValueError, match="do not fit an array of shape"):
         entry(log_f, kernels)
     assert log_f.tobytes() == before
 
@@ -1127,14 +1146,9 @@ class TestGaussHalfRows:
         assert contract(log_f, kernels).tobytes() == contract(log_f, arrays).tobytes()
 
 
-def _ends(log_f):
-    """The faces ``shell_max`` takes, in ``faces(n)`` order."""
-    return [log_f[face] for face in faces(log_f.ndim)]
-
-
 def _brute_shell(log_f, kernels):
     """The all-pairs max over the boundary shell, face by face: each face's
-    kernel column is added last, as ``shell_max`` adds it."""
+    kernel column is added last, as ``shell_split`` adds it."""
     d = log_f.ndim
     best = np.full([w.shape[0] for w in kernels], -np.inf)
     for k, w in enumerate(kernels):
@@ -1147,13 +1161,14 @@ def _brute_shell(log_f, kernels):
 
 @pytest.fixture
 def face_contractions(monkeypatch):
-    """The shape of every face ``shell_max`` contracts."""
+    """The shape of every array ``shell_split`` contracts: its interior and
+    then its faces."""
     calls = []
     inner = contract_mod.contract
 
-    def spy(log_f, kernels, reduce="lse"):
+    def spy(log_f, kernels, reduce="lse", out=None):
         calls.append(np.shape(log_f))
-        return inner(log_f, kernels, reduce)
+        return inner(log_f, kernels, reduce, out=out)
 
     monkeypatch.setattr(contract_mod, "contract", spy)
     return calls
@@ -1184,19 +1199,20 @@ class TestShellMax:
                 log_f = np.maximum(log_f, np.flip(log_f, k))
         elif case == "dead_face":
             log_f[..., 0] = log_f[..., -1] = -np.inf
-        if kind != "outer":  # refused, as by "max", before any face is read
+        if kind != "outer":  # refused, as by "max", before any face is read or masked
             before = log_f.tobytes()
             with pytest.raises(ValueError, match="Outer kernels on finite, nondecreasing axes"):
-                shell_max(_ends(log_f), kernels)
+                shell_split(log_f, kernels)
             assert log_f.tobytes() == before and face_contractions == []
             return
-        got = shell_max(_ends(log_f), kernels)
+        got = shell_split(log_f.copy(), kernels)[0]
         assert got.shape == out_shape
         assert got.tobytes() == _brute_shell(log_f, kernels).tobytes()
         _close(got, _brute(np.where(boundary_mask(in_shape), log_f, -np.inf), kernels, "max"))
         shared = [np.array_equal(np.take(log_f, 0, k), np.take(log_f, -1, k)) for k in range(d)]
         assert all(shared) == (even == "every" or case == "dead_face" and d == 1)
-        assert len(face_contractions) == sum(1 if same else 2 for same in shared)
+        assert face_contractions[0] == in_shape
+        assert len(face_contractions) - 1 == sum(1 if same else 2 for same in shared)
         if case == "plus_inf":
             assert np.isposinf(got).all()
         else:
@@ -1206,18 +1222,19 @@ class TestShellMax:
     def test_row_bands_are_bitwise_invisible(self, monkeypatch, in_shape, out_shape):
         rng = np.random.default_rng(67)
         log_f, kernels = _orthant_case(rng, "outer", in_shape, out_shape, [])
-        want = shell_max(_ends(log_f), kernels)
+        want = shell_split(log_f.copy(), kernels)[0]
         monkeypatch.setattr(contract_mod, "ROW_ELEMS", 7)
-        assert shell_max(_ends(log_f), kernels).tobytes() == want.tobytes()
+        assert shell_split(log_f.copy(), kernels)[0].tobytes() == want.tobytes()
 
     def test_forms_no_full_size_temporary(self):
+        """A 3D 65^3 split, its input's copy included, peaks at 2.33
+        full-size arrays; one more full-size temporary would read 3.3."""
         grid = make_grid(3, 6.0, 65)
         f = gaussian(grid)
         kernels = [Outer(a, a) for a in grid.axes()]
         log_f = -f.phi
         log_f[0] = -1.0  # one face that differs from its partner
-        ends = _ends(log_f)
-        assert peak_in_outputs(shell_max, ends, kernels) < 1 + 4 * 8 * contract_mod.ROW_ELEMS / log_f.nbytes
+        assert peak_in_outputs(lambda: shell_split(log_f.copy(), kernels), nbytes=log_f.nbytes) < 2.35
 
 
 def _edge_dominated_two_contractions(log_f, kernels):
@@ -1257,8 +1274,8 @@ def test_edge_flags_equal_the_two_contraction_form(grid, make, s):
 
 @pytest.mark.parametrize("s", [0.1, 0.2, 0.4])
 def test_edge_flags_differ_only_at_exact_ties(s):
-    """``shell_max`` adds each face's kernel column last, so its shell maximum
-    can round otherwise than the contraction in axis order. On a 3D 17^3
+    """``shell_split`` adds each face's kernel column last, so its shell
+    maximum can round otherwise than the contraction in axis order. On a 3D 17^3
     Gaussian with Laplace kernels (1.5 x / p) z the flags can then differ
     (8, 12 and 32 of 4913 nodes), and at each such node the two orders
     disagree on an exact tie: one of them puts the shell maximum exactly on
@@ -1269,7 +1286,7 @@ def test_edge_flags_differ_only_at_exact_ties(s):
     log_f = -scale * gaussian(grid).phi
     got = edge_dominated(log_f.copy(), kernels)
     want, boundary, interior = _edge_dominated_two_contractions(log_f, kernels)
-    edge = shell_max(_ends(log_f), kernels)
+    edge = shell_split(log_f.copy(), kernels)[0]
     _close(edge, boundary)
     flips = got != want
     assert np.all((boundary == interior) | (edge == interior) | ~flips)
@@ -1301,7 +1318,7 @@ def test_edge_dominated_masks_its_input_in_place(dim, out_points):
     log_f = -exp_power(grid, 2.5).phi
     masked = np.where(boundary_mask(log_f.shape), -np.inf, log_f)
     interior = contract(masked, kernels, "max")
-    want = shell_max(_ends(log_f), kernels) >= interior
+    want = shell_split(log_f.copy(), kernels)[0] >= interior
     owned = log_f.copy()
     assert edge_dominated(owned, kernels).tobytes() == want.tobytes()
     assert owned.tobytes() == (interior if out_points == 33 else masked).tobytes()
@@ -1314,7 +1331,7 @@ def test_shell_split_gives_the_two_contractions(dim, out_size, even):
     """``shell_split`` gives the bytes of the shell and interior maxima of two
     full ``max`` contractions on masked copies. The data are dyadic (integer
     axes, inputs a quarter off the integers), so every sum is exact and no
-    maximum is zero: the order in which ``shell_max`` adds a face column
+    maximum is zero: the order in which ``shell_split`` adds a face column
     moves no byte. When the shapes fit, the input ends as the interior's
     maximum, else as the input with its shell at -inf."""
     rng = np.random.default_rng(97 + dim + out_size)
@@ -1392,7 +1409,7 @@ def test_even_routes_take_the_half_path(engine_kernels, low_cuts, orthant_fills,
     """Each route's input is even in every coordinate, so every call takes the
     orthant path and halves every axis, and every "max" step (an Outer kernel
     on sorted axes) reads only the y >= 0 half of its input. That holds for
-    the face contractions of ``shell_max`` too, each of its own dimension:
+    the face contractions of ``shell_split`` too, each of its own dimension:
     one step per axis of the call."""
     route(grid)
     steps = len(engine_kernels["lse"]) + len(engine_kernels["max"])

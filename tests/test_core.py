@@ -185,6 +185,15 @@ class TestGaussian:
         with pytest.raises(ValueError):
             GaussianSpec(1.0, np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_nan_mass_rejected(self):
+        with pytest.raises(ValueError, match="mass must be positive"):
+            isotropic_gaussian(1.0, 1, mass=math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_covariance_rejected(self, bad):
+        with pytest.raises(ValueError, match="covariance must be finite"):
+            GaussianSpec(1.0, np.array([[1.0, 0.0], [0.0, bad]]))
+
 
 class TestBodySpec:
     def test_linf_gauge(self):
@@ -211,6 +220,19 @@ class TestBodySpec:
     def test_exponent_below_one_rejected(self):
         with pytest.raises(ValueError):
             lp_ball(0.5, 2)
+
+    def test_nan_exponent_rejected(self):
+        with pytest.raises(ValueError, match="exponent r >= 1"):
+            lp_ball(math.nan, 2)
+
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            lp_ball(2.0, 2, radius=math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_ellipsoid_rejected(self, bad):
+        with pytest.raises(ValueError, match="ellipsoid matrix must be finite"):
+            ellipsoid([[bad]])
 
 
 class TestLogQuad:

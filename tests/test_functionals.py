@@ -411,6 +411,13 @@ class TestBrascampLieb:
         with pytest.raises(ValueError, match="0 < p < 1 and q < 0"):
             gaussian_bl_constant(bl_data(0.3, p, q))
 
+    @pytest.mark.parametrize("n", [0, -1, 1.5, 2.0])
+    def test_bad_dimension_rejected(self, n):
+        """n must be an integer >= 1: n = 0 gave an empty optimum marked not
+        degenerate, and n = -1 a numpy error."""
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            gaussian_bl_constant(bl_data(0.3), n=n)
+
     @pytest.mark.parametrize("p, q", [(0.0, -1.0), (0.5, 0.0)])
     def test_zero_exponent_rejected(self, p, q):
         with pytest.raises(ValueError, match="nonzero exponents"):
@@ -478,6 +485,17 @@ class TestLrVolumeProduct:
     def test_bad_r_rejected(self):
         with pytest.raises(ValueError):
             lr_volume_product(lp_ball(2.0, 2), 0.0)
+
+    @pytest.mark.parametrize("r", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_r_rejected(self, r):
+        """Refused by name; both raised ``phi contains NaN`` from the outer integral."""
+        with pytest.raises(ValueError, match="r must be positive and finite"):
+            lr_volume_product(lp_ball(2.0, 2), r)
+
+    @pytest.mark.parametrize("cells", [0, -4, 2.5, math.nan])
+    def test_bad_inner_cells_rejected(self, cells):
+        with pytest.raises(ValueError, match="inner_cells must be a positive integer"):
+            lr_volume_product(lp_ball(2.0, 2), 2.0, inner_cells=cells)
 
 
 class TestTropicalLimit:

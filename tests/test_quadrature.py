@@ -139,8 +139,16 @@ def test_lq_norm_gaussian_closed_form():
 
 def test_lq_norm_q_zero_rejected():
     g = make_grid(1, 8.0, 65)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="q must be nonzero"):
         log_lq_norm(gaussian(g), 0.0)
+
+
+@pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan], ids=["inf", "minus_inf", "nan"])
+def test_lq_norm_non_finite_q_rejected(q):
+    """q = inf gave a zero norm, and -inf and NaN a NaN log from ``LogQuad``."""
+    g = make_grid(1, 8.0, 65)
+    with pytest.raises(ValueError, match="q must be finite"):
+        log_lq_norm(gaussian(g), q)
 
 
 def test_negative_q_ignores_zero_nodes():
