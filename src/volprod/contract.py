@@ -19,10 +19,11 @@ kernels, and the OU edge flags' ``(e^{-s} / var) x_k z_k``, whose row term
 cannot move an argmax over z. A step forms only the products it reads,
 ``np.multiply.outer(x[rows], y)`` for row bands and coarse rows and ``x[i] *
 y[j]`` inside flat windows (an ``"lse"`` step takes its row maxima from the
-axes), except a windowed step on two or more columns, which forms it whole.
-These are the IEEE products of the full kernel's entries, so an Outer kernel
-gives the bytes of its materialized array, and those steps hold at most a row
-band of it (the whole is 2.1 MB on 513 x 513). Its structure comes from its
+axes), except a dense ``"max"`` step and one windowed on two or more columns,
+which form it whole. These are the IEEE products of the full kernel's
+entries, so an Outer kernel gives the bytes of its materialized array, and
+the banded and flat steps hold at most a row band of it (the whole is 2.1 MB
+on 513 x 513). Its structure comes from its
 axes in O(M + N): it is centrally symmetric when ``x == -x[::-1]`` and ``y ==
 -y[::-1]``, since (-a) (-b) rounds exactly as a b; and it is finite and Monge
 when both axes are finite and nondecreasing, since then each 2 x 2 difference
@@ -55,22 +56,23 @@ Cost of one axis step with an ``(M, N)`` kernel on ``columns`` columns:
   below ``e^FLOOR`` it may have lost terms to underflow; those entries are
   recomputed with an exact per-entry max-shifted sum, a band of entries at a
   time.
-- ``"max"`` picks one of three routes by the step's shape alone. A step of
-  two or more columns is windowed, whatever its row count. Adding
-  ``block[j, c]`` keeps each column Monge, so its first row argmax never
-  decreases with i (Aggarwal, Klawe, Moran, Shor and Wilber, Algorithmica 2,
-  1987): a dense argmax on every ``STRIDE``-th row brackets the rows between,
-  and each row reduces only over its bracket. That is ``M N columns /
-  STRIDE`` for the argmaxes plus ``M columns`` per bracketed j, with no ``(M,
-  N, columns)`` array. A one-column step of at least ``ROW_ELEMS`` kernel
-  elements takes the same windows flat: every row's window of ``x[i] y[j] +
-  block[j]`` is gathered into one array and reduced by one
-  ``np.maximum.reduceat``, about ``M N / STRIDE`` products for the argmaxes
-  plus the windows, with no Python loop (0.12 against 0.37 ms on a 257 x 513
-  step). A smaller one-column step is one dense block: it forms the ``(M,
-  N)`` sums and reduces them over j. The routes return the same values; only
-  the sign of a zero maximum can differ at exact ties, where numpy's dense
-  max picks -0.0 or +0.0 by SIMD lane.
+- ``"max"`` picks one of three routes by the step's size alone. A step of
+  fewer than ``ROW_ELEMS`` sums ``M N columns`` is one dense block: it forms
+  the ``(M, N, columns)`` sums and reduces them over j. A larger step is
+  windowed. Adding ``block[j, c]`` keeps each column Monge, so its first row
+  argmax never decreases with i (Aggarwal, Klawe, Moran, Shor and Wilber,
+  Algorithmica 2, 1987): a dense argmax on every ``STRIDE``-th row brackets
+  the rows between, and each row reduces only over its bracket. On two or
+  more columns the rows between two coarse rows share one window, from the
+  least argmax on the first to the greatest on the next, so each band of
+  them is one block of sums reduced over j: ``M N columns / STRIDE`` sums for
+  the argmaxes plus ``columns`` per row and j of its window, with no ``(M, N,
+  columns)`` array. On one column every row's window of ``x[i] y[j] +
+  block[j]`` is gathered into one flat array and reduced by one
+  ``np.maximum.reduceat``, with no Python loop (0.12 against 0.37 ms on a 257
+  x 513 step). The routes return the same values; only the sign of a zero
+  maximum can differ at exact ties, where numpy's dense max picks -0.0 or
+  +0.0 by SIMD lane.
 
 Symmetry halves the work. Each kernel is checked first (Outer and Gauss
 kernels from their axes, an array kernel by one read), then the input, one
@@ -112,8 +114,11 @@ the quadrature's tail ratio. ``shell_split`` gives the polar and
 ``edge_dominated`` the ``"max"`` contraction over the shell and over the rest:
 it checks the kernels before it writes to its input, copies the faces out and
 sets them to -inf in place, contracts the interior into its input when the
-shapes fit, and only then forms the shell's maximum from the copies, so the
-two never sit beside a third full-size array. That maximum goes face by face,
+shapes fit, and only then forms the shell's maximum from the copies, one row
+band at a time as its caller draws the bands: the polar writes each band's
+conjugate and flags into the interior's buffer, ``edge_dominated`` compares
+each into its flags, and no full-size shell array is formed. That maximum
+goes face by face,
 as a max over a union of node sets is the max of the maxes: the face ``j_k =
 e`` is an (n - 1)-dimensional ``contract`` call over the other axes (a scalar
 in 1D), and the column ``W_k[:, e]`` is added along axis k last; two equal end
@@ -125,21 +130,24 @@ disagree where one of them ties the interior's maximum exactly.
 ``contract(log_f, kernels, reduce, out=buf)`` writes the whole result, the
 reflected fill included, into ``buf`` and returns it. ``buf`` may be ``log_f``
 itself: every step writes a fresh array, and ``buf`` is written only after the
-last one. A step drops the previous result once its block exists, a windowed
-step reads its block in column order in place, and the fill copies each
-orthant from the last result. On 3D 65^3 with every axis even, a contraction
-into its own input holds 0.44 of a full-size array beyond it for ``"max"`` and
-0.69 for ``"lse"``. The routes contract into buffers they own (tracemalloc
-peaks on 3D 65^3 in full-size arrays, output included): ``fp_evolve`` and
-``ou_apply`` into their weighted log-values, then negated in place (1.69),
-``legendre_transform`` into its negated input (1.44), and ``shell_split`` into
-its input, the polar's negated one and the edge flags' own, the shell masked
-in place (``polar_density`` and ``ou_edge_flags`` 2.31).
+last one. A step drops the previous result once its block exists, every step
+reads its block in row order (``moved.reshape(N, -1)``), a windowed one
+transposing a band of columns at a time for its argmaxes, and the fill copies
+each orthant from the last result. On 3D 65^3 with every axis even, a
+contraction into its own input holds 0.40 of a full-size array beyond it for
+``"max"`` and 0.69 for ``"lse"``. The routes contract into buffers they own
+(tracemalloc peaks on 3D 65^3 in full-size arrays, output included):
+``fp_evolve`` and ``ou_apply`` into their weighted log-values, then negated in
+place (1.69), ``legendre_transform`` into its negated input (1.42), and
+``shell_split`` into its input, the polar's negated one and the edge flags'
+own, the shell masked in place (``polar_density`` 1.52, its output written
+into that input, and ``ou_edge_flags`` 2.00, its boolean flags beside it).
 
 Every full-size pass of the library is cut into row bands by ``banded``:
 bands of at most ``ROW_ELEMS`` elements, formed in one buffer per pass. That
 covers the "lse" kernel bands and the fallback's sums, the windowed argmax
-sums, the shell's face fold, the polar's margin and the Gaussian log-weight.
+sums and window sums, the shell's face fold, the polar's margin and the
+Gaussian log-weight.
 
 ``np.einsum`` runs numpy's own loop; a BLAS product (``@``) would be faster
 single-threaded but stalls under a default-threaded OpenBLAS on small
@@ -162,12 +170,14 @@ FLOOR = -600.0
 # ``banded`` cuts every full-size pass into bands of this many elements, so a
 # 1D 513-node "lse" step allocates no (M, N) temporary (glibc unmapped 2 MB
 # ones, faulted in again on every call; bands of 2^17 and up still do). A
-# one-column "max" step takes flat windows from this many kernel elements M N
-# on: in 1D the dense block was 10-30% faster at 2^14, the two broke even near
-# 2^14.5, flat windows were faster from 2^15, 3x at 257 x 513
+# "max" step is windowed from this many sums M N columns on: in 1D the dense
+# block was 10-30% faster at 2^14, the two broke even near 2^14.5, flat
+# windows were faster from 2^15, 3x at 257 x 513; a 9 x 9 step on 81 columns
+# took 19 us dense against 81 us windowed
 ROW_ELEMS = 2**15
 # rows between dense argmaxes in the windowed "max" step (4 to 16 measured; 8
-# was fastest on 2D 129^2 and 3D 33^3 and 65^3 polars)
+# was fastest on 2D 129^2 and 3D 33^3 and 65^3 polars, and with the band
+# windows no other value was faster on all three)
 STRIDE = 8
 
 
@@ -345,38 +355,38 @@ def _coarse_rows(m: int) -> np.ndarray:
 def _max_windowed(w, block: np.ndarray) -> np.ndarray:
     """``_max`` for an Outer ``w`` on sorted axes: each row reduces over a
     window of j that holds its argmax, bracketed by dense argmaxes on every
-    STRIDE-th row. The kernel is formed whole first: its j loop would form a
-    product per row and j, 5-7% slower on 2D 129^2 and 3D 33^3 conjugates.
-    ``contract`` passes the block in column order (``block.T`` contiguous),
-    so the argmaxes read it in place; every value is one IEEE sum or max, so
-    the block's memory order moves no byte of the result."""
+    STRIDE-th row. The rows of one coarse interval share their window, so
+    ``_window_max`` reduces them as one block. The kernel is formed whole
+    first; every value is one IEEE sum or max, so no band or block moves a
+    byte of the result."""
     w = _rows(w, slice(None))
-    m = w.shape[0]
+    (m, n), cols = w.shape, block.shape[1]
     live = np.max(block, axis=0) > -np.inf  # a dead column is -inf whatever the window
-    acc = np.full((m, block.shape[1]), -np.inf)
     if not live.any():
-        return acc
-    # (columns, N): argmax runs along rows, and a block in column order is
-    # that array already; its sums with each coarse row are formed a band at
-    # a time, and the dead columns' argmaxes dropped
-    by_column = np.ascontiguousarray(block.T)
+        return np.full((m, cols), -np.inf)
+    # argmax runs along rows of (columns, N): each band of columns is read
+    # transposed into the band buffer, once per coarse row
     coarse = _coarse_rows(m)
-    arg = np.empty((coarse.size, by_column.shape[0]), dtype=np.intp)
-    for band, sums in banded(by_column.shape):
+    arg = np.empty((coarse.size, cols), dtype=np.intp)
+    for band, sums in banded((cols, n)):
         for i, r in enumerate(coarse):
-            np.argmax(np.add(by_column[band], w[r], out=sums), axis=1, out=arg[i, band])
-    del by_column, sums
+            np.argmax(np.add(block[:, band].T, w[r], out=sums), axis=1, out=arg[i, band])
+    del sums  # the band buffer goes before the windows take theirs
     arg = arg[:, live]
     lo, hi = _brackets(coarse, arg.min(axis=1), arg.max(axis=1))
-    js = np.arange(lo[0], hi[-1] + 1)
-    r0s, r1s = np.searchsorted(hi, js), np.searchsorted(lo, js, "right")
-    # rows r0:r1 hold j in their windows; tmp holds the most rows any j has
-    tmp = np.empty((int(np.max(r1s - r0s)), acc.shape[1]))
-    for j, r0, r1 in zip(js.tolist(), r0s.tolist(), r1s.tolist()):
-        part = tmp[:r1 - r0]
-        np.add(w[r0:r1, j, None], block[j], out=part)
-        np.maximum(acc[r0:r1], part, out=acc[r0:r1])
+    del arg
+    acc = np.empty((m, cols))
+    for r0, r1, a, b in zip(coarse.tolist(), np.append(coarse[1:], m).tolist(),
+                            lo[coarse].tolist(), hi[coarse].tolist()):
+        _window_max(w[r0:r1, a:b + 1], block[a:b + 1], acc[r0:r1])
     return acc
+
+
+def _window_max(w: np.ndarray, block: np.ndarray, out: np.ndarray) -> None:
+    """max_j (w[i, j] + block[j, c]) into ``out``, one ``(rows, j, columns)``
+    band of sums at a time; the band buffer goes with the call."""
+    for band, sums in banded(w.shape + block.shape[1:]):
+        np.max(np.add(w[band, :, None], block, out=sums), axis=1, out=out[band])
 
 
 def _max_flat(w: Outer, col: np.ndarray) -> np.ndarray:
@@ -415,13 +425,13 @@ def _check_fit(shape: tuple, axis_kernels) -> None:
 
 def _max(w: Outer, block: np.ndarray) -> np.ndarray:
     """max_j (w[i, j] + block[j, c]) for an Outer w on sorted axes, routed by
-    shape: windowed on two or more columns, flat windows on one column of at
-    least ROW_ELEMS kernel elements, else one dense block of sums."""
-    if block.shape[1] >= 2:
-        return _max_windowed(w, block)
-    if math.prod(w.shape) >= ROW_ELEMS:
+    size: one dense block of sums below ROW_ELEMS sums M N columns, else
+    flat windows on one column and windowed bands on more."""
+    if math.prod(w.shape) * block.shape[1] < ROW_ELEMS:
+        return np.max(_rows(w, slice(None))[:, :, None] + block, axis=1)
+    if block.shape[1] == 1:
         return _max_flat(w, block[:, 0])
-    return np.max(_rows(w, slice(None))[:, :, None] + block, axis=1)
+    return _max_windowed(w, block)
 
 
 def _fill_even(a: np.ndarray) -> None:
@@ -491,10 +501,12 @@ def faces(ndim: int) -> list[tuple]:
     return [(slice(None),) * k + (e,) for k in range(ndim) for e in (0, -1)]
 
 
-def shell_split(log_f: np.ndarray, axis_kernels) -> tuple[np.ndarray, np.ndarray]:
+def shell_split(log_f: np.ndarray, axis_kernels) -> tuple:
     """``contract(log_f, axis_kernels, "max")`` over the boundary shell of
     ``log_f`` and over the rest, as ``(shell, interior)``, in the order the
-    module docstring gives. It owns ``log_f``, a float array, which ends as
+    module docstring gives. ``shell`` yields ``(band, part)``, the shell's
+    maximum on the rows ``band`` of axis 0 in a band buffer, each part valid
+    until the next is drawn. It owns ``log_f``, a float array, which ends as
     the interior's maximum when the shapes fit, else with its faces at -inf,
     and as it was when the kernels are refused."""
     _check_fit(log_f.shape, axis_kernels)
@@ -507,22 +519,27 @@ def shell_split(log_f: np.ndarray, axis_kernels) -> tuple[np.ndarray, np.ndarray
     maxima = []  # (k, the face's maximum expanded along k, its column along k)
     for k, w in enumerate(axis_kernels):
         low, high = ends[2 * k], ends[2 * k + 1]
-        if np.array_equal(low, high):
+        if (low == high).all():
             pairs = [(low, np.maximum(w.x * w.y[0], w.x * w.y[-1]))]
         else:
             pairs = [(low, w.x * w.y[0]), (high, w.x * w.y[-1])]
         others = axis_kernels[:k] + axis_kernels[k + 1:]
         shape = (-1,) + (1,) * (len(axis_kernels) - k - 1)
-        maxima += [(k, np.expand_dims(contract(face, others, "max"), k), col.reshape(shape)) for face, col in pairs]
-    (_, g, col), rest = maxima[0], maxima[1:]
-    shell = np.add(g, col)
-    if rest:
-        for band, part in banded(shell.shape):
-            acc = shell[band]
-            for k, g, col in rest:
-                np.add(g[band] if k else g, col if k else col[band], out=part)
-                np.maximum(acc, part, out=acc)
-    return shell, interior
+        along_k = (slice(None),) * k + (None,)  # the face's maximum, expanded along k
+        maxima += [(k, contract(face, others, "max")[along_k], col.reshape(shape)) for face, col in pairs]
+    return _shell_bands(maxima, interior.shape), interior
+
+
+def _shell_bands(maxima, shape: tuple):
+    """The shell's maximum band by band: the first face's sums, then each
+    other face's sums folded in by ``np.maximum``, in face order."""
+    (_, first, first_col), rest = maxima[0], maxima[1:]  # axis 0's first face
+    for (band, acc), (_, part) in zip(banded(shape), banded(shape)):
+        np.add(first, first_col[band], out=acc)
+        for k, g, col in rest:
+            np.add(g[band] if k else g, col if k else col[band], out=part)
+            np.maximum(acc, part, out=acc)
+        yield band, acc
 
 
 def edge_dominated(log_f: np.ndarray, axis_kernels) -> np.ndarray:
@@ -530,9 +547,13 @@ def edge_dominated(log_f: np.ndarray, axis_kernels) -> np.ndarray:
     shell: its largest kernel-weighted term over the shell of ``log_f`` is at
     least the largest over the interior, so the integral behind that output
     node is cut by the grid edge, not decayed inside it. Both maxima come
-    from ``shell_split``, which takes ownership of ``log_f``."""
+    from ``shell_split``, which takes ownership of ``log_f``; they are
+    compared band by band."""
     shell, interior = shell_split(log_f, axis_kernels)
-    return shell >= interior
+    flags = np.empty(interior.shape, dtype=bool)
+    for band, part in shell:
+        np.greater_equal(part, interior[band], out=flags[band])
+    return flags
 
 
 def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse", out: np.ndarray | None = None) -> np.ndarray:
@@ -591,13 +612,9 @@ def contract(log_f: np.ndarray, axis_kernels, reduce: str = "lse", out: np.ndarr
         elif cut[k]:
             moved = np.concatenate([moved[::-1][:n // 2], moved])
         rest = moved.shape[1:]
-        if reduce == "max" and math.prod(rest) > 1:
-            # a windowed step: (N, columns) in column order, as its argmaxes read it
-            block = np.moveaxis(moved, 0, -1).reshape(-1, moved.shape[0]).T
-        else:
-            # (N, columns); the block's memory order sets the order of the
-            # "lse" sums, so it stays what this reshape gives
-            block = moved.reshape(moved.shape[0], -1)
+        # (N, columns) in row order; the block's memory order sets the order
+        # of the "lse" sums, so it stays what this reshape gives
+        block = moved.reshape(moved.shape[0], -1)
         # the previous result lives on only through block, when it is a view
         del moved, res
         res = (_max(w, block) if reduce == "max" else _lse(w, block)).reshape((w.shape[0],) + rest)

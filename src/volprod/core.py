@@ -12,6 +12,7 @@ remains for point-set callers (the oracles).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -177,11 +178,13 @@ class BodySpec:
     matrix: np.ndarray | None = None  # ellipsoid only
 
     def __post_init__(self):
+        if not (isinstance(self.dim, numbers.Integral) and self.dim >= 1):
+            raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
+        if not 0 < self.radius < math.inf:  # NaN fails too
+            raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
         if self.kind == "lp_ball":
             if self.exponent is None or not self.exponent >= 1:  # NaN fails too
                 raise ValueError("lp_ball needs exponent r >= 1 (inf allowed)")
-            if not self.radius > 0:
-                raise ValueError("radius must be positive")
         elif self.kind == "ellipsoid":
             a = np.atleast_2d(np.asarray(self.matrix, dtype=float))
             if a.shape != (self.dim, self.dim):

@@ -115,7 +115,9 @@ def _ou_lift(f0: LogDensity, s: float, p: float) -> tuple[LogDensity, LogDensity
 
 def _in_window(flags: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Flagged nodes whose log q-integrand w is within FLAG_WINDOW_NATS of the unflagged maximum."""
-    ref = float(np.max(w[~flags])) if (~flags).any() else float(np.max(w))
+    unflagged = ~flags
+    # a masked max, not a max over the gathered w[unflagged], a full-size copy
+    ref = float(np.max(w, where=unflagged, initial=-np.inf)) if unflagged.any() else float(np.max(w))
     return flags & (w > ref - FLAG_WINDOW_NATS)
 
 

@@ -90,14 +90,20 @@ def default_dual_grid(f: LogDensity) -> GridSpec:
     return make_grid(grid.dim, tuple(hws), grid.points)
 
 
+def _dual_of(f: LogDensity, dual: GridSpec | None) -> GridSpec:
+    """``dual``, or f's default dual grid, refused unless of f's dimension."""
+    dual = dual if dual is not None else default_dual_grid(f)
+    if dual.dim != f.grid.dim:
+        raise ValueError("dual grid dimension mismatch")
+    return dual
+
+
 def legendre_transform(f: LogDensity, dual: GridSpec | None = None) -> LogDensity:
     """Exact discrete conjugate over all grid nodes: one max-plus contraction
     with the per-axis kernel x_k y_k (on a 1D grid, exactly ``legendre_1d``).
     On a dual grid of the primal's shape the conjugate is written into the
     buffer that holds -phi, so it holds one full-size array."""
-    dual = dual if dual is not None else default_dual_grid(f)
-    if dual.dim != f.grid.dim:
-        raise ValueError("dual grid dimension mismatch")
+    dual = _dual_of(f, dual)
     if f.grid.dim == 1:
         acc = legendre_1d(f.grid.axis(0), f.phi, dual.axis(0))
     else:
@@ -118,29 +124,35 @@ def polar_density(f: LogDensity, dual: GridSpec | None = None) -> LogDensity:
     nodes inside it, masking the faces of -phi in place (no masked copy); the
     conjugate over all nodes is the larger of the two. Where it exceeds the
     inner conjugate by more than 1e-12 (1 + |phi*|), the boundary was the
-    maximizer. The margin is formed in row bands into the inner conjugate: a
-    3D 65^3 polar holds 2.31 full-size arrays, its output included.
+    maximizer. The shell's conjugate comes in row bands, and each band's
+    conjugate and flags are written into the inner conjugate's buffer: a 3D
+    65^3 polar holds 1.52 full-size arrays, its output included. A dual grid
+    of another dimension is refused first.
     """
+    dual = _dual_of(f, dual)
     if not check_even(f):
         warnings.warn("polar of a non-even density: Blaschke-Santalo hypotheses unmet")
-    dual = dual if dual is not None else default_dual_grid(f)
     shell = faces(f.grid.dim)
     # a shell that is +inf already (a box) cannot win; an all-shell input has
     # no inner conjugate (a min is finite where any entry is)
     if min(f.phi[face].min() for face in shell) == np.inf or f.phi[(slice(1, -1),) * f.grid.dim].min() == np.inf:
         return legendre_transform(f, dual)
     kernels = [Outer(dual.axis(k), f.grid.axis(k)) for k in range(f.grid.dim)]
-    phi, inner = shell_split(np.negative(f.phi), kernels)
-    np.maximum(inner, phi, out=phi)  # the conjugate over all nodes
-    # inner + 1e-12 (1 + |phi|), |phi| taken as 0 where phi is infinite, in
-    # row bands, added into inner
-    for band, margin in banded(phi.shape):
-        np.abs(phi[band], out=margin)
+    shell, phi = shell_split(np.negative(f.phi), kernels)
+    # band by band (the shell's bands are banded's, as the margin's) into the
+    # inner conjugate: the conjugate over all nodes, the larger of the two,
+    # set to +inf where it exceeds the inner one by more than the margin
+    # 1e-12 (1 + |phi*|), |phi*| taken as 0 where infinite
+    for (band, conj), (_, margin) in zip(shell, banded(phi.shape)):
+        inner = phi[band]
+        np.maximum(inner, conj, out=conj)
+        np.abs(conj, out=margin)
         margin[np.isinf(margin)] = 0.0
         margin += 1.0
         margin *= 1e-12
-        inner[band] += margin
-        phi[band][phi[band] > inner[band]] = np.inf
+        inner += margin
+        conj[conj > inner] = np.inf
+        inner[...] = conj
     return LogDensity(grid=dual, phi=phi)
 
 

@@ -251,6 +251,22 @@ class TestMain:
         assert len(err) == 1 and err[0].startswith("error: [params] times: must be positive and strictly increasing")
         assert not (tmp_path / "t").exists()
 
+    @pytest.mark.parametrize(
+        "density, message",
+        [("family = exp_power\nalpha = 0", "alpha must be positive and finite, got 0.0"),
+         ("family = exp_power\nalpha = -1", "alpha must be positive and finite, got -1.0"),
+         ("family = box\nheight = 0", "height must be positive and finite, got 0.0"),
+         ("family = two_bump\nvar = 0", "var must be positive and finite, got 0.0")],
+        ids=["exp_power-alpha-0", "exp_power-alpha-minus-1", "box-height-0", "two_bump-var-0"],
+    )
+    def test_bad_density_parameter_exits_2(self, tmp_path, capsys, density, message):
+        """A family parameter out of range is a config error named by the
+        family's check: no flow runs and no CSV is written."""
+        cfg = _write(tmp_path, f"[grid]\npoints = 65\n[density]\n{density}\n[params]\ntimes = 0.5\n")
+        assert main(["flow", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "d").exists()
+
     def test_unknown_body_exits_2(self, tmp_path, capsys):
         cfg = _write(tmp_path, "[params]\nbodies = pentagon\nr = 1\n")
         assert main(["lrvol", "--config", cfg, "--out", str(tmp_path / "u")]) == 2

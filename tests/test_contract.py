@@ -53,8 +53,8 @@ def _log_array(w):
     return w
 
 
-def _brute(log_f, kernels, reduce):
-    """All-pairs reference: reduce over every j of sum_k W_k[i_k, j_k] + log f[j]."""
+def _all_pairs(log_f, kernels):
+    """sum_k W_k[i_k, j_k] + log f[j] for every (i, j), the i axes first."""
     d = log_f.ndim
     total = log_f.reshape((1,) * d + log_f.shape)
     for k, w in enumerate(kernels):
@@ -62,10 +62,19 @@ def _brute(log_f, kernels, reduce):
         shape = [1] * (2 * d)
         shape[k], shape[d + k] = w.shape
         total = total + w.reshape(shape)
-    axes = tuple(range(d, 2 * d))
-    if reduce == "max":
-        return np.max(total, axis=axes)
-    return logsumexp(total, axis=axes)
+    return total
+
+
+def _brute(log_f, kernels, reduce):
+    """All-pairs reference: reduce over every j of sum_k W_k[i_k, j_k] + log f[j].
+    A "max" is taken one row of output axis 0 at a time, each holding 1 / M_0
+    of the all-pairs array; a max is exact, so the rows move no byte."""
+    axes = tuple(range(log_f.ndim, 2 * log_f.ndim))
+    if reduce == "max" and kernels:
+        w0 = _log_array(kernels[0])
+        rows = [np.max(_all_pairs(log_f, [w0[i:i + 1], *kernels[1:]]), axis=axes) for i in range(w0.shape[0])]
+        return np.concatenate(rows)
+    return logsumexp(_all_pairs(log_f, kernels), axis=axes)
 
 
 def _close(a, b, rel=REL):
@@ -226,9 +235,11 @@ class TestBanded:
         assert list(contract_mod.banded((0, 5))) == []
 
     def test_every_band_loop_goes_through_banded(self, monkeypatch):
-        """Six loops cut full-size passes into bands: the "lse" kernel bands
-        and its fallback, the windowed argmax sums, the shell's face fold,
-        the polar's margin and the Gaussian log-weight."""
+        """Seven loops cut full-size passes into bands: the "lse" kernel bands
+        and its fallback, the windowed argmax sums and window sums, the
+        shell's face fold (its two buffers on one line), the polar's margin
+        and the Gaussian log-weight. A 2D 65^2 polar's steps, 33 x 33 on 33
+        columns, are windowed."""
         inner = contract_mod.banded
         sites = set()
 
@@ -241,11 +252,12 @@ class TestBanded:
             monkeypatch.setattr(module, "banded", spy)
         log_f, kernels = _all_fallback_case(65)
         contract(log_f, kernels)
-        grid = make_grid(2, 6.0, 17)
+        grid = make_grid(2, 6.0, 65)
         polar_density(gaussian(grid))
         log_lq_norm(gaussian(grid), 1.0, GAUSSIAN)
         names = sorted(name for name, _ in sites)
-        assert names == ["_lse", "_lse", "_max_windowed", "add_log_weight", "polar_density", "shell_split"]
+        assert names == ["_lse", "_lse", "_max_windowed", "_shell_bands", "_window_max", "add_log_weight",
+                         "polar_density"]
 
     def test_fallback_holds_one_band_of_temporaries(self, monkeypatch):
         """Every entry of a 1D 513 step falls back; the exact sums are formed
@@ -755,26 +767,40 @@ def flat_steps(monkeypatch):
     return calls
 
 
-# every axis step has two or more columns, and the last shape's steps have at
-# most 2 STRIDE rows; M != N, with M < N and M > N both present; _brute's
-# all-pairs array stays near 1e6
-WINDOWED_SHAPES = [((41, 19), (23, 29)), ((6, 5, 7), (19, 17, 18)), ((11, 4), (13, 7))]
+# every axis step has two or more columns and at least ROW_ELEMS sums M N
+# columns; the last shape's steps have at most 2 STRIDE rows, and its first
+# has a single-row coarse interval before the last row's own (10 rows take
+# coarse rows 0, 8 and 9); M != N, with M < N and M > N both present; _brute
+# holds at most 7e5 sums at once
+WINDOWED_SHAPES = [((81, 53), (23, 29)), ((12, 10, 12), (23, 21, 20)), ((64, 367), (10, 9))]
+
+
+def _step_sums(in_shape, out_shape):
+    """(sums M N columns, columns) of each axis step of a call without halving."""
+    return [(out_shape[k] * math.prod(out_shape[:k]) * math.prod(in_shape[k:]),
+             math.prod(out_shape[:k]) * math.prod(in_shape[k + 1:])) for k in range(len(in_shape))]
 
 
 class TestWindowedMax:
     def test_shapes_take_the_windowed_step(self):
         for in_shape, out_shape in WINDOWED_SHAPES:
-            for k in range(len(in_shape)):
-                assert math.prod(out_shape[:k]) * math.prod(in_shape[k + 1:]) >= 2
+            assert all(sums >= contract_mod.ROW_ELEMS and cols >= 2 for sums, cols in _step_sums(in_shape, out_shape))
         assert max(WINDOWED_SHAPES[-1][1]) <= 2 * contract_mod.STRIDE
+        coarse = contract_mod._coarse_rows(WINDOWED_SHAPES[-1][1][0])
+        assert coarse[-1] - coarse[-2] == 1 and coarse[-2] - coarse[-3] > 1
 
     @pytest.mark.parametrize("in_shape, out_shape", WINDOWED_SHAPES)
-    @pytest.mark.parametrize("case", ["minus_inf", "dead_columns", "all_minus_inf", "plus_inf", "integer_ties"])
+    @pytest.mark.parametrize(
+        "case", ["minus_inf", "minus_inf_rows", "dead_columns", "all_minus_inf", "plus_inf", "integer_ties"])
     def test_matches_all_pairs_bitwise(self, windowed_steps, in_shape, out_shape, case):
         rng = np.random.default_rng(len(in_shape) + len(case))
         log_f, kernels = _monge_case(rng, in_shape, out_shape, integer=case == "integer_ties")
         if case == "minus_inf":
             log_f[rng.random(in_shape) < 0.3] = -np.inf
+        elif case == "minus_inf_rows":
+            # every third block row of the first step is -inf throughout,
+            # the first and last included
+            log_f[::3] = log_f[-1] = -np.inf
         elif case == "dead_columns":
             log_f[:, 3] = -np.inf  # every axis-0 column with index 3 on axis 1
             log_f[rng.random(in_shape) < 0.5] = -np.inf
@@ -794,7 +820,7 @@ class TestWindowedMax:
         else:
             assert np.isfinite(got).any()
 
-    @pytest.mark.parametrize("in_shape, out_shape", [((27, 31), (41, 35)), ((7, 5, 3), (33, 17, 19))])
+    @pytest.mark.parametrize("in_shape, out_shape", [((67, 61), (81, 71)), ((15, 9, 7), (411, 17, 19))])
     def test_even_path(self, windowed_steps, low_cuts, in_shape, out_shape):
         rng = np.random.default_rng(13)
         log_f = rng.normal(scale=3.0, size=in_shape)
@@ -832,11 +858,14 @@ def max_routes(monkeypatch):
     return routes
 
 
-# two or more columns are windowed; one column takes flat windows from
-# ROW_ELEMS = 2^15 kernel elements M N on, however few its rows (9 x 4001), and
-# is one dense block below (181 x 181 is 32761, 181 x 182 is 32942)
+# a step of fewer than ROW_ELEMS = 2^15 sums M N columns is one dense block;
+# from there one column takes flat windows, however few its rows (9 x 4001;
+# 181 x 181 is 32761, 181 x 182 is 32942), and two or more take band windows
+# (128 x 128 on two columns is 2^15, 127 x 129 on two is 32766; 91 x 181 on
+# two is 32942)
 ROUTE_CASES = [((4001,), (9,), ["flat"]), ((181,), (181,), ["dense"]), ((182,), (181,), ["flat"]),
-               ((7, 1), (3, 4), ["dense", "windowed"]), ((5, 6), (1, 1), ["windowed", "dense"])]
+               ((2, 128), (2, 128), ["dense", "windowed"]), ((2, 129), (2, 127), ["dense", "dense"]),
+               ((181, 2), (91, 1), ["windowed", "dense"])]
 
 
 @pytest.mark.parametrize("in_shape, out_shape, routes", ROUTE_CASES)
@@ -956,9 +985,11 @@ def _outer_case(rng, in_shape, out_shape, even, case):
 # 1D steps below and above ROW_ELEMS (also for the even quarter: the x >= 0
 # rows on the y >= 0 half), then 2D and 3D shapes whose steps have more than
 # 2 STRIDE rows; M < N and M > N both present, and odd sizes, so that even
-# axes exist
+# axes exist. The 2D shape's first step is windowed unless an axis is halved
+# (23 x 81 on 19 columns is 35397 sums); every other 2D and 3D step is below
+# ROW_ELEMS sums, one dense block
 OUTER_SHAPES = [((65,), (97,)), ((97,), (65,)), ((513,), (301,)), ((301,), (513,)),
-                ((41, 19), (23, 29)), ((7, 5, 3), (19, 17, 21))]
+                ((81, 19), (23, 29)), ((7, 5, 3), (19, 17, 21))]
 
 
 class TestOuterKernel:
@@ -991,7 +1022,7 @@ class TestOuterKernel:
             assert np.isfinite(got).any()
         flat = reduce == "max" and len(in_shape) == 1 and in_shape[0] > 100
         assert len(flat_steps) == flat
-        assert bool(windowed_steps) == (reduce == "max" and len(in_shape) > 1)
+        assert len(windowed_steps) == (reduce == "max" and len(in_shape) == 2 and not low_cuts)
 
     @pytest.mark.parametrize("in_shape, out_shape", OUTER_SHAPES[2:4])
     def test_plus_inf_entry(self, flat_steps, in_shape, out_shape):
@@ -1159,6 +1190,35 @@ def _brute_shell(log_f, kernels):
     return best
 
 
+def _split(log_f, kernels):
+    """``shell_split`` with its shell bands assembled into one array."""
+    bands, interior = shell_split(log_f, kernels)
+    shell = np.empty(interior.shape)
+    for band, part in bands:
+        shell[band] = part
+    return shell, interior
+
+
+def _full_size_shell(log_f, kernels):
+    """The shell's maximum folded as whole arrays, as the fold was before it
+    went band by band: per axis one face contraction when the end faces are
+    equal (with the larger kernel column) and two when not, each face's
+    column added last, and the faces folded in by ``np.maximum`` in face
+    order."""
+    shell = None
+    for k, w in enumerate(kernels):
+        low, high = log_f[faces(log_f.ndim)[2 * k]], log_f[faces(log_f.ndim)[2 * k + 1]]
+        if np.array_equal(low, high):
+            pairs = [(low, np.maximum(w.x * w.y[0], w.x * w.y[-1]))]
+        else:
+            pairs = [(low, w.x * w.y[0]), (high, w.x * w.y[-1])]
+        for face, col in pairs:
+            g = np.expand_dims(contract(face, kernels[:k] + kernels[k + 1:], "max"), k)
+            part = g + col.reshape((-1,) + (1,) * (log_f.ndim - k - 1))
+            shell = part if shell is None else np.maximum(shell, part)
+    return shell
+
+
 @pytest.fixture
 def face_contractions(monkeypatch):
     """The shape of every array ``shell_split`` contracts: its interior and
@@ -1205,7 +1265,7 @@ class TestShellMax:
                 shell_split(log_f, kernels)
             assert log_f.tobytes() == before and face_contractions == []
             return
-        got = shell_split(log_f.copy(), kernels)[0]
+        got = _split(log_f.copy(), kernels)[0]
         assert got.shape == out_shape
         assert got.tobytes() == _brute_shell(log_f, kernels).tobytes()
         _close(got, _brute(np.where(boundary_mask(in_shape), log_f, -np.inf), kernels, "max"))
@@ -1222,19 +1282,48 @@ class TestShellMax:
     def test_row_bands_are_bitwise_invisible(self, monkeypatch, in_shape, out_shape):
         rng = np.random.default_rng(67)
         log_f, kernels = _orthant_case(rng, "outer", in_shape, out_shape, [])
-        want = shell_split(log_f.copy(), kernels)[0]
+        want = _split(log_f.copy(), kernels)[0]
         monkeypatch.setattr(contract_mod, "ROW_ELEMS", 7)
-        assert shell_split(log_f.copy(), kernels)[0].tobytes() == want.tobytes()
+        assert _split(log_f.copy(), kernels)[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("in_shape, out_shape", SHELL_SHAPES)
+    @pytest.mark.parametrize("ends", ["equal", "unequal"])
+    @pytest.mark.parametrize("row_elems", [None, 7])
+    def test_bands_assemble_the_full_size_shell(self, monkeypatch, in_shape, out_shape, ends, row_elems):
+        """The bands, assembled, are the bytes of the shell folded as whole
+        arrays, with end faces equal on every axis (an even input) or on
+        none, in one band and in bands of a row or two."""
+        rng = np.random.default_rng(71 + len(in_shape))
+        log_f, kernels = _orthant_case(rng, "outer", in_shape, out_shape, range(len(in_shape)) if ends == "equal" else [])
+        shared = [np.array_equal(np.take(log_f, 0, k), np.take(log_f, -1, k)) for k in range(log_f.ndim)]
+        assert shared == [ends == "equal"] * log_f.ndim
+        want = _full_size_shell(log_f, kernels)
+        if row_elems:
+            monkeypatch.setattr(contract_mod, "ROW_ELEMS", row_elems)
+        bands, _ = shell_split(log_f.copy(), kernels)
+        got = [(band, part.copy()) for band, part in bands]  # a part is valid until the next is drawn
+        assert [band for band, _ in got] == [band for band, _ in contract_mod.banded(out_shape)]
+        assert (len(got) > 1) == bool(row_elems)
+        assert np.concatenate([part for _, part in got]).tobytes() == want.tobytes()
 
     def test_forms_no_full_size_temporary(self):
-        """A 3D 65^3 split, its input's copy included, peaks at 2.33
-        full-size arrays; one more full-size temporary would read 3.3."""
+        """A 3D 65^3 split, its input's copy included, peaks at 1.50
+        full-size arrays with its bands drawn: the input, which ends as the
+        interior's maximum, the contraction's orthant temporaries and two
+        band buffers. A full-size shell would read 2.5."""
         grid = make_grid(3, 6.0, 65)
         f = gaussian(grid)
         kernels = [Outer(a, a) for a in grid.axes()]
         log_f = -f.phi
         log_f[0] = -1.0  # one face that differs from its partner
-        assert peak_in_outputs(lambda: shell_split(log_f.copy(), kernels), nbytes=log_f.nbytes) < 2.35
+
+        def split():
+            bands, interior = shell_split(log_f.copy(), kernels)
+            for _ in bands:
+                pass
+            return interior
+
+        assert peak_in_outputs(split, nbytes=log_f.nbytes) < 1.55
 
 
 def _edge_dominated_two_contractions(log_f, kernels):
@@ -1286,7 +1375,7 @@ def test_edge_flags_differ_only_at_exact_ties(s):
     log_f = -scale * gaussian(grid).phi
     got = edge_dominated(log_f.copy(), kernels)
     want, boundary, interior = _edge_dominated_two_contractions(log_f, kernels)
-    edge = shell_split(log_f.copy(), kernels)[0]
+    edge = _split(log_f.copy(), kernels)[0]
     _close(edge, boundary)
     flips = got != want
     assert np.all((boundary == interior) | (edge == interior) | ~flips)
@@ -1318,7 +1407,7 @@ def test_edge_dominated_masks_its_input_in_place(dim, out_points):
     log_f = -exp_power(grid, 2.5).phi
     masked = np.where(boundary_mask(log_f.shape), -np.inf, log_f)
     interior = contract(masked, kernels, "max")
-    want = shell_split(log_f.copy(), kernels)[0] >= interior
+    want = _split(log_f.copy(), kernels)[0] >= interior
     owned = log_f.copy()
     assert edge_dominated(owned, kernels).tobytes() == want.tobytes()
     assert owned.tobytes() == (interior if out_points == 33 else masked).tobytes()
@@ -1345,7 +1434,7 @@ def test_shell_split_gives_the_two_contractions(dim, out_size, even):
     _, boundary, interior = _edge_dominated_two_contractions(log_f, kernels)
     masked = np.where(boundary_mask(log_f.shape), -np.inf, log_f)
     owned = log_f.copy()
-    shell, inner = shell_split(owned, kernels)
+    shell, inner = _split(owned, kernels)
     assert shell.tobytes() == boundary.tobytes() and inner.tobytes() == interior.tobytes()
     assert np.isfinite(boundary).any() and np.isfinite(interior).any()
     assert (inner is owned) == (out_size == 9)

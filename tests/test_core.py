@@ -23,7 +23,7 @@ from volprod.core import (
     make_grid,
     reflect,
 )
-from volprod.densities import box, cross2d, exp_power
+from volprod.densities import box, cross2d, exp_power, two_bump
 from volprod.quadrature import GAUSSIAN, LOG_2PI
 
 # the acceptance grids: 1D 513, 2D 129^2, 3D 33^3 and 65^3
@@ -229,6 +229,18 @@ class TestBodySpec:
         with pytest.raises(ValueError, match="radius must be positive"):
             lp_ball(2.0, 2, radius=math.nan)
 
+    @pytest.mark.parametrize("radius", [math.inf, 0.0, -1.0])
+    def test_radius_not_positive_and_finite_rejected(self, radius):
+        """An infinite radius gave an all-zero body density and a math domain
+        error inside the L^r cell count; it is refused by name."""
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            lp_ball(2.0, 2, radius=radius)
+
+    @pytest.mark.parametrize("dim", [0, -1, 1.5, 2.0], ids=["0", "-1", "1.5", "2.0"])
+    def test_dim_not_an_integer_of_at_least_one_rejected(self, dim):
+        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+            lp_ball(2.0, dim)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_ellipsoid_rejected(self, bad):
         with pytest.raises(ValueError, match="ellipsoid matrix must be finite"):
@@ -291,6 +303,31 @@ def _mesh_gaussian(cov, mass, grid):
     mesh = grid.meshgrid()
     quad = sum((mesh[i] * inv[i, j]) * mesh[j] for i in range(grid.dim) for j in range(grid.dim))
     return 0.5 * quad + 0.5 * logdet - math.log(mass)
+
+
+class TestDensityParameters:
+    """Each family refuses a parameter that is not positive and finite by
+    name, before any grid work; at such values it used to give a constant
+    density (alpha = 0), a divide-by-zero warning (alpha < 0) or a bare math
+    domain error (height = 0, var = 0)."""
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf], ids=["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "family, grid, name",
+        [(exp_power, GRIDS["1d-513"], "alpha"), (exp_power, GRIDS["1d-513"], "scale"),
+         (box, GRIDS["1d-513"], "half"), (box, GRIDS["1d-513"], "height"),
+         (two_bump, GRIDS["1d-513"], "var"), (two_bump, GRIDS["1d-513"], "center"),
+         (cross2d, GRIDS["2d-129"], "long"), (cross2d, GRIDS["2d-129"], "short")],
+        ids=["exp_power-alpha", "exp_power-scale", "box-half", "box-height", "two_bump-var", "two_bump-center",
+             "cross2d-long", "cross2d-short"],
+    )
+    def test_bad_parameter_rejected_by_name(self, monkeypatch, family, grid, name, bad):
+        for method in ("axis", "open_axes", "sq_norm"):
+            monkeypatch.setattr(GridSpec, method, lambda *args: pytest.fail("grid work before the check"))
+        params = {"alpha": 1.5} if family is exp_power else {}
+        params[name] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            family(grid, **params)
 
 
 class TestPerAxisBuilders:

@@ -305,6 +305,18 @@ def _polar_two_conjugates(f, dual):
 
 
 class TestPolarDensity:
+    @pytest.mark.parametrize("dims", [(2, 1), (1, 2), (2, 3)], ids=["2d-on-1d", "1d-on-2d", "2d-on-3d"])
+    def test_dual_of_another_dimension_rejected_up_front(self, monkeypatch, dims):
+        """Refused with the conjugate's message before any shell is split or
+        conjugate taken, so no ``LogDensity`` of the wrong shape is built."""
+        calls = []
+        for name in ("shell_split", "legendre_transform"):
+            monkeypatch.setattr(legendre_mod, name, lambda *args, name=name: calls.append(name))
+        f = gaussian(make_grid(dims[0], 6.0, 17))
+        with pytest.raises(ValueError, match="dual grid dimension mismatch"):
+            polar_density(f, make_grid(dims[1], 6.0, 17))
+        assert calls == []
+
     def test_gaussian_polar_mass(self):
         g = make_grid(1, 8.0, 513)
         pol = polar_density(gaussian(g))

@@ -7,8 +7,9 @@ contracts into (``contract(..., out=)``) plus orthant-sized engine
 temporaries: the flow one full-size array, the conjugate its negated input,
 and the polar and the edge flags the array ``shell_split`` owns (the polar's
 negated input, the flags' own; its shell masked in place and the interior's
-maximum contracted into it) and the shell's maximum, formed only after that
-contraction. The Laplace transform holds its output beside the edge
+maximum contracted into it), beside which the shell's maximum is formed band
+by band: the polar writes its output into that array, the flags compare
+into their boolean one. The Laplace transform holds its output beside the edge
 flags' buffers, the Brascamp-Lieb integral its two integrands and their
 contraction, and one step of the tropical bridge its lift and the OU flow
 beside the edge flags' buffers, then the window weight once they are gone.
@@ -45,13 +46,13 @@ BUDGETS = {
     "default_dual_grid": (lambda: default_dual_grid(F), 0.1),
     "fp_evolve": (lambda: fp_evolve(F, 0.5), 1.7),
     "ou_apply": (lambda: ou_apply(F, 0.5), 1.7),
-    "ou_edge_flags": (lambda: ou_edge_flags(F, S), 2.35),
-    "log_laplace": (lambda: log_laplace(F, X_GRID, SCALE), 3.35),
+    "ou_edge_flags": (lambda: ou_edge_flags(F, S), 2.05),
+    "log_laplace": (lambda: log_laplace(F, X_GRID, SCALE), 3.15),
     "bl_integral": (lambda: bl_integral(F, F, bl_data(S)), 3.15),
-    "tropical_limit_curve": (lambda: tropical_limit_curve(F, [S]), 4.35),
+    "tropical_limit_curve": (lambda: tropical_limit_curve(F, [S]), 4.05),
     "legendre_transform": (lambda: legendre_transform(F), 1.45),
-    "polar_density": (lambda: polar_density(F), 2.35),
-    "volume_product": (lambda: volume_product(F), 2.35),
+    "polar_density": (lambda: polar_density(F), 1.55),
+    "volume_product": (lambda: volume_product(F), 2.1),
 }
 
 
