@@ -223,7 +223,7 @@ def _scenario_flow(cfg: ExperimentConfig):
     for name, f in sorted(dens.items()):
         logs = []
         for t in [0.0] + times:
-            v = functionals.volume_product(f if t == 0 else heatflow.fp_evolve(f, t))
+            v = functionals.volume_product(heatflow.fp_evolve(f, t))
             rows.append((name, t, v.log_abs, v.flagged))
             logs.append(v.log_abs)
         ok &= all(b - a >= -1e-4 for a, b in zip(logs, logs[1:]))

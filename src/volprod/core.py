@@ -90,9 +90,12 @@ class GridSpec:
 
 
 def make_grid(dim: int, half_width, points) -> GridSpec:
-    """Build a validated GridSpec; scalars broadcast across axes."""
+    """Build a validated GridSpec; scalars broadcast across axes, and a point count must be integral."""
     hw = tuple(float(h) for h in (half_width if np.iterable(half_width) else [half_width] * dim))
-    pts = tuple(int(n) for n in (points if np.iterable(points) else [points] * dim))
+    counts = points if np.iterable(points) else [points] * dim
+    if not all(isinstance(n, numbers.Real) and float(n).is_integer() for n in counts):
+        raise ValueError(f"points must be integers, got {points!r}")
+    pts = tuple(int(n) for n in counts)
     return GridSpec(dim=dim, half_widths=hw, points=pts)
 
 
@@ -225,30 +228,24 @@ TAIL_WARN = 1e-8
 
 @dataclass(frozen=True)
 class LogQuad:
-    """Integral value in log representation: sign * e^{log_abs}.
+    """A nonnegative integral, norm or volume product as log_abs = its log;
+    zero is log_abs = -inf and +inf is log_abs = +inf.
 
     tail_ratio compares the largest boundary-node integrand to the largest
     interior one; values near or above 1 mean the truncation box is suspect.
     """
 
     log_abs: float
-    sign: int = 1
-    tail_ratio: float = 0.0
+    tail_ratio: float = field(default=0.0, kw_only=True)
 
     def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError("sign must be -1, 0 or +1")
-        if self.sign == 0 and self.log_abs != NEG_INF:
-            raise ValueError("sign 0 requires -inf log_abs")
         if math.isnan(self.log_abs):
             raise ValueError("log_abs must not be NaN")
         if not self.tail_ratio >= 0:  # NaN fails too
             raise ValueError("tail_ratio must be nonnegative")
 
     def value(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_abs)
+        return math.exp(self.log_abs)
 
     @property
     def flagged(self) -> bool:

@@ -71,19 +71,29 @@ class BLData:
 
 @dataclass(frozen=True)
 class RevHCReport:
-    """Both sides of the reverse-hypercontractivity inequality, in logs."""
+    """Both sides of the reverse-hypercontractivity inequality, in logs;
+    ``slack`` is log lhs - log rhs."""
 
     log_lhs: LogQuad
     log_rhs: LogQuad
-    slack: float
+
+    @property
+    def slack(self) -> float:
+        return self.log_lhs.log_abs - self.log_rhs.log_abs
 
 
 @dataclass(frozen=True)
 class BLOptimum:
+    """An infimum over centered Gaussians and its variances (a, b); it is
+    ``degenerate`` when it is 0 (log_abs = -inf): no minimiser exists."""
+
     value: LogQuad
     a_diag: np.ndarray
     b_diag: np.ndarray
-    degenerate: bool
+
+    @property
+    def degenerate(self) -> bool:
+        return self.value.log_abs == NEG_INF
 
 
 def volume_product(f: LogDensity, dual: GridSpec | None = None) -> LogQuad:
@@ -91,9 +101,7 @@ def volume_product(f: LogDensity, dual: GridSpec | None = None) -> LogQuad:
     li = log_integral(f, LEBESGUE)
     pol = polar_density(f, dual)
     lp = log_integral(pol, LEBESGUE)
-    if li.sign == 0 or lp.sign == 0:
-        return LogQuad(NEG_INF, 0)
-    return LogQuad(log_abs=li.log_abs + lp.log_abs, sign=1, tail_ratio=lp.tail_ratio)
+    return LogQuad(log_abs=li.log_abs + lp.log_abs, tail_ratio=lp.tail_ratio)
 
 
 def nelson_q(s: float, p: float) -> float:
@@ -142,8 +150,8 @@ def rev_hc_value(f0: LogDensity, s: float, p: float | None = None, q: float | No
     _, psg = _ou_lift(f0, s, p)
     lhs = log_lq_norm(psg, q, GAUSSIAN)
     mass = log_integral(f0, LEBESGUE)
-    rhs = LogQuad(log_abs=mass.log_abs / p, sign=1, tail_ratio=mass.tail_ratio)
-    return RevHCReport(log_lhs=lhs, log_rhs=rhs, slack=lhs.log_abs - rhs.log_abs)
+    rhs = LogQuad(log_abs=mass.log_abs / p, tail_ratio=mass.tail_ratio)
+    return RevHCReport(log_lhs=lhs, log_rhs=rhs)
 
 
 def gaussian_rev_hc(beta: float, a, s: float, p: float, q: float) -> LogQuad:
@@ -153,8 +161,8 @@ def gaussian_rev_hc(beta: float, a, s: float, p: float, q: float) -> LogQuad:
     q != 0 is allowed.  When the inner (semigroup) form degenerates P_s g is
     everywhere infinite and the norm is +inf for either sign of q.  When the
     outer form degenerates the q-integral diverges: the norm is +inf for
-    q > 0 and collapses to zero for q < 0 (sign-0 sentinel, infinite
-    tail_ratio marker).
+    q > 0 and collapses to zero for q < 0 (log_abs = -inf, with an infinite
+    tail_ratio as the truncation marker).
     """
     # each check is written so that NaN fails it
     if not beta > 0:
@@ -172,18 +180,18 @@ def gaussian_rev_hc(beta: float, a, s: float, p: float, q: float) -> LogQuad:
         D = (-ak * ak / (2 * beta) - 0.5 * math.log(beta)) / p
         ay = A - 1.0 / (2 * sig2)
         if ay >= 0:
-            return LogQuad(log_abs=math.inf, sign=1)
+            return LogQuad(log_abs=math.inf)
         E = -es * es / (2 * sig2) - (es / sig2) ** 2 / (4 * ay)
         G = -B * es / (2 * sig2 * ay)
         H0 = 0.5 * math.log(math.pi / -ay) + D - 0.5 * math.log(2 * math.pi * sig2) - B * B / (4 * ay)
         ax = q * E - 0.5
         if ax >= 0:
             if q > 0:
-                return LogQuad(log_abs=math.inf, sign=1)
-            return LogQuad(log_abs=NEG_INF, sign=0, tail_ratio=math.inf)
+                return LogQuad(log_abs=math.inf)
+            return LogQuad(log_abs=NEG_INF, tail_ratio=math.inf)
         log_int = 0.5 * math.log(math.pi / -ax) - (q * G) ** 2 / (4 * ax) + q * H0 - 0.5 * LOG_2PI
         total += log_int / q
-    return LogQuad(log_abs=total, sign=1)
+    return LogQuad(log_abs=total)
 
 
 def laplace_grid(f: LogDensity, q: float, scale: float) -> GridSpec:
@@ -238,7 +246,7 @@ def laplace_f_t(f_t: LogDensity, s: float):
 
 
 def q_functional(f0: LogDensity, s: float, times) -> list[tuple[float, float]]:
-    """Q_s(t) = log int F_t^q dx along the flow; t = 0 uses f0 directly."""
+    """Q_s(t) = log int F_t^q dx along the flow."""
     sched = ExponentSchedule(s)
     times = list(times)
     # NaN fails both checks, before any kernel is built or cached
@@ -248,8 +256,7 @@ def q_functional(f0: LogDensity, s: float, times) -> list[tuple[float, float]]:
         raise ValueError("times must be nonnegative")
     out = []
     for t in times:
-        f_t = f0 if t == 0 else fp_evolve(f0, t)
-        bigf, _ = laplace_f_t(f_t, s)
+        bigf, _ = laplace_f_t(fp_evolve(f0, t), s)
         lq = log_lq_norm(bigf, sched.q, LEBESGUE)
         out.append((t, sched.q * lq.log_abs))
     return out
@@ -267,12 +274,11 @@ def equiv_form_check(f_t: LogDensity, s: float) -> tuple[LogQuad, LogQuad]:
     sched = ExponentSchedule(s)
     n = f_t.grid.dim
     report = rev_hc_value(f_t, s)
-    lhs = LogQuad(log_abs=sched.q * report.log_lhs.log_abs, sign=1,
-                  tail_ratio=report.log_lhs.tail_ratio)
+    lhs = LogQuad(log_abs=sched.q * report.log_lhs.log_abs, tail_ratio=report.log_lhs.tail_ratio)
     bigf, flags = laplace_f_t(f_t, s)
     lq = _laplace_lq_norm(bigf, flags, sched.q)
     rhs_log = sched.q * log_c_s(s, n) + n * s + sched.q * lq.log_abs
-    rhs = LogQuad(log_abs=rhs_log, sign=1, tail_ratio=lq.tail_ratio)
+    rhs = LogQuad(log_abs=rhs_log, tail_ratio=lq.tail_ratio)
     return lhs, rhs
 
 
@@ -285,7 +291,7 @@ def laplace_norm_ratio(f: LogDensity, p: float) -> LogQuad:
     log_lf, flags = log_laplace(f, x_grid)
     num = _laplace_lq_norm(LogDensity(grid=x_grid, phi=-log_lf), flags, q)
     den = log_lq_norm(f, p, LEBESGUE)
-    return LogQuad(log_abs=num.log_abs - den.log_abs, sign=1, tail_ratio=num.tail_ratio)
+    return LogQuad(log_abs=num.log_abs - den.log_abs, tail_ratio=num.tail_ratio)
 
 
 def bl_data(s: float, p: float | None = None, q: float | None = None) -> BLData:
@@ -330,10 +336,7 @@ def bl_integral(f1: LogDensity, f2: LogDensity, data: BLData) -> LogQuad:
     cross = -2 * math.pi * q2[0, 1]
     kernels = [Outer(cross * f1.grid.axis(k), f2.grid.axis(k)) for k in range(n)]
     base1 += contract(base2, kernels)
-    total = logsumexp_in_place(base1)
-    if total == NEG_INF:
-        return LogQuad(NEG_INF, 0)
-    return LogQuad(log_abs=float(total), sign=1)
+    return LogQuad(log_abs=float(logsumexp_in_place(base1)))
 
 
 def gaussian_bl_constant(data: BLData, n: int = 1) -> BLOptimum:
@@ -377,8 +380,8 @@ def gaussian_bl_constant(data: BLData, n: int = 1) -> BLOptimum:
     if big_a == 0 and big_b == 0:
         a = b = 1.0
     elif big_a > 0 or big_b > 0 or (big_a == 0 and c1 > c2) or (big_b == 0 and c2 > c1):
-        return BLOptimum(value=LogQuad(NEG_INF, 0, tail_ratio=math.inf), a_diag=np.full(n, math.nan),
-                         b_diag=np.full(n, math.nan), degenerate=True)
+        return BLOptimum(value=LogQuad(NEG_INF, tail_ratio=math.inf), a_diag=np.full(n, math.nan),
+                         b_diag=np.full(n, math.nan))
     else:
         # B(1 - c1) X^2 + [(1 - c2) c1 k^2 - AB - (1 - c1) c2 k^2] X + c2 k^2 A = 0
         coeffs = [big_b * (1 - c1), (1 - c2) * c1 * kk - big_a * big_b - (1 - c1) * c2 * kk, c2 * kk * big_a]
@@ -393,8 +396,7 @@ def gaussian_bl_constant(data: BLData, n: int = 1) -> BLOptimum:
             raise ValueError(f"no admissible Brascamp-Lieb stationary point at s = {data.s:g}, "
                              f"p = {data.p:g}, q = {data.q:g}")
         a, b = min(found, key=lambda ab: objective(*ab))
-    return BLOptimum(value=LogQuad(log_abs=n * objective(a, b), sign=1), a_diag=np.full(n, a),
-                     b_diag=np.full(n, b), degenerate=False)
+    return BLOptimum(value=LogQuad(log_abs=n * objective(a, b)), a_diag=np.full(n, a), b_diag=np.full(n, b))
 
 
 def lr_volume_product(
@@ -437,7 +439,7 @@ def lr_volume_product(
     inner_logmean = contract(np.where(inside, 0.0, NEG_INF), kernels) + log_cell - log_vol
     integrand = -inner_logmean / r
     outer = log_integral(LogDensity(outer_grid, -integrand))
-    return LogQuad(log_abs=log_vol + outer.log_abs, sign=1, tail_ratio=outer.tail_ratio)
+    return LogQuad(log_abs=log_vol + outer.log_abs, tail_ratio=outer.tail_ratio)
 
 
 def tropical_limit_curve(f: LogDensity, s_list) -> tuple[list[tuple[float, float]], bool]:

@@ -57,14 +57,14 @@ def gaussian_form_integral(qf: QuadraticForm) -> LogQuad:
     sentinel (log_abs = +inf) when M has a nonpositive eigenvalue."""
     eig = np.linalg.eigvalsh(qf.matrix)
     if eig.min() <= 0:
-        return LogQuad(log_abs=math.inf, sign=1)
+        return LogQuad(log_abs=math.inf)
     d = qf.dim
     _, logdet = np.linalg.slogdet(qf.matrix)
     shift = 0.0
     if qf.linear is not None:
         shift = 0.5 * float(qf.linear @ np.linalg.solve(qf.matrix, qf.linear))
     log_val = 0.5 * d * math.log(2 * math.pi) - 0.5 * logdet + shift - qf.constant
-    return LogQuad(log_abs=log_val, sign=1)
+    return LogQuad(log_abs=log_val)
 
 
 def _lower_hull(y: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,16 +297,16 @@ def gaussian_closed_forms(name: str, **params) -> LogQuad:
     """
     if name == "v_gamma":
         n = int(params["n"])
-        return LogQuad(log_abs=n * math.log(2 * math.pi), sign=1)
+        return LogQuad(log_abs=n * math.log(2 * math.pi))
     if name == "v_shifted_gamma":
         a = np.atleast_1d(np.asarray(params["a"], dtype=float))
         t = float(params.get("t", 0.0))
-        return LogQuad(log_abs=a.size * math.log(2 * math.pi) + math.exp(-2 * t) * float(a @ a) / 2, sign=1)
+        return LogQuad(log_abs=a.size * math.log(2 * math.pi) + math.exp(-2 * t) * float(a @ a) / 2)
     if name == "fp_variance_law":
         beta = float(params["beta"])
         t = float(params["t"])
         val = -math.expm1(-2 * t) + math.exp(-2 * t) * beta
-        return LogQuad(log_abs=math.log(val), sign=1)
+        return LogQuad(log_abs=math.log(val))
     if name == "laplace_gamma_ratio":
         p = float(params["p"])
         n = int(params.get("n", 1))
@@ -317,7 +317,7 @@ def gaussian_closed_forms(name: str, **params) -> LogQuad:
         log_num = math.log(2 * math.pi / -q) / (2 * q)
         # int gamma^p = (2 pi)^{(1-p)/2} p^{-1/2}
         log_den = (0.5 * (1 - p) * math.log(2 * math.pi) - 0.5 * math.log(p)) / p
-        return LogQuad(log_abs=n * (log_num - log_den), sign=1)
+        return LogQuad(log_abs=n * (log_num - log_den))
     raise ValueError(f"unknown closed form {name!r}")
 
 
@@ -348,7 +348,7 @@ def exp_abs_bridge(s: float) -> LogQuad:
     log_k = math.log(2.0) + 0.5 * math.log(p) + (0.5 / p - 0.5) * log_2pi
     log_beta = 0.5 * math.log(math.pi) + math.lgamma(a) - math.lgamma(a + 0.5)
     log_b = 0.5 * log_2pi + a * math.log(2.0) + q * log_k + s + log_beta
-    return LogQuad(log_abs=log_b, sign=1)
+    return LogQuad(log_abs=log_b)
 
 
 def ou_second_moment(beta: float, t: float) -> float:
@@ -436,10 +436,9 @@ def bl_search(data: BLData, n: int = 1, log_bound: float = 12.0) -> BLOptimum:
     if float(np.min(coarse[ring])) < interior_min - 1e-6:
         corner = np.argwhere(coarse == np.min(coarse))[0]
         return BLOptimum(
-            value=LogQuad(NEG_INF, 0, tail_ratio=math.inf),
+            value=LogQuad(NEG_INF, tail_ratio=math.inf),
             a_diag=np.full(n, math.exp(ladder[corner[0]])),
             b_diag=np.full(n, math.exp(ladder[corner[1]])),
-            degenerate=True,
         )
     # among near-minimal interior points, start closest to a = b = 1
     near = np.argwhere((coarse <= interior_min + 1e-6) & ~ring)
@@ -467,14 +466,12 @@ def bl_search(data: BLData, n: int = 1, log_bound: float = 12.0) -> BLOptimum:
     b = math.exp(lb)
     if degenerate:
         return BLOptimum(
-            value=LogQuad(NEG_INF, 0, tail_ratio=math.inf),
+            value=LogQuad(NEG_INF, tail_ratio=math.inf),
             a_diag=np.full(n, a),
             b_diag=np.full(n, b),
-            degenerate=True,
         )
     return BLOptimum(
-        value=LogQuad(log_abs=n * val, sign=1),
+        value=LogQuad(log_abs=n * val),
         a_diag=np.full(n, a),
         b_diag=np.full(n, b),
-        degenerate=False,
     )

@@ -128,7 +128,4 @@ def log_lq_norm(f: LogDensity, q: float, measure: Measure = LEBESGUE) -> LogQuad
     measure.add_log_weight(log_integrand, f.grid)
     tail_ratio = _tail_ratio(log_integrand)
     add_trapezoid_log_weights(log_integrand, f.grid)
-    la = logsumexp_in_place(log_integrand)
-    if la == NEG_INF:
-        return LogQuad(log_abs=NEG_INF, sign=0)
-    return LogQuad(log_abs=la / q, sign=1, tail_ratio=tail_ratio)
+    return LogQuad(log_abs=logsumexp_in_place(log_integrand) / q, tail_ratio=tail_ratio)

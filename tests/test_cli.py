@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from volprod import cli, oracles
+from volprod import cli, functionals, oracles
 from volprod.core import LogQuad
 from volprod.cli import (
     ConfigError,
@@ -143,6 +143,24 @@ class TestMain:
             "betas = 1,4,16\nshifts = 0,2,4\nassert_threshold_min = 0.9\n",
         )
         assert main(["nelson", "--config", cfg, "--out", str(tmp_path / "n")]) == 0
+
+    def test_nelson_collapsed_outer_form(self, tmp_path):
+        """Where the q-integral diverges the value cell is 0 (q < 0) or inf
+        (q > 0); every cell is the closed form's value."""
+        cfg = _write(tmp_path, "[params]\ns = 0.1\np = 0.1\nq = -3, 0.05\nbetas = 0.001, 1, 2\nshifts = 0, 1\n")
+        assert main(["nelson", "--config", cfg, "--out", str(tmp_path / "n")]) == 0
+        lines = (tmp_path / "n" / "nelson.csv").read_text().splitlines()
+        assert lines[1] == "q,beta,shift,value"
+        cells = {}
+        for line in lines[2:]:
+            q, beta, shift, value = line.split(",")
+            cells[float(q), float(beta), float(shift)] = value
+            assert float(value) == functionals.gaussian_rev_hc(float(beta), [float(shift)], 0.1, 0.1,
+                                                               float(q)).value()
+        assert len(cells) == 12
+        for shift in (0.0, 1.0):
+            assert cells[-3.0, 0.001, shift] == "0"
+            assert cells[0.05, 2.0, shift] == "inf"
 
     def test_validate_scenario(self, tmp_path, capsys):
         cfg = _write(tmp_path, "[params]\n")

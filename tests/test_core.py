@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -89,6 +90,17 @@ class TestGridSpec:
     def test_nonpositive_half_width_rejected(self):
         with pytest.raises(ValueError):
             make_grid(1, 0.0, 5)
+
+    @pytest.mark.parametrize("dim, points", [(1, 5.9), (2, (33.9, 33)), (1, math.nan), (1, math.inf)],
+                             ids=["1d-5.9", "2d-33.9", "nan", "inf"])
+    def test_non_integer_points_rejected(self, dim, points):
+        """A fractional count was truncated (5.9 built a 5-node grid) and a NaN
+        one failed inside int(); both are refused by name."""
+        with pytest.raises(ValueError, match="points must be integers"):
+            make_grid(dim, 8.0, points)
+
+    def test_integral_float_points_accepted(self):
+        assert make_grid(2, 8.0, (33.0, np.int64(5))).points == (33, 5)
 
 
 class TestLogDensity:
@@ -249,37 +261,34 @@ class TestBodySpec:
 
 class TestLogQuad:
     def test_value_roundtrip(self):
-        lq = LogQuad(log_abs=math.log(3.0), sign=1)
+        lq = LogQuad(log_abs=math.log(3.0))
         assert lq.value() == pytest.approx(3.0)
 
     def test_zero_sentinel(self):
-        lq = LogQuad(log_abs=-np.inf, sign=0)
+        lq = LogQuad(log_abs=-np.inf)
         assert lq.value() == 0.0
 
-    def test_sign_zero_requires_inf(self):
-        with pytest.raises(ValueError):
-            LogQuad(log_abs=1.0, sign=0)
+    def test_fields_are_log_abs_and_tail_ratio(self):
+        assert [f.name for f in dataclasses.fields(LogQuad)] == ["log_abs", "tail_ratio"]
 
-    @pytest.mark.parametrize("log_abs", [math.inf, math.nan])
-    def test_sign_zero_rejects_other_than_minus_inf(self, log_abs):
-        """A sign-0 quad is the zero sentinel, -inf alone: +inf would build a
-        quad whose value() reads 0.0."""
-        with pytest.raises(ValueError, match="sign 0 requires -inf log_abs"):
-            LogQuad(log_abs=log_abs, sign=0)
+    def test_positional_tail_ratio_rejected(self):
+        """tail_ratio is keyword-only, so a stale positional sign such as
+        LogQuad(-inf, 0) raises instead of becoming a tail ratio."""
+        with pytest.raises(TypeError):
+            LogQuad(NEG_INF, 0)
 
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_nan_log_abs_rejected(self, sign):
+    def test_nan_log_abs_rejected(self):
         with pytest.raises(ValueError, match="log_abs must not be NaN"):
-            LogQuad(log_abs=math.nan, sign=sign)
+            LogQuad(log_abs=math.nan)
 
     def test_nan_tail_ratio_rejected(self):
         """A NaN truncation marker would read as unflagged."""
         with pytest.raises(ValueError, match="tail_ratio must be nonnegative"):
-            LogQuad(0.0, 1, tail_ratio=math.nan)
+            LogQuad(0.0, tail_ratio=math.nan)
 
     def test_flagged_property(self):
-        assert LogQuad(0.0, 1, tail_ratio=1e-6).flagged
-        assert not LogQuad(0.0, 1, tail_ratio=1e-12).flagged
+        assert LogQuad(0.0, tail_ratio=1e-6).flagged
+        assert not LogQuad(0.0, tail_ratio=1e-12).flagged
 
 
 class TestEvenness:

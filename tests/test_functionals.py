@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -35,7 +36,7 @@ from volprod import heatflow
 from volprod.heatflow import flow_trajectory, fp_evolve
 from volprod.legendre import polar_density
 from volprod.oracles import _gaussian_bl_objective, bl_search, fd_derivative, gaussian_closed_forms
-from volprod.quadrature import log_integral
+from volprod.quadrature import LOG_2PI, log_integral
 
 S_HALF_LN2 = 0.5 * math.log(2)
 GRID = make_grid(1, 8.0, 513)
@@ -111,6 +112,11 @@ class TestRevHC:
         mid = rev_hc_value(f, s, p=sched.p * 0.9, q=sched.q * 0.5).slack
         assert mid >= end - 1e-6
 
+    def test_slack_is_read_off_both_sides(self):
+        rep = rev_hc_value(exp_power(GRID, 3.0), S_HALF_LN2)
+        assert [f.name for f in dataclasses.fields(rep)] == ["log_lhs", "log_rhs"]
+        assert rep.slack == rep.log_lhs.log_abs - rep.log_rhs.log_abs
+
     def test_bad_exponents_rejected(self):
         with pytest.raises(ValueError):
             rev_hc_value(gaussian(GRID), 0.5, p=0.5, q=0.5)
@@ -142,6 +148,25 @@ class TestNelsonQ:
             nelson_q(math.nan, 0.5)
         with pytest.raises(ValueError, match="p must be below 1"):
             nelson_q(1.0, math.nan)
+
+
+def _log_q_integrand(beta: float, s: float, p: float, q: float, x: float) -> float:
+    """log of (P_s g)^q gamma at x for g = (gamma_beta / gamma)^{1/p} in 1D,
+    P_s g by scipy quadrature over z around the z-integrand's peak."""
+    from scipy.integrate import quad
+    from scipy.optimize import minimize_scalar
+
+    es, sig = math.exp(-s), math.sqrt(-math.expm1(-2 * s))
+
+    def log_z(z):
+        y = es * x + sig * z
+        return (y * y / 2 - y * y / (2 * beta) - 0.5 * math.log(beta)) / p - z * z / 2 - 0.5 * LOG_2PI
+
+    z0 = minimize_scalar(lambda z: -log_z(z)).x
+    top = log_z(z0)
+    width = 1 / math.sqrt(2 * top - log_z(z0 + 1) - log_z(z0 - 1))
+    val = quad(lambda z: math.exp(log_z(z) - top), z0 - 40 * width, z0 + 40 * width, points=[z0], limit=200)[0]
+    return q * (top + math.log(val)) - x * x / 2 - 0.5 * LOG_2PI
 
 
 class TestGaussianRevHC:
@@ -176,7 +201,31 @@ class TestGaussianRevHC:
         # p below the endpoint makes the inner integral blow up for wide data
         for q in (-0.5, 0.5):
             r = gaussian_rev_hc(100.0, [0.0], 1.0, 0.1, q)
-            assert math.isinf(r.log_abs) or r.sign == 0
+            assert math.isinf(r.log_abs)
+
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    def test_collapsed_outer_form(self, shift):
+        """A divergent q-integral: zero (flagged) for q < 0 and +inf for q > 0."""
+        zero = gaussian_rev_hc(0.001, [shift], 0.1, 0.1, -3.0)
+        assert zero.value() == 0.0 and zero.flagged
+        assert gaussian_rev_hc(2.0, [shift], 0.1, 0.1, 0.05).value() == math.inf
+
+    @pytest.mark.parametrize("beta, q, collapsed", [(0.001, -3.0, True), (2.0, 0.05, True),
+                                                    (1.0, -3.0, False), (2.0, -3.0, False)])
+    def test_outer_form_by_quadrature(self, beta, q, collapsed):
+        """(P_s g)^q gamma by scipy quadrature over z at s = p = 0.1, apart
+        from the closed form: it rises without bound in x where the closed
+        form collapses, and its x-integral is the closed form's value^q
+        elsewhere."""
+        from scipy.integrate import quad
+
+        s = p = 0.1
+        if collapsed:
+            logs = [_log_q_integrand(beta, s, p, q, x) for x in (0.0, 2.0, 4.0, 6.0, 8.0)]
+            assert all(b > a for a, b in zip(logs, logs[1:])) and logs[-1] - logs[0] > 30
+        else:
+            total = quad(lambda x: math.exp(_log_q_integrand(beta, s, p, q, x)), -np.inf, np.inf)[0]
+            assert total ** (1 / q) == pytest.approx(gaussian_rev_hc(beta, [0.0], s, p, q).value(), rel=1e-9)
 
     @pytest.mark.parametrize("arg, bad", [("beta", math.nan), ("s", math.nan), ("p", math.nan), ("q", math.nan),
                                           ("a", [0.0, math.nan]), ("a", [math.inf])],
@@ -394,7 +443,7 @@ class TestBrascampLieb:
             assert opt.degenerate == ref.degenerate, (s, p, q)
             verdicts.add(opt.degenerate)
             if opt.degenerate:
-                assert opt.value.sign == 0 and np.isnan(opt.a_diag).all() and np.isnan(opt.b_diag).all()
+                assert opt.value.value() == 0.0 and np.isnan(opt.a_diag).all() and np.isnan(opt.b_diag).all()
                 continue
             assert opt.value.log_abs == pytest.approx(ref.value.log_abs, rel=0, abs=1e-9), (s, p, q)
             assert float(opt.a_diag[0]) == pytest.approx(float(ref.a_diag[0]), rel=0, abs=1e-6), (s, p, q)
@@ -443,11 +492,20 @@ class TestBrascampLieb:
         gi = bl_integral(f1, f2, data)
         assert abs(math.expm1(gi.log_abs - opt.value.log_abs)) <= 1e-2
 
+    @pytest.mark.parametrize("solver", [gaussian_bl_constant, bl_search], ids=["closed-form", "search"])
+    @pytest.mark.parametrize("dq, want", [(0.0, False), (-0.1, True)], ids=["regular", "degenerate"])
+    def test_degenerate_is_read_off_the_value(self, solver, dq, want):
+        """degenerate is a zero infimum, log_abs = -inf, and nothing else."""
+        opt = solver(bl_data(S_HALF_LN2, q=ExponentSchedule(S_HALF_LN2).q + dq))
+        assert [f.name for f in dataclasses.fields(opt)] == ["value", "a_diag", "b_diag"]
+        assert opt.degenerate is want
+        assert opt.degenerate == (opt.value.log_abs == -math.inf)
+
     def test_perturbed_q_degenerates(self):
         sched = ExponentSchedule(S_HALF_LN2)
         opt = gaussian_bl_constant(bl_data(S_HALF_LN2, q=sched.q - 0.1))
         assert opt.degenerate
-        assert opt.value.sign == 0
+        assert opt.value.value() == 0.0
         assert np.isnan(opt.a_diag).all() and np.isnan(opt.b_diag).all()
 
     def test_obs2_tropical_limit(self):
