@@ -21,6 +21,44 @@ import numpy as np
 NEG_INF = -np.inf
 
 
+# The input rules, each written once; every refusal names the parameter and its value.
+def require_positive(**params) -> None:
+    """Refuse the first parameter that is not a positive finite number (NaN too)."""
+    for name, value in params.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def require_count(**params) -> None:
+    """Refuse the first parameter that is not an integer of at least 1."""
+    for name, value in params.items():
+        if not (isinstance(value, numbers.Integral) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def require_finite(**params) -> None:
+    """Refuse the first parameter with an entry that is not finite."""
+    for name, value in params.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def spd_matrix(name: str, matrix, dim: int | None = None) -> np.ndarray:
+    """``matrix`` as a read-only float copy, refused unless it is dim x dim (by
+    default its row count), finite, symmetric and positive definite."""
+    a = np.array(np.atleast_2d(matrix), dtype=float)
+    dim = a.shape[0] if dim is None else dim
+    if a.shape != (dim, dim):
+        raise ValueError(f"{name} must be {dim} x {dim}, got shape {a.shape}")
+    require_finite(**{name: a.tolist()})
+    if not np.allclose(a, a.T, rtol=0, atol=1e-12):
+        raise ValueError(f"{name} must be symmetric, got {a.tolist()}")
+    if np.linalg.eigvalsh(a).min() <= 0:
+        raise ValueError(f"{name} must be positive definite, got {a.tolist()}")
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Symmetric uniform tensor grid on prod_k [-R_k, R_k].
@@ -38,9 +76,7 @@ class GridSpec:
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if len(self.half_widths) != self.dim or len(self.points) != self.dim:
             raise ValueError("half_widths/points length must equal dim")
-        for r in self.half_widths:
-            if not (r > 0) or not math.isfinite(r):
-                raise ValueError(f"half_width must be positive, got {r}")
+        require_positive(**{f"half_widths[{k}]": r for k, r in enumerate(self.half_widths)})
         for n in self.points:
             if n < 3 or n % 2 == 0:
                 raise ValueError(f"points must be odd and >= 3, got {n}")
@@ -133,18 +169,8 @@ class GaussianSpec:
     covariance: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.covariance, dtype=float))
-        if not self.mass > 0:  # NaN fails too
-            raise ValueError("mass must be positive")
-        if a.shape[0] != a.shape[1]:
-            raise ValueError("covariance must be square")
-        if not np.isfinite(a).all():
-            raise ValueError("covariance must be finite")
-        if not np.allclose(a, a.T, rtol=0, atol=1e-12):
-            raise ValueError("covariance must be symmetric")
-        if np.linalg.eigvalsh(a).min() <= 0:
-            raise ValueError("covariance must be positive definite")
-        object.__setattr__(self, "covariance", a)
+        require_positive(mass=self.mass)
+        object.__setattr__(self, "covariance", spd_matrix("covariance", self.covariance))
 
     @property
     def dim(self) -> int:
@@ -164,8 +190,7 @@ class ExponentSchedule:
     q: float = field(init=False)
 
     def __post_init__(self):
-        if not self.s > 0:  # NaN fails too
-            raise ValueError("s must be positive")
+        require_positive(s=self.s)
         object.__setattr__(self, "p", -math.expm1(-2 * self.s))
         object.__setattr__(self, "q", -math.expm1(2 * self.s))
 
@@ -181,22 +206,13 @@ class BodySpec:
     matrix: np.ndarray | None = None  # ellipsoid only
 
     def __post_init__(self):
-        if not (isinstance(self.dim, numbers.Integral) and self.dim >= 1):
-            raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
-        if not 0 < self.radius < math.inf:  # NaN fails too
-            raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
+        require_count(dim=self.dim)
+        require_positive(radius=self.radius)
         if self.kind == "lp_ball":
             if self.exponent is None or not self.exponent >= 1:  # NaN fails too
                 raise ValueError("lp_ball needs exponent r >= 1 (inf allowed)")
         elif self.kind == "ellipsoid":
-            a = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-            if a.shape != (self.dim, self.dim):
-                raise ValueError("ellipsoid matrix must be dim x dim")
-            if not np.isfinite(a).all():
-                raise ValueError("ellipsoid matrix must be finite")
-            if np.linalg.eigvalsh(a).min() <= 0:
-                raise ValueError("ellipsoid matrix must be positive definite")
-            object.__setattr__(self, "matrix", a)
+            object.__setattr__(self, "matrix", spd_matrix("ellipsoid matrix", self.matrix, self.dim))
         else:
             raise ValueError(f"unknown body kind {self.kind!r}")
 
@@ -245,7 +261,10 @@ class LogQuad:
             raise ValueError("tail_ratio must be nonnegative")
 
     def value(self) -> float:
-        return math.exp(self.log_abs)
+        try:
+            return math.exp(self.log_abs)
+        except OverflowError:  # above the double range: inf, as IEEE rounding gives
+            return math.inf
 
     @property
     def flagged(self) -> bool:
@@ -267,9 +286,7 @@ def gaussian_to_logdensity(g: GaussianSpec, grid: GridSpec) -> LogDensity:
     """phi(x) = 0.5 <x, A^{-1} x> + 0.5 log det(2 pi A) - log c at every node."""
     if g.dim != grid.dim:
         raise ValueError("dimension mismatch between Gaussian and grid")
-    sign, logdet = np.linalg.slogdet(2 * math.pi * g.covariance)
-    if sign <= 0:
-        raise ValueError("covariance not positive definite")
+    _, logdet = np.linalg.slogdet(2 * math.pi * g.covariance)
     phi = _quadratic_form(np.linalg.inv(g.covariance), grid)
     phi *= 0.5
     phi += 0.5 * logdet

@@ -6,15 +6,7 @@ import math
 
 import numpy as np
 
-from .core import GridSpec, LogDensity, gaussian_to_logdensity, isotropic_gaussian
-
-
-def _require_positive(**params) -> None:
-    """Raise naming the first parameter that is not positive and finite (NaN
-    fails too), before any grid work."""
-    for name, value in params.items():
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+from .core import GridSpec, LogDensity, gaussian_to_logdensity, isotropic_gaussian, require_positive
 
 
 def gaussian(grid: GridSpec, beta: float = 1.0, mass: float = 1.0) -> LogDensity:
@@ -23,7 +15,7 @@ def gaussian(grid: GridSpec, beta: float = 1.0, mass: float = 1.0) -> LogDensity
 
 def box(grid: GridSpec, half: float = 1.0, height: float = 1.0) -> LogDensity:
     """Indicator density height * 1_{[-half, half]^n}, exact via the inf sentinel."""
-    _require_positive(half=half, height=height)
+    require_positive(half=half, height=height)
     inside = np.ones(grid.points, dtype=bool)
     for a in grid.open_axes():
         inside &= np.abs(a) <= half + 1e-12
@@ -33,7 +25,7 @@ def box(grid: GridSpec, half: float = 1.0, height: float = 1.0) -> LogDensity:
 
 def exp_power(grid: GridSpec, alpha: float, scale: float = 1.0) -> LogDensity:
     """f = scale * e^{-|x|^alpha} with the Euclidean norm (1D: e^{-|x|^alpha})."""
-    _require_positive(alpha=alpha, scale=scale)
+    require_positive(alpha=alpha, scale=scale)
     phi = grid.sq_norm()
     np.sqrt(phi, out=phi)
     phi **= alpha
@@ -45,7 +37,7 @@ def two_bump(grid: GridSpec, center: float = 1.0, var: float = 0.5) -> LogDensit
     """Even mixture of two log-concave Gaussian bumps at +-center (1D)."""
     if grid.dim != 1:
         raise ValueError("two_bump is a 1D family")
-    _require_positive(var=var, center=center)
+    require_positive(var=var, center=center)
     x = grid.axis(0)
     la = -((x - center) ** 2) / (2 * var)
     lb = -((x + center) ** 2) / (2 * var)
@@ -57,7 +49,7 @@ def cross2d(grid: GridSpec, long: float = 2.0, short: float = 0.5) -> LogDensity
     """Indicator of a plus-shaped cross, the non-convex 2D battery member."""
     if grid.dim != 2:
         raise ValueError("cross2d is a 2D family")
-    _require_positive(long=long, short=short)
+    require_positive(long=long, short=short)
     x, y = grid.open_axes()
     arm1 = (np.abs(x) <= long) & (np.abs(y) <= short)
     arm2 = (np.abs(x) <= short) & (np.abs(y) <= long)

@@ -10,7 +10,6 @@ identity -q/p = e^{2s} used when assembling the tropical bridge.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -24,6 +23,9 @@ from .core import (
     LogQuad,
     NEG_INF,
     make_grid,
+    require_count,
+    require_finite,
+    require_positive,
 )
 from .contract import Outer, contract, edge_dominated
 from .heatflow import KernelUnderResolvedError, fp_evolve, ou_apply, ou_edge_flags
@@ -43,12 +45,6 @@ LAPLACE_DECAY_NATS = 40.0
 # a truncation flag counts only at nodes whose q-integrand is within this many
 # nats of the largest unflagged one; farther nodes cannot move the integral
 FLAG_WINDOW_NATS = 30.0
-
-
-def _require_finite(**args) -> None:
-    for name, value in args.items():
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -146,7 +142,7 @@ def rev_hc_value(f0: LogDensity, s: float, p: float | None = None, q: float | No
     q = sched.q if q is None else q
     if not (0 < p) or not (q < 0):
         raise ValueError("need 0 < p and q < 0")
-    _require_finite(p=p, q=q)
+    require_finite(p=p, q=q)
     _, psg = _ou_lift(f0, s, p)
     lhs = log_lq_norm(psg, q, GAUSSIAN)
     mass = log_integral(f0, LEBESGUE)
@@ -164,13 +160,11 @@ def gaussian_rev_hc(beta: float, a, s: float, p: float, q: float) -> LogQuad:
     q > 0 and collapses to zero for q < 0 (log_abs = -inf, with an infinite
     tail_ratio as the truncation marker).
     """
-    # each check is written so that NaN fails it
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    if not (s > 0 and p > 0 and (q < 0 or q > 0)):
+    require_positive(beta=beta)
+    if not (s > 0 and p > 0 and (q < 0 or q > 0)):  # NaN fails too
         raise ValueError("need s > 0, p > 0, q != 0")
     shifts = np.atleast_1d(np.asarray(a, dtype=float))
-    _require_finite(beta=beta, s=s, p=p, q=q, shifts=shifts)
+    require_finite(s=s, p=p, q=q, shifts=shifts)
     sig2 = -math.expm1(-2 * s)
     es = math.exp(-s)
     total = 0.0
@@ -304,7 +298,7 @@ def bl_data(s: float, p: float | None = None, q: float | None = None) -> BLData:
     q = sched.q if q is None else q
     if not (p < 0 or p > 0) or not (q < 0 or q > 0):  # NaN fails too
         raise ValueError(f"bl_data needs nonzero exponents, got p = {p!r}, q = {q!r}")
-    _require_finite(p=p, q=q)
+    require_finite(p=p, q=q)
     e2s = math.exp(-2 * s)
     es = math.exp(-s)
     denom = 2 * math.pi * (1 - e2s)
@@ -367,8 +361,7 @@ def gaussian_bl_constant(data: BLData, n: int = 1) -> BLOptimum:
     """
     if not (0 < data.p < 1 and data.q < 0):
         raise ValueError("need 0 < p < 1 and q < 0")
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    require_count(n=n)
     c1, c2 = data.c1, data.c2
     (big_a, k), (_, big_b) = (2 * math.pi * data.qform).tolist()
     kk = k * k
@@ -410,10 +403,8 @@ def lr_volume_product(
     |K| uses midpoint cell counting (a cell counts when its center's gauge is
     at most 1); the outer integral is truncated where its integrand has decayed.
     """
-    if not 0 < r < math.inf:  # NaN fails too
-        raise ValueError(f"r must be positive and finite, got {r}")
-    if not (isinstance(inner_cells, numbers.Integral) and inner_cells >= 1):
-        raise ValueError(f"inner_cells must be a positive integer, got {inner_cells!r}")
+    require_positive(r=r)
+    require_count(inner_cells=inner_cells)
     n = body.dim
     if n > 2:
         raise ValueError("L^r-volume product supported for n <= 2")
@@ -475,7 +466,7 @@ def tropical_limit_curve(f: LogDensity, s_list) -> tuple[list[tuple[float, float
             + math.exp(2 * s) * mass.log_abs
             + sched.q * log_lq_norm(psg, sched.q, GAUSSIAN).log_abs
         )
-        out.append((s, math.exp(log_bridge)))
+        out.append((s, LogQuad(log_bridge).value()))
         flags = ou_edge_flags(g, s)  # before w, so that w is not live through them
         w = GAUSSIAN.add_log_weight(-sched.q * psg.phi, f.grid)
         truncated |= bool(_in_window(flags, w).any())

@@ -34,6 +34,22 @@ alpha = 1.5
 times = 0.2, 0.5
 """
 
+GAUSSIAN_129_CFG = "[grid]\npoints = 129\n[density]\nfamily = gaussian\n"
+
+
+def _run_rows(tmp_path, scenario, header):
+    """Run a scenario twice on GAUSSIAN_129_CFG, which must write the same
+    bytes; the CSV's data rows, split at commas."""
+    cfg = _write(tmp_path, GAUSSIAN_129_CFG)
+    csvs = []
+    for out in ("r1", "r2"):
+        assert main([scenario, "--config", cfg, "--out", str(tmp_path / out)]) == 0
+        csvs.append((tmp_path / out / f"{scenario}.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+    lines = csvs[0].decode().splitlines()
+    assert lines[1] == header
+    return [line.split(",") for line in lines[2:]]
+
 
 class TestConfig:
     def test_parse_sections(self, tmp_path):
@@ -162,6 +178,38 @@ class TestMain:
             assert cells[-3.0, 0.001, shift] == "0"
             assert cells[0.05, 2.0, shift] == "inf"
 
+    def test_nelson_value_beyond_the_double_range(self, tmp_path):
+        """gaussian_rev_hc is finite here (log_abs = 856.07) but above the
+        double range: the cell is inf, where value() raised OverflowError."""
+        cfg = _write(tmp_path, "[params]\ns = 0.1\np = 0.004\nq = 0.05\nbetas = 0.001\nshifts = 0\n")
+        assert main(["nelson", "--config", cfg, "--out", str(tmp_path / "n")]) == 0
+        lines = (tmp_path / "n" / "nelson.csv").read_text().splitlines()
+        assert lines[1:] == ["q,beta,shift,value", "0.050000000000000003,0.001,0,inf"]
+
+    def test_revhc_scenario(self, tmp_path):
+        """Centred Gaussians are the extremisers: the slack is 0 at every default s."""
+        rows = _run_rows(tmp_path, "revhc", "family,s,slack,flag")
+        assert [r[:2] for r in rows] == [["gaussian", "0.20000000000000001"], ["gaussian", "0.34657359027997264"],
+                                         ["gaussian", "1"]]
+        for _, _, slack, flag in rows:
+            assert abs(float(slack)) <= 1e-12 and flag == "0"
+
+    def test_blconst_scenario(self, tmp_path):
+        """At the endpoint exponents C_s BL = 1 at a = b = 1, and the grid
+        integral at that optimum matches it."""
+        rows = _run_rows(tmp_path, "blconst", "s,cs_times_bl,a_opt,b_opt,grid_rel_dev")
+        assert len(rows) == 1
+        s, prod, a, b, rel = rows[0]
+        assert (s, prod, a, b) == ("0.34657359027997264", "1", "1", "1")
+        assert abs(float(rel)) <= 1e-12
+
+    def test_tropical_scenario(self, tmp_path):
+        """The Gaussian bridge is exact: (2 pi)^n at every s, none truncated."""
+        rows = _run_rows(tmp_path, "tropical", "family,s,bridge,rel_err,truncated")
+        assert [float(r[1]) for r in rows] == [0.4, 0.2, 0.1]
+        for _, _, bridge, _, truncated in rows:
+            assert float(bridge) == pytest.approx(2 * math.pi, rel=1e-12) and truncated == "0"
+
     def test_validate_scenario(self, tmp_path, capsys):
         cfg = _write(tmp_path, "[params]\n")
         assert main(["validate", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
@@ -283,6 +331,13 @@ class TestMain:
         cfg = _write(tmp_path, f"[grid]\npoints = 65\n[density]\n{density}\n[params]\ntimes = 0.5\n")
         assert main(["flow", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "d").exists()
+
+    def test_infinite_gaussian_mass_exits_2(self, tmp_path, capsys):
+        """An infinite mass is refused by GaussianSpec, before any flow runs."""
+        cfg = _write(tmp_path, "[grid]\npoints = 65\n[density]\nfamily = gaussian\nmass = inf\n[params]\ntimes = 0.5\n")
+        assert main(["flow", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: mass must be positive and finite, got inf"]
         assert not (tmp_path / "d").exists()
 
     def test_unknown_body_exits_2(self, tmp_path, capsys):

@@ -24,7 +24,7 @@ from volprod.core import (
     make_grid,
     reflect,
 )
-from volprod.densities import box, cross2d, exp_power, two_bump
+from volprod.densities import box, cross2d, exp_power, from_family, two_bump
 from volprod.quadrature import GAUSSIAN, LOG_2PI
 
 # the acceptance grids: 1D 513, 2D 129^2, 3D 33^3 and 65^3
@@ -102,6 +102,17 @@ class TestGridSpec:
     def test_integral_float_points_accepted(self):
         assert make_grid(2, 8.0, (33.0, np.int64(5))).points == (33, 5)
 
+    @pytest.mark.parametrize("half_widths, points", [((1.0,), (5, 5)), ((1.0, 1.0), (5,))],
+                             ids=["half_widths", "points"])
+    def test_wrong_length_rejected(self, half_widths, points):
+        with pytest.raises(ValueError, match="half_widths/points length must equal dim"):
+            GridSpec(dim=2, half_widths=half_widths, points=points)
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf], ids=["0", "nan", "inf"])
+    def test_bad_half_width_rejected_by_name(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"half_widths[1] must be positive and finite, got {bad!r}")):
+            GridSpec(dim=2, half_widths=(1.0, bad), points=(5, 5))
+
 
 class TestLogDensity:
     def test_shape_mismatch(self):
@@ -176,6 +187,12 @@ class TestExponentSchedule:
         with pytest.raises(ValueError, match="s must be positive"):
             ExponentSchedule(math.nan)
 
+    def test_infinite_s_rejected(self):
+        """s = inf gave p = 1 and q = -inf, a NaN log C_s and a Laplace
+        transform at an infinite exponent; it is refused by name."""
+        with pytest.raises(ValueError, match="^s must be positive and finite, got inf$"):
+            ExponentSchedule(math.inf)
+
 
 class TestGaussian:
     def test_unit_mass_density_value_at_origin(self):
@@ -205,6 +222,27 @@ class TestGaussian:
     def test_non_finite_covariance_rejected(self, bad):
         with pytest.raises(ValueError, match="covariance must be finite"):
             GaussianSpec(1.0, np.array([[1.0, 0.0], [0.0, bad]]))
+
+    def test_infinite_mass_rejected(self):
+        """An infinite mass was accepted and failed later, in
+        gaussian_to_logdensity, as "phi contains -inf"."""
+        with pytest.raises(ValueError, match="^mass must be positive and finite, got inf$"):
+            GaussianSpec(math.inf, np.eye(1))
+
+    @pytest.mark.parametrize("cov", [np.ones((2, 3)), np.ones((2, 2, 2))], ids=["2x3", "2x2x2"])
+    def test_non_square_covariance_rejected(self, cov):
+        with pytest.raises(ValueError, match="^covariance must be 2 x 2, got shape"):
+            GaussianSpec(1.0, cov)
+
+    def test_covariance_is_a_read_only_copy(self):
+        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+        g = GaussianSpec(1.0, cov)
+        cov[0, 1] = 9.0  # the caller's array stays the caller's
+        assert g.covariance[0, 1] == 0.5 and not g.covariance.flags.writeable
+
+    def test_grid_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch between Gaussian and grid"):
+            gaussian_to_logdensity(isotropic_gaussian(1.0, 2), make_grid(1, 4.0, 9))
 
 
 class TestBodySpec:
@@ -258,6 +296,38 @@ class TestBodySpec:
         with pytest.raises(ValueError, match="ellipsoid matrix must be finite"):
             ellipsoid([[bad]])
 
+    def test_non_symmetric_ellipsoid_rejected(self):
+        """eigvalsh reads one triangle, so this matrix passed the positive
+        definite test; its symmetric part is indefinite and its gauge NaN off
+        the axes. It is refused as GaussianSpec refuses it."""
+        with pytest.raises(ValueError, match=re.escape("ellipsoid matrix must be symmetric, got [[1.0, 3.0], [0.0, 1.0]]")):
+            ellipsoid(np.array([[1.0, 3.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("make", [lambda: ellipsoid(np.ones((2, 3))),
+                                      lambda: BodySpec(kind="ellipsoid", dim=3, matrix=np.eye(2))],
+                             ids=["2x3", "dim-3-matrix-2x2"])
+    def test_ellipsoid_of_wrong_shape_rejected(self, make):
+        with pytest.raises(ValueError, match=r"^ellipsoid matrix must be \d x \d, got shape"):
+            make()
+
+    def test_ellipsoid_not_positive_definite_rejected(self):
+        with pytest.raises(ValueError, match="ellipsoid matrix must be positive definite"):
+            ellipsoid(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_ellipsoid_matrix_is_a_read_only_copy(self):
+        m = np.diag([4.0, 1.0])
+        e = ellipsoid(m)
+        m[0, 0] = -1.0
+        assert e.matrix[0, 0] == 4.0 and not e.matrix.flags.writeable
+
+    def test_unknown_body_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown body kind 'cube'"):
+            BodySpec(kind="cube", dim=2)
+
+    def test_grid_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch between body and grid"):
+            body_to_logdensity(lp_ball(2.0, 2), make_grid(3, 2.0, 9))
+
 
 class TestLogQuad:
     def test_value_roundtrip(self):
@@ -285,6 +355,12 @@ class TestLogQuad:
         """A NaN truncation marker would read as unflagged."""
         with pytest.raises(ValueError, match="tail_ratio must be nonnegative"):
             LogQuad(0.0, tail_ratio=math.nan)
+
+    def test_value_beyond_the_double_range(self):
+        """math.exp raised OverflowError above log_abs = 709.78; the value is
+        inf there, as IEEE rounding gives, and 0 far below."""
+        assert LogQuad(800.0).value() == math.inf
+        assert LogQuad(-800.0).value() == 0.0
 
     def test_flagged_property(self):
         assert LogQuad(0.0, tail_ratio=1e-6).flagged
@@ -337,6 +413,16 @@ class TestDensityParameters:
         params[name] = bad
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
             family(grid, **params)
+
+
+def test_two_bump_is_one_dimensional():
+    with pytest.raises(ValueError, match="two_bump is a 1D family"):
+        two_bump(GRIDS["2d-129"])
+
+
+def test_unknown_family_rejected():
+    with pytest.raises(ValueError, match="unknown density family 'cauchy'"):
+        from_family("cauchy", GRIDS["1d-513"])
 
 
 class TestPerAxisBuilders:

@@ -8,6 +8,7 @@ import pytest
 from volprod.core import (
     ExponentSchedule,
     LogDensity,
+    LogQuad,
     gaussian_to_logdensity,
     isotropic_gaussian,
     lp_ball,
@@ -32,7 +33,7 @@ from volprod.functionals import (
     tropical_limit_curve,
     volume_product,
 )
-from volprod import heatflow
+from volprod import functionals, heatflow
 from volprod.heatflow import flow_trajectory, fp_evolve
 from volprod.legendre import polar_density
 from volprod.oracles import _gaussian_bl_objective, bl_search, fd_derivative, gaussian_closed_forms
@@ -248,7 +249,7 @@ class TestGaussianRevHC:
         sched = ExponentSchedule(0.3)
         args = {"beta": 2.0, "a": [0.0, 1.0], "s": 0.3, "p": sched.p, "q": sched.q}
         args[arg] = bad
-        with pytest.raises(ValueError, match=f"{arg} must be finite"):
+        with pytest.raises(ValueError, match=f"{arg} must be (positive and )?finite"):
             gaussian_rev_hc(**args)
 
 
@@ -319,6 +320,10 @@ class TestQFunctional:
     def test_times_validation(self):
         with pytest.raises(ValueError):
             q_functional(gaussian(GRID), 0.2, [0.5, 0.2])
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="times must be nonnegative"):
+            q_functional(gaussian(GRID), 0.2, [-0.1, 0.5])
 
 
 class TestEquivForm:
@@ -484,6 +489,10 @@ class TestBrascampLieb:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             bl_data(0.3, p, q)
 
+    def test_grids_of_two_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            bl_integral(gaussian(GRID), gaussian(make_grid(2, 6.0, 33)), bl_data(S_HALF_LN2))
+
     def test_grid_integral_matches_closed_form(self):
         data = bl_data(S_HALF_LN2)
         opt = gaussian_bl_constant(data)
@@ -552,8 +561,12 @@ class TestLrVolumeProduct:
 
     @pytest.mark.parametrize("cells", [0, -4, 2.5, math.nan])
     def test_bad_inner_cells_rejected(self, cells):
-        with pytest.raises(ValueError, match="inner_cells must be a positive integer"):
+        with pytest.raises(ValueError, match="inner_cells must be an integer >= 1"):
             lr_volume_product(lp_ball(2.0, 2), 2.0, inner_cells=cells)
+
+    def test_three_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="supported for n <= 2"):
+            lr_volume_product(lp_ball(2.0, 3), 1.0)
 
 
 class TestTropicalLimit:
@@ -588,6 +601,13 @@ class TestTropicalLimit:
     def test_s_order_enforced(self):
         with pytest.raises(ValueError):
             tropical_limit_curve(gaussian(GRID), [0.1, 0.2])
+
+    def test_bridge_beyond_the_double_range_is_inf(self, monkeypatch):
+        """With the q-norm's log at -1000 the bridge's log is above 709.78,
+        where math.exp raised OverflowError; the point reads inf."""
+        monkeypatch.setattr(functionals, "log_lq_norm", lambda *args: LogQuad(-1000.0))
+        curve, _ = tropical_limit_curve(gaussian(GRID), [0.4])
+        assert curve == [(0.4, math.inf)]
 
 
 @pytest.mark.parametrize(

@@ -178,6 +178,16 @@ def test_grid_refinement_reduces_error():
     assert errs[1] < errs[0] / 4
 
 
+def test_tail_ratio_of_a_density_on_the_boundary_shell_alone():
+    """No interior node carries mass, so the boundary-to-interior ratio is inf;
+    the integral is the shell's trapezoid weights: 15 h^2 on 9 x 9 nodes."""
+    g = make_grid(2, 3.0, 9)
+    phi = np.where(boundary_mask(g.points), 0.0, np.inf)
+    lq = log_integral(LogDensity(g, phi))
+    assert lq.tail_ratio == math.inf
+    assert lq.log_abs == pytest.approx(math.log(15 * 0.75**2), rel=1e-14)
+
+
 def test_tail_ratio_flags_wide_density():
     g = make_grid(1, 2.0, 65)  # box far too small for gamma_4
     f = gaussian_to_logdensity(isotropic_gaussian(4.0), g)
